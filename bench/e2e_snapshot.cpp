@@ -1,15 +1,16 @@
 // End-to-end performance snapshot (BENCH_e2e.json): wall-clock for the
 // quickstart pipeline and a fast-mode fig10-style NetCut run, plus
-// per-forward heap-allocation counts and activation-memory footprint with
-// the arena-backed memory planner on vs off. Appends nothing; each run
-// rewrites the JSON so the numbers always describe the current tree.
+// per-forward heap-allocation counts, activation-memory footprint (planned
+// peak vs the sum of all activations) and forward latency on zoo trunks.
+// Appends nothing; each run rewrites the JSON so the numbers always
+// describe the current tree.
 //
 //   ./build/bench/e2e_snapshot [--json BENCH_e2e.json]
 //
-// The quickstart and forward sections compare planned vs naive execution
-// directly. The fig10 section reuses the shared experiment caches
-// (netcut_weights/, netcut_accuracy_cache.csv) exactly like the fig*
-// harnesses, so its wall-clock reflects the steady-state developer loop.
+// The pipelines run in fresh subprocesses. The fig10 section reuses the
+// shared experiment caches (netcut_weights/, netcut_accuracy_cache.csv)
+// exactly like the fig* harnesses, so its wall-clock reflects the
+// steady-state developer loop.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,25 +49,6 @@ double time_best_ms(Fn&& fn, int reps) {
     if (t1 - t0 < best) best = t1 - t0;
   }
   return best;
-}
-
-/// Interleaved A/B comparison: alternates the two bodies rep by rep so
-/// cold-start (page cache, CPU frequency ramp) and drift hit both sides
-/// equally, and returns {best_a_ms, best_b_ms}.
-template <typename FnA, typename FnB>
-std::pair<double, double> time_best_ab_ms(FnA&& a, FnB&& b, int reps) {
-  double best_a = 1e300, best_b = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    double t0 = now_ms();
-    a();
-    double t1 = now_ms();
-    if (t1 - t0 < best_a) best_a = t1 - t0;
-    t0 = now_ms();
-    b();
-    t1 = now_ms();
-    if (t1 - t0 < best_b) best_b = t1 - t0;
-  }
-  return {best_a, best_b};
 }
 
 /// The quickstart pipeline (examples/quickstart.cpp) minus the printf:
@@ -112,9 +94,9 @@ void run_fig10_fast_once() {
 struct ForwardRecord {
   std::string net;
   int resolution = 0;
-  std::uint64_t naive_allocs = 0, planned_allocs = 0;
-  std::size_t naive_activation_bytes = 0, planned_peak_activation_bytes = 0;
-  double naive_ms = 0.0, planned_ms = 0.0;
+  std::uint64_t allocs = 0;
+  std::size_t activation_sum_bytes = 0, planned_peak_activation_bytes = 0;
+  double ms = 0.0;
 };
 
 ForwardRecord measure_forward(zoo::NetId id, int resolution) {
@@ -128,58 +110,27 @@ ForwardRecord measure_forward(zoo::NetId id, int resolution) {
   r.net = zoo::net_name(id);
   r.resolution = resolution;
 
-  nn::Network planned(g);
-  planned.set_memory_planning(true);
-  nn::Network naive(g);
-  naive.set_memory_planning(false);
-  (void)planned.forward(x);  // warm-up: plan + arena + conv scratch
-  (void)naive.forward(x);
+  nn::Network net(std::move(g));
+  (void)net.forward(x);  // warm-up: plan + arena + conv scratch
 
-  const nn::MemoryPlan& plan = planned.plan_for({}, /*train=*/false);
+  const nn::MemoryPlan& plan = net.plan_for({}, /*train=*/false);
   r.planned_peak_activation_bytes = plan.planned_activation_floats() * sizeof(float);
-  r.naive_activation_bytes = plan.naive_activation_floats() * sizeof(float);
+  r.activation_sum_bytes = plan.naive_activation_floats() * sizeof(float);
 
-  std::uint64_t c0 = tensor::tensor_alloc_count();
-  (void)planned.forward(x);
-  r.planned_allocs = tensor::tensor_alloc_count() - c0;
-  c0 = tensor::tensor_alloc_count();
-  (void)naive.forward(x);
-  r.naive_allocs = tensor::tensor_alloc_count() - c0;
+  const std::uint64_t c0 = tensor::tensor_alloc_count();
+  (void)net.forward(x);
+  r.allocs = tensor::tensor_alloc_count() - c0;
 
   constexpr int kReps = 30;
-  const auto [planned_ms, naive_ms] = time_best_ab_ms(
-      [&] { (void)planned.forward(x); }, [&] { (void)naive.forward(x); }, kReps);
-  r.planned_ms = planned_ms;
-  r.naive_ms = naive_ms;
+  r.ms = time_best_ms([&] { (void)net.forward(x); }, kReps);
   return r;
 }
 
-/// Diagnostic (--train-ab): steady-state train-mode forward cost, planned vs
-/// naive, on one trunk. Isolates the planner's overhead on the retraining
-/// path, where pinned lifetimes mean no buffer reuse is possible.
-void train_ab() {
-  util::Rng rng(7);
-  nn::Graph g = zoo::build_trunk(zoo::NetId::kMobileNetV2_140, 24);
-  nn::init_graph(g, rng);
-  const tensor::Tensor x = tensor::Tensor::randn(tensor::Shape::chw(3, 24, 24), rng, 0.5f);
-  nn::Network planned(g);
-  planned.set_memory_planning(true);
-  nn::Network naive(g);
-  naive.set_memory_planning(false);
-  (void)planned.forward(x, /*train=*/true);
-  (void)naive.forward(x, /*train=*/true);
-  const auto [p, n] = time_best_ab_ms([&] { (void)planned.forward(x, true); },
-                                      [&] { (void)naive.forward(x, true); }, 50);
-  std::printf("train fwd: planned %.3f ms vs naive %.3f ms\n", p, n);
-}
-
-/// Times one fresh-subprocess run of `self --run-<which>` with the planner
-/// forced on or off, in milliseconds. Fresh processes keep the two modes
-/// from contaminating each other through allocator state, and match how the
-/// pipelines actually run.
-double time_subprocess_ms(const std::string& self, const char* which, bool planned) {
-  const std::string cmd = std::string("NETCUT_MEMPLAN=") + (planned ? "1" : "0") + " '" + self +
-                          "' --run-" + which + " >/dev/null 2>&1";
+/// Times one fresh-subprocess run of `self --run-<which>`, in milliseconds.
+/// Fresh processes keep runs from contaminating each other through
+/// allocator state, and match how the pipelines actually run.
+double time_subprocess_ms(const std::string& self, const char* which) {
+  const std::string cmd = "'" + self + "' --run-" + which + " >/dev/null 2>&1";
   const double t0 = now_ms();
   if (std::system(cmd.c_str()) != 0)
     std::fprintf(stderr, "e2e_snapshot: subprocess '%s' failed\n", cmd.c_str());
@@ -191,10 +142,6 @@ double time_subprocess_ms(const std::string& self, const char* which, bool plann
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_e2e.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--train-ab") == 0) {
-      train_ab();
-      return 0;
-    }
     if (std::strcmp(argv[i], "--run-quickstart") == 0) {
       run_quickstart_once();
       return 0;
@@ -212,32 +159,27 @@ int main(int argc, char** argv) {
   const std::string self = argv[0];
 
   // Each pipeline: one untimed warm-up subprocess (weight caches, page
-  // cache, frequency ramp), then planned vs naive interleaved best-of-3 in
-  // fresh subprocesses (the pipelines are deterministic; repetition only
-  // filters scheduler noise).
+  // cache, frequency ramp), then best-of-3 in fresh subprocesses (the
+  // pipelines are deterministic; repetition only filters scheduler noise).
   std::printf("warming up quickstart pipeline...\n");
-  time_subprocess_ms(self, "quickstart", true);
-  std::printf("timing quickstart (planned vs naive, fresh subprocesses)...\n");
-  const auto [quickstart_planned_ms, quickstart_naive_ms] = time_best_ab_ms(
-      [&] { return time_subprocess_ms(self, "quickstart", true); },
-      [&] { return time_subprocess_ms(self, "quickstart", false); }, 3);
+  time_subprocess_ms(self, "quickstart");
+  std::printf("timing quickstart (fresh subprocesses)...\n");
+  const double quickstart_ms =
+      time_best_ms([&] { return time_subprocess_ms(self, "quickstart"); }, 3);
 
   setenv("NETCUT_FAST", "1", 1);
   std::printf("warming up fig10-style fast run (shared caches)...\n");
-  time_subprocess_ms(self, "fig10", true);
-  std::printf("timing fig10-style fast run (planned vs naive, fresh subprocesses)...\n");
-  const auto [fig10_planned_ms, fig10_naive_ms] =
-      time_best_ab_ms([&] { return time_subprocess_ms(self, "fig10", true); },
-                      [&] { return time_subprocess_ms(self, "fig10", false); }, 3);
+  time_subprocess_ms(self, "fig10");
+  std::printf("timing fig10-style fast run (fresh subprocesses)...\n");
+  const double fig10_ms = time_best_ms([&] { return time_subprocess_ms(self, "fig10"); }, 3);
 
   std::printf("per-forward metrics...\n");
   std::vector<ForwardRecord> fwd;
   fwd.push_back(measure_forward(zoo::NetId::kMobileNetV2_140, 32));
   fwd.push_back(measure_forward(zoo::NetId::kResNet50, 32));
   fwd.push_back(measure_forward(zoo::NetId::kInceptionV3, 32));
-  // Larger inputs: the activation working set outgrows the cache naively
-  // (8-12 MiB) but stays cache-resident under the plan (~1 MiB), so the
-  // locality payoff of buffer reuse shows up here.
+  // Larger inputs: the summed activations (8-12 MiB) outgrow the cache,
+  // while the planned working set (~1 MiB) stays resident.
   fwd.push_back(measure_forward(zoo::NetId::kMobileNetV2_140, 64));
   fwd.push_back(measure_forward(zoo::NetId::kResNet50, 64));
 
@@ -247,34 +189,24 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << "{\n";
-  out << "  \"quickstart\": {\"planned_ms\": " << quickstart_planned_ms
-      << ", \"naive_ms\": " << quickstart_naive_ms << "},\n";
-  out << "  \"fig10_fast\": {\"planned_ms\": " << fig10_planned_ms
-      << ", \"naive_ms\": " << fig10_naive_ms << "},\n";
+  out << "  \"quickstart\": {\"ms\": " << quickstart_ms << "},\n";
+  out << "  \"fig10_fast\": {\"ms\": " << fig10_ms << "},\n";
   out << "  \"forward\": [\n";
   for (std::size_t i = 0; i < fwd.size(); ++i) {
     const ForwardRecord& r = fwd[i];
     out << "    {\"net\": \"" << r.net << "\", \"resolution\": " << r.resolution
-        << ", \"planned_allocs\": " << r.planned_allocs
-        << ", \"naive_allocs\": " << r.naive_allocs
+        << ", \"allocs\": " << r.allocs
         << ", \"planned_peak_activation_bytes\": " << r.planned_peak_activation_bytes
-        << ", \"naive_activation_bytes\": " << r.naive_activation_bytes
-        << ", \"planned_ms\": " << r.planned_ms << ", \"naive_ms\": " << r.naive_ms << "}"
-        << (i + 1 < fwd.size() ? "," : "") << "\n";
+        << ", \"activation_sum_bytes\": " << r.activation_sum_bytes << ", \"ms\": " << r.ms
+        << "}" << (i + 1 < fwd.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::cout << "wrote " << json_path << "\n";
 
-  std::printf("\nquickstart: planned %.0f ms vs naive %.0f ms\n", quickstart_planned_ms,
-              quickstart_naive_ms);
-  std::printf("fig10 fast: planned %.0f ms vs naive %.0f ms\n", fig10_planned_ms,
-              fig10_naive_ms);
+  std::printf("\nquickstart: %.0f ms\nfig10 fast: %.0f ms\n", quickstart_ms, fig10_ms);
   for (const ForwardRecord& r : fwd)
-    std::printf("%-18s fwd: %.3f ms vs %.3f ms, allocs %llu vs %llu, act MiB %.2f vs %.2f\n",
-                r.net.c_str(), r.planned_ms, r.naive_ms,
-                static_cast<unsigned long long>(r.planned_allocs),
-                static_cast<unsigned long long>(r.naive_allocs),
-                r.planned_peak_activation_bytes / 1048576.0,
-                r.naive_activation_bytes / 1048576.0);
+    std::printf("%-18s @%d fwd: %.3f ms, allocs %llu, act MiB %.2f planned / %.2f summed\n",
+                r.net.c_str(), r.resolution, r.ms, static_cast<unsigned long long>(r.allocs),
+                r.planned_peak_activation_bytes / 1048576.0, r.activation_sum_bytes / 1048576.0);
   return 0;
 }

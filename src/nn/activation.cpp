@@ -5,16 +5,23 @@
 
 namespace netcut::nn {
 
+namespace {
+/// Numerically stable softmax of rank-1 `logits` into `y` (same shape).
+void softmax_into(const Tensor& logits, Tensor& y) {
+  const float m = logits.max();
+  double z = 0.0;
+  for (std::int64_t i = 0; i < logits.numel(); ++i) {
+    y[i] = std::exp(logits[i] - m);
+    z += y[i];
+  }
+  const float inv = static_cast<float>(1.0 / z);
+  for (std::int64_t i = 0; i < logits.numel(); ++i) y[i] *= inv;
+}
+}  // namespace
+
 Shape ReLU::output_shape(const std::vector<Shape>& in) const {
   require_arity(in, 1, "ReLU");
   return in[0];
-}
-
-Tensor ReLU::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, 1, "ReLU");
-  Tensor y(in[0]->shape());
-  forward_into(in, y, train, nullptr);
-  return y;
 }
 
 void ReLU::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
@@ -57,11 +64,11 @@ Shape Softmax::output_shape(const std::vector<Shape>& in) const {
   return in[0];
 }
 
-Tensor Softmax::forward(const std::vector<const Tensor*>& in, bool train) {
+void Softmax::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
+                           float* /*scratch*/) {
   require_arity(in, 1, "Softmax");
-  Tensor y = softmax(*in[0]);
-  if (train) cached_output_ = y;
-  return y;
+  softmax_into(*in[0], out);
+  if (train) cached_output_ = out;
 }
 
 std::vector<Tensor> Softmax::backward(const Tensor& grad_out) {
@@ -87,14 +94,7 @@ LayerCost Softmax::cost(const std::vector<Shape>& in) const {
 Tensor softmax(const Tensor& logits) {
   if (logits.shape().rank() != 1) throw std::invalid_argument("softmax: expected rank-1 input");
   Tensor y(logits.shape());
-  const float m = logits.max();
-  double z = 0.0;
-  for (std::int64_t i = 0; i < logits.numel(); ++i) {
-    y[i] = std::exp(logits[i] - m);
-    z += y[i];
-  }
-  const float inv = static_cast<float>(1.0 / z);
-  for (std::int64_t i = 0; i < logits.numel(); ++i) y[i] *= inv;
+  softmax_into(logits, y);
   return y;
 }
 

@@ -14,7 +14,6 @@ class ReLU final : public Layer {
   std::unique_ptr<Layer> clone() const override { return std::make_unique<ReLU>(*this); }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;
@@ -35,7 +34,8 @@ class Softmax final : public Layer {
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Softmax>(*this); }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
+  void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
+                    float* scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;
   LayerCost cost(const std::vector<Shape>& in) const override;
 

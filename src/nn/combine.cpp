@@ -11,9 +11,10 @@ Shape Input::output_shape(const std::vector<Shape>& in) const {
   return shape_;
 }
 
-Tensor Input::forward(const std::vector<const Tensor*>& in, bool /*train*/) {
+void Input::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool /*train*/,
+                         float* /*scratch*/) {
   require_arity(in, 1, "Input");
-  return *in[0];
+  out.copy_from(*in[0]);
 }
 
 std::vector<Tensor> Input::backward(const Tensor& grad_out) {
@@ -33,13 +34,6 @@ Shape Add::output_shape(const std::vector<Shape>& in) const {
   for (const auto& s : in)
     if (s != in[0]) throw std::invalid_argument("Add: input shape mismatch");
   return in[0];
-}
-
-Tensor Add::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, arity_, "Add");
-  Tensor y(in[0]->shape());
-  forward_into(in, y, train, nullptr);
-  return y;
 }
 
 void Add::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool /*train*/,
@@ -83,16 +77,6 @@ Shape Concat::output_shape(const std::vector<Shape>& in) const {
   return Shape::chw(channels, in[0][1], in[0][2]);
 }
 
-Tensor Concat::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, arity_, "Concat");
-  std::vector<Shape> shapes;
-  shapes.reserve(in.size());
-  for (const Tensor* t : in) shapes.push_back(t->shape());
-  Tensor y(output_shape(shapes));
-  forward_into(in, y, train, nullptr);
-  return y;
-}
-
 void Concat::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                           float* /*scratch*/) {
   require_arity(in, arity_, "Concat");
@@ -134,12 +118,6 @@ LayerCost Concat::cost(const std::vector<Shape>& in) const {
 Shape Flatten::output_shape(const std::vector<Shape>& in) const {
   require_arity(in, 1, "Flatten");
   return Shape::vec(static_cast<int>(in[0].numel()));
-}
-
-Tensor Flatten::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, 1, "Flatten");
-  if (train) cached_in_shape_ = in[0]->shape();
-  return in[0]->reshaped(Shape::vec(static_cast<int>(in[0]->numel())));
 }
 
 void Flatten::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,

@@ -15,7 +15,8 @@ class Input final : public Layer {
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Input>(*this); }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
+  void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
+                    float* scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;
   LayerCost cost(const std::vector<Shape>& in) const override;
 
@@ -34,7 +35,6 @@ class Add final : public Layer {
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Add>(*this); }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;
@@ -56,7 +56,6 @@ class Concat final : public Layer {
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Concat>(*this); }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;
@@ -77,7 +76,6 @@ class Flatten final : public Layer {
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Flatten>(*this); }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;

@@ -58,14 +58,6 @@ Shape Conv2D::output_shape(const std::vector<Shape>& in) const {
   return Shape::chw(out_c_, g.out_h(), g.out_w());
 }
 
-Tensor Conv2D::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, 1, "Conv2D");
-  const ConvGeometry g = geometry(in[0]->shape());
-  Tensor y(Shape::chw(out_c_, g.out_h(), g.out_w()));
-  forward_into(in, y, train, nullptr);
-  return y;
-}
-
 void Conv2D::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                           float* scratch) {
   require_arity(in, 1, "Conv2D");
@@ -189,13 +181,6 @@ Shape DepthwiseConv2D::output_shape(const std::vector<Shape>& in) const {
   if (oh < 1 || ow < 1)
     throw std::invalid_argument("DepthwiseConv2D: output collapses below 1x1");
   return Shape::chw(channels_, oh, ow);
-}
-
-Tensor DepthwiseConv2D::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, 1, "DepthwiseConv2D");
-  Tensor y(output_shape({in[0]->shape()}));
-  forward_into(in, y, train, nullptr);
-  return y;
 }
 
 void DepthwiseConv2D::forward_into(const std::vector<const Tensor*>& in, Tensor& out,

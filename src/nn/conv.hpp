@@ -21,7 +21,6 @@ class Conv2D final : public Layer {
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Conv2D>(*this); }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
   std::size_t forward_scratch_floats(const std::vector<Shape>& in) const override;
@@ -73,7 +72,6 @@ class DepthwiseConv2D final : public Layer {
   }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;

@@ -26,13 +26,6 @@ Shape Dense::output_shape(const std::vector<Shape>& in) const {
   return Shape::vec(out_f_);
 }
 
-Tensor Dense::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, 1, "Dense");
-  Tensor y(Shape::vec(out_f_));
-  forward_into(in, y, train, nullptr);
-  return y;
-}
-
 void Dense::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                          float* /*scratch*/) {
   require_arity(in, 1, "Dense");

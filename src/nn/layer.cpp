@@ -24,9 +24,13 @@ const char* to_string(LayerKind kind) {
   return "Unknown";
 }
 
-void Layer::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
-                         float* /*scratch*/) {
-  out.copy_from(forward(in, train));
+Tensor Layer::forward(const std::vector<const Tensor*>& in, bool train) {
+  std::vector<Shape> shapes;
+  shapes.reserve(in.size());
+  for (const Tensor* t : in) shapes.push_back(t->shape());
+  Tensor y(output_shape(shapes));
+  forward_into(in, y, train, nullptr);
+  return y;
 }
 
 std::size_t Layer::forward_scratch_floats(const std::vector<Shape>& /*in*/) const { return 0; }

@@ -1,4 +1,4 @@
-// Layer abstraction: every operator in the CNN graphs implements forward,
+// Layer abstraction: every operator in the CNN graphs implements forward_into,
 // backward, shape inference, and a hardware-cost descriptor.
 //
 // Execution is batch-free (one CHW image at a time). BatchNorm consequently
@@ -60,19 +60,19 @@ class Layer {
   /// Shape of the output given input shapes. Throws on arity/shape mismatch.
   virtual Shape output_shape(const std::vector<Shape>& in) const = 0;
 
-  /// Run the layer. With train=true, caches whatever backward() needs.
-  virtual Tensor forward(const std::vector<const Tensor*>& in, bool train) = 0;
+  /// Run the layer into freshly allocated storage of output_shape(...):
+  /// forward_into with no planned scratch. With train=true, caches whatever
+  /// backward() needs.
+  Tensor forward(const std::vector<const Tensor*>& in, bool train);
 
   /// Run the layer, writing the output into `out` — storage of the exact
   /// output shape, typically an arena view bound by the memory planner.
   /// `scratch` points to forward_scratch_floats(...) floats of per-call
-  /// workspace when the caller planned one, nullptr otherwise. `out` must
-  /// not alias any input (the planner guarantees this). The base
-  /// implementation falls back to forward() plus a copy; the hot layers
-  /// override it to write in place, and implement forward() on top of it so
-  /// planned and unplanned passes run the same arithmetic bit-for-bit.
+  /// workspace when the caller planned one, nullptr otherwise (the layer
+  /// then uses its own buffer). `out` must not alias any input (the planner
+  /// guarantees this). The one place a layer implements its forward math.
   virtual void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
-                            float* scratch);
+                            float* scratch) = 0;
 
   /// Per-call forward workspace (in floats) the layer wants planned into
   /// the arena (e.g. Conv2D's im2col column buffer). Zero by default.

@@ -58,8 +58,8 @@ class MemoryPlan {
   /// Arena capacity the plan needs (activations + scratch, all lanes), in
   /// floats: lane_stride() * batch().
   std::size_t arena_floats() const { return lane_stride_ * static_cast<std::size_t>(batch_); }
-  /// Per-pass allocation footprint of the unplanned path: the sum of every
-  /// activation's size (each naive forward heap-allocates all of them).
+  /// The sum of every planned activation's size: the footprint a pass
+  /// would need if no two activations shared arena bytes.
   std::size_t naive_activation_floats() const { return naive_activation_floats_; }
   /// High-water mark of the activation slots alone (scratch excluded) —
   /// the planned peak activation memory reported by benchmarks.

@@ -1,7 +1,6 @@
 #include "nn/network.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -9,17 +8,6 @@
 #include "util/thread_pool.hpp"
 
 namespace netcut::nn {
-
-namespace {
-bool planning_env_default() {
-  const char* e = std::getenv("NETCUT_MEMPLAN");
-  return e == nullptr || !(e[0] == '0' && e[1] == '\0');
-}
-bool g_default_planning = planning_env_default();
-}  // namespace
-
-bool default_memory_planning() { return g_default_planning; }
-void set_default_memory_planning(bool on) { g_default_planning = on; }
 
 Network::Network(Graph graph) : graph_(std::move(graph)) {
   graph_.infer_shapes();           // validate eagerly (and populate the cache)
@@ -30,7 +18,6 @@ Network::Network(const Network& other)
     : graph_(other.graph_),
       activations_(other.activations_),
       have_activations_(other.have_activations_),
-      planning_(other.planning_),
       plans_(other.plans_) {}
 
 Network& Network::operator=(const Network& other) {
@@ -38,7 +25,6 @@ Network& Network::operator=(const Network& other) {
   graph_ = other.graph_;
   activations_ = other.activations_;
   have_activations_ = other.have_activations_;
-  planning_ = other.planning_;
   plans_ = other.plans_;
   arena_ = tensor::Arena();
   return *this;
@@ -69,39 +55,36 @@ const MemoryPlan& Network::plan_for(const std::vector<int>& collect, bool train,
   return plans_.front();
 }
 
-std::vector<Tensor> Network::forward_collect_planned(const Tensor& input,
-                                                     const std::vector<int>& collect,
-                                                     bool train) {
+void Network::run_lane(const MemoryPlan& plan, std::size_t base, int resume, const Tensor& seed,
+                       std::vector<Tensor>& acts, bool train, VerifyReport* guard) {
+  // Layers size their work from their inputs, not from the planned slots:
+  // a seed of any other shape would write past its slots and the arena.
+  const Shape& want = plan.shape(resume);
+  if (seed.shape() != want)
+    throw std::invalid_argument("Network: input shape " + seed.shape().to_string() +
+                                " does not match node " + std::to_string(resume) + " shape " +
+                                want.to_string());
   const int n = graph_.node_count();
-  const MemoryPlan& plan = plan_for(collect, train);
-  arena_.reserve(plan.arena_floats());
-
-  // Runtime numerics guard: poison the planned region so a layer that
-  // reads or keeps memory it never wrote produces a recognizable pattern,
-  // then scan every output as it is produced.
-  const bool guard = runtime_verify_enabled();
-  VerifyReport guard_report;
-  if (guard) arena_.poison(0, plan.arena_floats());
-
-  activations_.assign(static_cast<std::size_t>(n), Tensor());
-  // Node 0 is the Input placeholder: read-only, so it views the caller's
-  // buffer directly instead of copying it into the arena.
-  activations_[0] = Tensor::view(input.shape(), const_cast<float*>(input.data()));
-  for (int id = 1; id < n; ++id) {
+  // The seed is read-only, so it views the caller's buffer directly instead
+  // of being copied into the arena.
+  acts[static_cast<std::size_t>(resume)] =
+      Tensor::view(seed.shape(), const_cast<float*>(seed.data()));
+  for (int id = resume + 1; id < n; ++id) {
     Node& nd = graph_.node(id);
     std::vector<const Tensor*> in;
     in.reserve(nd.inputs.size());
     for (int src : nd.inputs) {
-      const Tensor& t = activations_[static_cast<std::size_t>(src)];
-      if (t.empty()) throw std::logic_error("Network::forward: missing activation");
+      const Tensor& t = acts[static_cast<std::size_t>(src)];
+      if (t.empty()) throw std::logic_error("Network: missing activation at node " + nd.name);
       in.push_back(&t);
     }
-    Tensor out = Tensor::view(plan.shape(id), arena_.slot(plan.activation(id).offset));
-    float* scratch =
-        plan.scratch(id).floats != 0 ? arena_.slot(plan.scratch(id).offset) : nullptr;
+    Tensor out = Tensor::view(plan.shape(id), arena_.slot(base + plan.activation(id).offset));
+    float* scratch = plan.scratch(id).floats != 0
+                         ? arena_.slot(base + plan.scratch(id).offset)
+                         : nullptr;
     nd.layer->forward_into(in, out, train, scratch);
-    if (guard) scan_activation(out, id, nd.name, guard_report);
-    activations_[static_cast<std::size_t>(id)] = std::move(out);
+    if (guard != nullptr) scan_activation(out, id, nd.name, *guard);
+    acts[static_cast<std::size_t>(id)] = std::move(out);
     if (!train && id != n - 1) {
       // Inference: a source whose last consumer just ran is dead — its arena
       // bytes may be reused by a later node, so drop the view now. Pinned
@@ -109,10 +92,27 @@ std::vector<Tensor> Network::forward_collect_planned(const Tensor& input,
       // dropped; nothing runs after the final node, so skipping the sweep
       // there keeps naturally-late activations distinguishable from them.
       for (int src : nd.inputs)
-        if (src != 0 && plan.last_use(src) == id)
-          activations_[static_cast<std::size_t>(src)] = Tensor();
+        if (src != resume && plan.last_use(src) == id)
+          acts[static_cast<std::size_t>(src)] = Tensor();
     }
   }
+}
+
+std::vector<Tensor> Network::forward_collect(const Tensor& input,
+                                             const std::vector<int>& collect, bool train) {
+  const int n = graph_.node_count();
+  const MemoryPlan& plan = plan_for(collect, train);
+  arena_.reserve(plan.arena_floats());
+  // Runtime numerics guard: poison the planned region so a layer that
+  // reads or keeps memory it never wrote produces a recognizable pattern,
+  // then scan every output as it is produced.
+  const bool guard = runtime_verify_enabled();
+  VerifyReport guard_report;
+  if (guard) arena_.poison(0, plan.arena_floats());
+
+  have_activations_ = false;
+  activations_.assign(static_cast<std::size_t>(n), Tensor());
+  run_lane(plan, 0, 0, input, activations_, train, guard ? &guard_report : nullptr);
   have_activations_ = true;
   if (guard) enforce(guard_report, "Network::forward (runtime numerics guard)");
 
@@ -123,89 +123,16 @@ std::vector<Tensor> Network::forward_collect_planned(const Tensor& input,
   if (collect.empty()) {
     out.push_back(activations_[static_cast<std::size_t>(graph_.output_node())]);
   } else {
-    for (int id : collect) {
-      if (id < 0 || id >= n) throw std::out_of_range("Network::forward_collect: bad node id");
-      out.push_back(activations_[static_cast<std::size_t>(id)]);
-    }
+    for (int id : collect) out.push_back(activations_[static_cast<std::size_t>(id)]);
   }
   return out;
 }
 
 std::vector<Tensor> Network::forward_batch(const std::vector<const Tensor*>& inputs) {
-  const int batch = static_cast<int>(inputs.size());
-  std::vector<Tensor> outputs(inputs.size());
-  if (batch == 0) return outputs;
-  for (const Tensor* in : inputs) {
-    if (in == nullptr) throw std::invalid_argument("Network::forward_batch: null input");
-    if (in->shape() != inputs[0]->shape())
-      throw std::invalid_argument("Network::forward_batch: inputs must share one shape");
-  }
-  if (!planning_) {
-    for (std::size_t i = 0; i < inputs.size(); ++i) outputs[i] = forward(*inputs[i], false);
-    return outputs;
-  }
-
-  const int n = graph_.node_count();
-  const int out_node = graph_.output_node();
-  const MemoryPlan& plan = plan_for({}, /*train=*/false, batch);
-  arena_.reserve(plan.arena_floats());
-
-  const bool guard = runtime_verify_enabled();
-  std::vector<VerifyReport> lane_reports(guard ? inputs.size() : 0);
-  if (guard) arena_.poison(0, plan.arena_floats());
-
-  // Lanes bind views into disjoint arena regions and write disjoint output
-  // slots; every layer's inference forward_into is free of member writes
-  // once its scratch is planned, so lanes run concurrently. Kernels are
-  // deterministic at any thread count, making the pass bitwise identical to
-  // `batch` independent single-image forwards however the pool is sized.
-  util::parallel_for(0, batch, 1, [&](std::int64_t lb, std::int64_t le) {
-    for (std::int64_t lane = lb; lane < le; ++lane) {
-      const std::size_t base = static_cast<std::size_t>(lane) * plan.lane_stride();
-      const Tensor& input = *inputs[static_cast<std::size_t>(lane)];
-      std::vector<Tensor> acts(static_cast<std::size_t>(n));
-      acts[0] = Tensor::view(input.shape(), const_cast<float*>(input.data()));
-      for (int id = 1; id < n; ++id) {
-        Node& nd = graph_.node(id);
-        std::vector<const Tensor*> in;
-        in.reserve(nd.inputs.size());
-        for (int src : nd.inputs) {
-          const Tensor& t = acts[static_cast<std::size_t>(src)];
-          if (t.empty()) throw std::logic_error("Network::forward_batch: missing activation");
-          in.push_back(&t);
-        }
-        Tensor out =
-            Tensor::view(plan.shape(id), arena_.slot(base + plan.activation(id).offset));
-        float* scratch = plan.scratch(id).floats != 0
-                             ? arena_.slot(base + plan.scratch(id).offset)
-                             : nullptr;
-        nd.layer->forward_into(in, out, /*train=*/false, scratch);
-        if (guard) scan_activation(out, id, nd.name, lane_reports[static_cast<std::size_t>(lane)]);
-        acts[static_cast<std::size_t>(id)] = std::move(out);
-        if (id != n - 1)
-          for (int src : nd.inputs)
-            if (src != 0 && plan.last_use(src) == id)
-              acts[static_cast<std::size_t>(src)] = Tensor();
-      }
-      // Copying the view materializes an owning tensor independent of the
-      // arena (and of every other lane).
-      outputs[static_cast<std::size_t>(lane)] = acts[static_cast<std::size_t>(out_node)];
-    }
-  });
-  // Batched inference leaves no activations for a backward pass.
-  have_activations_ = false;
-  activations_.clear();
-
-  if (guard) {
-    VerifyReport merged;  // lane order keeps the report deterministic
-    for (const VerifyReport& r : lane_reports)
-      merged.findings.insert(merged.findings.end(), r.findings.begin(), r.findings.end());
-    enforce(merged, "Network::forward_batch (runtime numerics guard)");
-  }
-  return outputs;
+  return forward_from_batch(0, inputs);
 }
 
-void Network::check_resume(int resume, const Shape& seed_shape) const {
+void Network::check_resume(int resume) const {
   const int n = graph_.node_count();
   if (resume < 0 || resume >= n - 1)
     throw std::invalid_argument("Network::forward_from: resume node out of range");
@@ -217,80 +144,10 @@ void Network::check_resume(int resume, const Shape& seed_shape) const {
       if (src < resume)
         throw std::invalid_argument("Network::forward_from: node " + std::to_string(id) +
                                     " reads behind resume node " + std::to_string(resume));
-  const Shape& want = graph_.infer_shapes()[static_cast<std::size_t>(resume)];
-  if (seed_shape != want)
-    throw std::invalid_argument("Network::forward_from: seed shape " + seed_shape.to_string() +
-                                " does not match node " + std::to_string(resume) + " shape " +
-                                want.to_string());
 }
 
 Tensor Network::forward_from(int resume, const Tensor& seed) {
-  check_resume(resume, seed.shape());
-  if (resume == 0) return forward(seed, /*train=*/false);
-
-  const int n = graph_.node_count();
-  const bool guard = runtime_verify_enabled();
-  VerifyReport guard_report;
-
-  if (!planning_) {
-    activations_.assign(static_cast<std::size_t>(n), Tensor());
-    activations_[static_cast<std::size_t>(resume)] = seed;
-    for (int id = resume + 1; id < n; ++id) {
-      Node& nd = graph_.node(id);
-      std::vector<const Tensor*> in;
-      in.reserve(nd.inputs.size());
-      for (int src : nd.inputs) {
-        const Tensor& t = activations_[static_cast<std::size_t>(src)];
-        if (t.empty()) throw std::logic_error("Network::forward_from: missing activation");
-        in.push_back(&t);
-      }
-      activations_[static_cast<std::size_t>(id)] = nd.layer->forward(in, /*train=*/false);
-      if (guard) scan_activation(activations_[static_cast<std::size_t>(id)], id, nd.name,
-                                 guard_report);
-    }
-    // A resumed pass has no prefix activations: it can never seed backward.
-    have_activations_ = false;
-    if (guard) enforce(guard_report, "Network::forward_from (runtime numerics guard)");
-    Tensor out = activations_[static_cast<std::size_t>(graph_.output_node())];
-    activations_.clear();
-    return out;
-  }
-
-  const MemoryPlan& plan = plan_for({}, /*train=*/false, 1, resume);
-  arena_.reserve(plan.arena_floats());
-  if (guard) arena_.poison(0, plan.arena_floats());
-
-  std::vector<Tensor> acts(static_cast<std::size_t>(n));
-  // The seed plays node 0's role: read-only, so it views the caller's
-  // buffer directly instead of copying it into the arena.
-  acts[static_cast<std::size_t>(resume)] =
-      Tensor::view(seed.shape(), const_cast<float*>(seed.data()));
-  for (int id = resume + 1; id < n; ++id) {
-    Node& nd = graph_.node(id);
-    std::vector<const Tensor*> in;
-    in.reserve(nd.inputs.size());
-    for (int src : nd.inputs) {
-      const Tensor& t = acts[static_cast<std::size_t>(src)];
-      if (t.empty()) throw std::logic_error("Network::forward_from: missing activation");
-      in.push_back(&t);
-    }
-    Tensor out = Tensor::view(plan.shape(id), arena_.slot(plan.activation(id).offset));
-    float* scratch =
-        plan.scratch(id).floats != 0 ? arena_.slot(plan.scratch(id).offset) : nullptr;
-    nd.layer->forward_into(in, out, /*train=*/false, scratch);
-    if (guard) scan_activation(out, id, nd.name, guard_report);
-    acts[static_cast<std::size_t>(id)] = std::move(out);
-    if (id != n - 1)
-      for (int src : nd.inputs)
-        if (src != resume && plan.last_use(src) == id)
-          acts[static_cast<std::size_t>(src)] = Tensor();
-  }
-  have_activations_ = false;
-  activations_.clear();
-  if (guard) enforce(guard_report, "Network::forward_from (runtime numerics guard)");
-  // Copying the view materializes an owning tensor independent of the arena.
-  Tensor result = acts[static_cast<std::size_t>(graph_.output_node())];
-  return result;
+  return std::move(forward_from_batch(resume, {&seed})[0]);
 }
 
 std::vector<Tensor> Network::forward_from_batch(int resume,
@@ -303,60 +160,35 @@ std::vector<Tensor> Network::forward_from_batch(int resume,
     if (s->shape() != seeds[0]->shape())
       throw std::invalid_argument("Network::forward_from_batch: seeds must share one shape");
   }
-  check_resume(resume, seeds[0]->shape());
-  if (!planning_) {
-    for (std::size_t i = 0; i < seeds.size(); ++i)
-      outputs[i] = resume == 0 ? forward(*seeds[i], /*train=*/false)
-                               : forward_from(resume, *seeds[i]);
-    return outputs;
-  }
+  check_resume(resume);
 
   const int n = graph_.node_count();
   const int out_node = graph_.output_node();
   const MemoryPlan& plan = plan_for({}, /*train=*/false, batch, resume);
   arena_.reserve(plan.arena_floats());
-
   const bool guard = runtime_verify_enabled();
   std::vector<VerifyReport> lane_reports(guard ? seeds.size() : 0);
   if (guard) arena_.poison(0, plan.arena_floats());
 
-  // Same lane discipline as forward_batch (disjoint arena regions, no layer
-  // member writes in planned inference), so lanes run concurrently and the
-  // pass is bitwise identical to `batch` single forward_from calls at any
-  // thread count.
+  // Lanes bind views into disjoint arena regions and write disjoint output
+  // slots; every layer's inference forward_into is free of member writes
+  // once its scratch is planned, so lanes run concurrently. Kernels are
+  // deterministic at any thread count, making the pass bitwise identical to
+  // `batch` independent single-seed passes however the pool is sized. A
+  // single lane is one chunk, which runs inline on the caller, so the
+  // kernels inside it still parallelize.
   util::parallel_for(0, batch, 1, [&](std::int64_t lb, std::int64_t le) {
     for (std::int64_t lane = lb; lane < le; ++lane) {
-      const std::size_t base = static_cast<std::size_t>(lane) * plan.lane_stride();
-      const Tensor& seed = *seeds[static_cast<std::size_t>(lane)];
+      const std::size_t l = static_cast<std::size_t>(lane);
       std::vector<Tensor> acts(static_cast<std::size_t>(n));
-      acts[static_cast<std::size_t>(resume)] =
-          Tensor::view(seed.shape(), const_cast<float*>(seed.data()));
-      for (int id = resume + 1; id < n; ++id) {
-        Node& nd = graph_.node(id);
-        std::vector<const Tensor*> in;
-        in.reserve(nd.inputs.size());
-        for (int src : nd.inputs) {
-          const Tensor& t = acts[static_cast<std::size_t>(src)];
-          if (t.empty())
-            throw std::logic_error("Network::forward_from_batch: missing activation");
-          in.push_back(&t);
-        }
-        Tensor out =
-            Tensor::view(plan.shape(id), arena_.slot(base + plan.activation(id).offset));
-        float* scratch = plan.scratch(id).floats != 0
-                             ? arena_.slot(base + plan.scratch(id).offset)
-                             : nullptr;
-        nd.layer->forward_into(in, out, /*train=*/false, scratch);
-        if (guard) scan_activation(out, id, nd.name, lane_reports[static_cast<std::size_t>(lane)]);
-        acts[static_cast<std::size_t>(id)] = std::move(out);
-        if (id != n - 1)
-          for (int src : nd.inputs)
-            if (src != resume && plan.last_use(src) == id)
-              acts[static_cast<std::size_t>(src)] = Tensor();
-      }
-      outputs[static_cast<std::size_t>(lane)] = acts[static_cast<std::size_t>(out_node)];
+      run_lane(plan, l * plan.lane_stride(), resume, *seeds[l], acts, /*train=*/false,
+               guard ? &lane_reports[l] : nullptr);
+      // Copying the view materializes an owning tensor independent of the
+      // arena (and of every other lane).
+      outputs[l] = acts[static_cast<std::size_t>(out_node)];
     }
   });
+  // An inference pass leaves no activations for a backward pass.
   have_activations_ = false;
   activations_.clear();
 
@@ -367,44 +199,6 @@ std::vector<Tensor> Network::forward_from_batch(int resume,
     enforce(merged, "Network::forward_from_batch (runtime numerics guard)");
   }
   return outputs;
-}
-
-std::vector<Tensor> Network::forward_collect(const Tensor& input,
-                                             const std::vector<int>& collect, bool train) {
-  if (planning_) return forward_collect_planned(input, collect, train);
-
-  const int n = graph_.node_count();
-  const bool guard = runtime_verify_enabled();
-  VerifyReport guard_report;
-  activations_.assign(static_cast<std::size_t>(n), Tensor());
-  activations_[0] = input;
-  for (int id = 1; id < n; ++id) {
-    Node& nd = graph_.node(id);
-    std::vector<const Tensor*> in;
-    in.reserve(nd.inputs.size());
-    for (int src : nd.inputs) {
-      const Tensor& t = activations_[static_cast<std::size_t>(src)];
-      if (t.empty()) throw std::logic_error("Network::forward: missing activation");
-      in.push_back(&t);
-    }
-    activations_[static_cast<std::size_t>(id)] = nd.layer->forward(in, train);
-    if (guard) scan_activation(activations_[static_cast<std::size_t>(id)], id, nd.name,
-                               guard_report);
-  }
-  have_activations_ = true;
-  if (guard) enforce(guard_report, "Network::forward (runtime numerics guard)");
-
-  std::vector<Tensor> out;
-  out.reserve(collect.size() + 1);
-  if (collect.empty()) {
-    out.push_back(activations_[static_cast<std::size_t>(graph_.output_node())]);
-  } else {
-    for (int id : collect) {
-      if (id < 0 || id >= n) throw std::out_of_range("Network::forward_collect: bad node id");
-      out.push_back(activations_[static_cast<std::size_t>(id)]);
-    }
-  }
-  return out;
 }
 
 void Network::backward(const Tensor& grad_output) {

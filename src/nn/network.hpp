@@ -1,15 +1,13 @@
 // Network: an executable wrapper around a Graph. Owns per-node activation
 // storage for forward passes and gradient accumulators for backward passes.
 //
-// Forward passes run in one of two modes:
-//  - planned (default): a MemoryPlan assigns every activation and per-layer
-//    scratch buffer an offset into one arena; layers write through
-//    forward_into into views bound at those offsets, so a steady-state pass
-//    performs no per-node heap allocation. Tensors handed back to the caller
-//    (the output, collected activations) are deep-copied out of the arena by
-//    Tensor's materializing copy semantics.
-//  - naive: every node heap-allocates its output via Layer::forward. Kept as
-//    the reference path; the planned path is bit-identical to it.
+// Every forward pass runs through one executor: a MemoryPlan assigns every
+// activation and per-layer scratch buffer an offset into one arena, and
+// layers write through forward_into into views bound at those offsets, so a
+// steady-state pass performs no per-node heap allocation. Batched passes
+// run one such lane per image over disjoint arena regions. Tensors handed
+// back to the caller (the output, collected activations) are deep-copied
+// out of the arena by Tensor's materializing copy semantics.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +19,7 @@
 
 namespace netcut::nn {
 
-/// Process-wide default for new Network instances. Initialized from the
-/// NETCUT_MEMPLAN environment variable ("0" disables planning; anything
-/// else, or unset, enables it).
-bool default_memory_planning();
-void set_default_memory_planning(bool on);
+struct VerifyReport;
 
 class Network {
  public:
@@ -41,7 +35,8 @@ class Network {
   const Graph& graph() const { return graph_; }
   Graph& graph() { return graph_; }
 
-  /// Run the network on one CHW image (or feature vector); returns the
+  /// Run the network on one CHW image (or feature vector) of the graph's
+  /// declared input shape (std::invalid_argument otherwise); returns the
   /// output node's activation. With train=true, layers cache for backward
   /// and activations are retained for the DAG backward pass.
   Tensor forward(const Tensor& input, bool train = false);
@@ -53,13 +48,12 @@ class Network {
                                       bool train = false);
 
   /// Inference-only batched forward: one output per input, in order. The
-  /// planned path lays the arena out as `inputs.size()` disjoint lanes
-  /// (planned once per batch size and cached) and runs lanes concurrently on
-  /// the pool; every kernel is deterministic at any thread count, so the
+  /// arena is laid out as `inputs.size()` disjoint lanes (planned once per
+  /// batch size and cached) and lanes run concurrently on the pool; every
+  /// kernel is deterministic at any thread count, so the
   /// result is bitwise identical to `inputs.size()` independent single-image
   /// forwards — the serving layer relies on exactly that equivalence. All
-  /// inputs must share one shape. With planning disabled this degrades to a
-  /// loop of naive single-image forwards.
+  /// inputs must share one shape. Same as forward_from_batch(0, inputs).
   std::vector<Tensor> forward_batch(const std::vector<const Tensor*>& inputs);
 
   /// Inference-only forward that resumes mid-graph: node `resume` is seeded
@@ -96,27 +90,28 @@ class Network {
   /// Output shape at the declared input resolution.
   Shape output_shape() const;
 
-  /// Per-instance override of the process-wide planning default.
-  void set_memory_planning(bool on) { planning_ = on; }
-  bool memory_planning() const { return planning_; }
-
   /// The (cached) memory plan for a pass with this collect set / train flag
   /// / batch size / resume node. Exposed so tests and benchmarks can inspect
-  /// planned vs naive footprint (and that distinct batch sizes or resume
-  /// nodes never share a plan).
+  /// the planned footprint (and that distinct batch sizes or resume nodes
+  /// never share a plan).
   const MemoryPlan& plan_for(const std::vector<int>& collect, bool train, int batch = 1,
                              int resume = 0);
 
  private:
-  std::vector<Tensor> forward_collect_planned(const Tensor& input,
-                                              const std::vector<int>& collect, bool train);
-  void check_resume(int resume, const Shape& seed_shape) const;
+  void check_resume(int resume) const;
+  /// The one node loop: seeds node `resume` with a view of `seed` (whose
+  /// shape must equal that node's inferred shape, else std::invalid_argument),
+  /// then runs every later node into its planned slot, offset by `base`
+  /// floats (the lane). `acts` (node_count() entries) receives the views;
+  /// inference drops a view once its last consumer ran. `guard` collects
+  /// the runtime numerics scan when non-null.
+  void run_lane(const MemoryPlan& plan, std::size_t base, int resume, const Tensor& seed,
+                std::vector<Tensor>& acts, bool train, VerifyReport* guard);
 
   Graph graph_;
   std::vector<Tensor> activations_;  // valid after a train-mode forward
   bool have_activations_ = false;
 
-  bool planning_ = default_memory_planning();
   std::vector<MemoryPlan> plans_;  // MRU cache, front = most recent
   tensor::Arena arena_;
 };

@@ -25,13 +25,6 @@ Shape BatchNorm::output_shape(const std::vector<Shape>& in) const {
   return in[0];
 }
 
-Tensor BatchNorm::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, 1, "BatchNorm");
-  Tensor y(in[0]->shape());
-  forward_into(in, y, train, nullptr);
-  return y;
-}
-
 void BatchNorm::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                              float* /*scratch*/) {
   require_arity(in, 1, "BatchNorm");

@@ -22,7 +22,6 @@ class BatchNorm final : public Layer {
   std::unique_ptr<Layer> clone() const override { return std::make_unique<BatchNorm>(*this); }
 
   Shape output_shape(const std::vector<Shape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;

@@ -24,13 +24,6 @@ Shape Pool2D::output_shape(const std::vector<Shape>& in) const {
   return Shape::chw(in[0][0], oh, ow);
 }
 
-Tensor Pool2D::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, 1, "Pool2D");
-  Tensor y(output_shape({in[0]->shape()}));
-  forward_into(in, y, train, nullptr);
-  return y;
-}
-
 void Pool2D::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                           float* /*scratch*/) {
   require_arity(in, 1, "Pool2D");
@@ -132,13 +125,6 @@ Shape GlobalAvgPool::output_shape(const std::vector<Shape>& in) const {
   require_arity(in, 1, "GlobalAvgPool");
   if (in[0].rank() != 3) throw std::invalid_argument("GlobalAvgPool: expected CHW input");
   return Shape::vec(in[0][0]);
-}
-
-Tensor GlobalAvgPool::forward(const std::vector<const Tensor*>& in, bool train) {
-  require_arity(in, 1, "GlobalAvgPool");
-  Tensor y(Shape::vec(in[0]->shape()[0]));
-  forward_into(in, y, train, nullptr);
-  return y;
 }
 
 void GlobalAvgPool::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,

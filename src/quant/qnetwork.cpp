@@ -309,9 +309,9 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
       default: {
         // Fallback for kinds without a dedicated integer kernel (depthwise,
         // BatchNorm, Add, Concat, pooling averages, Softmax): dequantize the
-        // inputs, run the float layer, requantize the output. Heap
-        // allocation here mirrors the naive float path; the hot conv/dense
-        // nodes above never take it.
+        // inputs, run the float layer through Layer::forward, requantize
+        // the output. It heap-allocates per node; the hot conv/dense nodes
+        // above never take it.
         std::vector<tensor::Tensor> fin;
         fin.reserve(nd.inputs.size());
         for (int src : nd.inputs) {

@@ -3,9 +3,10 @@
 // the tenant that submitted it and that tenant's SLO class.
 //
 // The serving layer is clock-agnostic: it never reads a wall clock. Callers
-// stamp arrivals and pass `now` into every call, so the same code runs
-// under the deterministic simulated clock (tests, benchmarks) and under a
-// real steady_clock-derived timeline (the demo).
+// stamp arrivals and pass `now` into every call. Tests, serve_demo and
+// bench/serve_snapshot run it on a deterministic simulated clock; the one
+// wall-clock caller is the perfbench `serve` workload (perfbench/serve.cpp),
+// which derives `now` from std::chrono::steady_clock.
 #pragma once
 
 #include <cstdint>

@@ -152,18 +152,6 @@ TEST_F(CascadeTrnTest, PrefixResumeBitwiseEqualsDeepForwardAtThreads1And8) {
   util::set_num_threads(before);
 }
 
-TEST_F(CascadeTrnTest, PrefixResumeBitwiseOnNaivePath) {
-  int shallow = 0, deep = 0;
-  CascadeTrn cascade = make_cascade(shallow, deep);
-  cascade.shallow().set_memory_planning(false);
-  cascade.deep().set_memory_planning(false);
-  util::Rng rng(12);
-  const tensor::Tensor input = tensor::Tensor::randn(tensor::Shape::chw(3, kRes, kRes), rng, 0.5f);
-  const tensor::Tensor direct = cascade.deep().forward(input);
-  const tensor::Tensor resumed = cascade.escalate(cascade.stage1(input));
-  EXPECT_TRUE(bitwise_equal(resumed, direct));
-}
-
 TEST_F(CascadeTrnTest, DegenerateThresholdsRecoverTheStaticCuts) {
   int shallow = 0, deep = 0;
   CascadeTrn cascade = make_cascade(shallow, deep);

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/combine.hpp"
@@ -217,6 +223,86 @@ TEST(Flatten, RoundTrips) {
   const auto back = f.backward(y);
   EXPECT_EQ(back[0].shape(), x.shape());
   EXPECT_LT(tensor::max_abs_diff(back[0], x), 1e-6f);
+}
+
+void expect_bitwise_equal(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<std::size_t>(a.numel())),
+            0)
+      << what;
+}
+
+TEST(Layer, ForwardEqualsForwardIntoForEveryKind) {
+  // Layer::forward is one base helper over forward_into; for every layer
+  // kind it must produce exactly what forward_into writes into storage the
+  // caller preallocated (poisoned first, so an unwritten element shows),
+  // with and without planned scratch, in both modes. A train-mode
+  // forward_into must cache what backward needs in storage of its own:
+  // the caller's `out` is an arena slot that later nodes overwrite (Softmax
+  // caches its output, the others their inputs).
+  struct Case {
+    std::function<std::unique_ptr<Layer>()> make;
+    std::vector<Shape> in;
+  };
+  const std::vector<Case> cases = {
+      {[] { return std::make_unique<Input>(Shape::chw(2, 5, 5)); }, {Shape::chw(2, 5, 5)}},
+      {[] { return std::make_unique<Conv2D>(2, 3, 3, 2); }, {Shape::chw(2, 7, 7)}},
+      {[] { return std::make_unique<DepthwiseConv2D>(3, 3, 1); }, {Shape::chw(3, 6, 6)}},
+      {[] { return std::make_unique<Dense>(12, 5); }, {Shape::vec(12)}},
+      {[] { return std::make_unique<BatchNorm>(3); }, {Shape::chw(3, 4, 4)}},
+      {[] { return std::make_unique<ReLU>(false); }, {Shape::chw(2, 3, 3)}},
+      {[] { return std::make_unique<ReLU>(true); }, {Shape::chw(2, 3, 3)}},
+      {[] { return std::make_unique<Pool2D>(Pool2D::Mode::kMax, 3, 2); }, {Shape::chw(2, 7, 7)}},
+      {[] { return std::make_unique<Pool2D>(Pool2D::Mode::kAvg, 2, 2, 0); },
+       {Shape::chw(2, 6, 6)}},
+      {[] { return std::make_unique<GlobalAvgPool>(); }, {Shape::chw(4, 3, 3)}},
+      {[] { return std::make_unique<Softmax>(); }, {Shape::vec(7)}},
+      {[] { return std::make_unique<Add>(3); },
+       {Shape::chw(2, 3, 3), Shape::chw(2, 3, 3), Shape::chw(2, 3, 3)}},
+      {[] { return std::make_unique<Concat>(2); }, {Shape::chw(1, 3, 3), Shape::chw(2, 3, 3)}},
+      {[] { return std::make_unique<Flatten>(); }, {Shape::chw(2, 3, 4)}},
+  };
+
+  std::set<LayerKind> seen;
+  util::Rng rng(9);
+  for (const Case& c : cases) {
+    const std::unique_ptr<Layer> proto = c.make();
+    for (Tensor* p : proto->params()) *p = Tensor::randn(p->shape(), rng, 0.5f);
+    seen.insert(proto->kind());
+    std::vector<Tensor> inputs;
+    for (const Shape& s : c.in) inputs.push_back(Tensor::randn(s, rng, 1.0f));
+    std::vector<const Tensor*> ins;
+    for (const Tensor& t : inputs) ins.push_back(&t);
+    const Shape out_shape = proto->output_shape(c.in);
+    std::vector<float> scratch(proto->forward_scratch_floats(c.in));
+
+    const Tensor grad_out = Tensor::randn(out_shape, rng);
+    for (const bool train : {false, true}) {
+      const std::unique_ptr<Layer> by_forward = proto->clone();
+      const Tensor y = by_forward->forward(ins, train);
+      const std::vector<Tensor> want_grads =
+          train ? by_forward->backward(grad_out) : std::vector<Tensor>{};
+      for (const bool planned_scratch : {false, true}) {
+        const std::string tag = std::string(to_string(proto->kind())) +
+                                (train ? " train" : " inference") +
+                                (planned_scratch ? " planned scratch" : "");
+        const std::unique_ptr<Layer> by_into = proto->clone();
+        Tensor out(out_shape, std::nanf(""));
+        by_into->forward_into(ins, out, train,
+                              planned_scratch && !scratch.empty() ? scratch.data() : nullptr);
+        expect_bitwise_equal(out, y, tag);
+        if (!train) continue;
+        out.fill(std::nanf(""));
+        const std::vector<Tensor> grads = by_into->backward(grad_out);
+        ASSERT_EQ(grads.size(), want_grads.size()) << tag;
+        for (std::size_t i = 0; i < grads.size(); ++i)
+          expect_bitwise_equal(grads[i], want_grads[i],
+                               tag + " grad_in[" + std::to_string(i) + "]");
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(LayerKind::kFlatten) + 1)
+      << "a layer kind is missing from the grid";
 }
 
 TEST(Layer, BackwardWithoutForwardThrows) {

@@ -1,15 +1,19 @@
-// Memory-planned execution: the planned forward/backward path must be
-// bit-identical to the naive (per-node heap allocation) reference path —
-// same activations, same collected tensors, same parameter gradients — in
-// train and inference mode, at any thread count, on real zoo trunks and on
-// a TRN whose head joins the trunk through a multi-input combine node.
-// Also pins down the point of the exercise: far fewer heap allocations per
-// planned pass, and a planned activation peak below the naive sum.
+// Memory-planned execution: a pass whose plan reuses arena bytes must be
+// bit-identical to the no-reuse reference — the same executor with every
+// node collected, which pins every activation to the end of the pass so no
+// slot is shared. Same activations, same collected tensors, same parameter
+// gradients, in train and inference mode, at any thread count, on real zoo
+// trunks and on a TRN whose head joins the trunk through a multi-input
+// combine node. Also pins down the point of the exercise: a steady-state
+// pass allocates a fixed handful of tensors, its planned activation peak
+// sits below the sum of all activations, and an off-shape input is
+// rejected instead of overrunning the arena.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,17 +49,46 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b, const std::string& w
       << what;
 }
 
-/// Two networks over copies of one initialized graph: `planned` executes
-/// through the arena, `naive` through per-node allocation.
-struct NetPair {
-  Network planned;
-  Network naive;
+/// The no-reuse reference: every node's activation (indexed by node id)
+/// from a pass that collects every node, so the plan gives each activation
+/// its own slot for the whole pass.
+std::vector<Tensor> no_reuse_activations(const Graph& g, const Tensor& x, bool train) {
+  Network net(g);
+  std::vector<int> all(static_cast<std::size_t>(g.node_count()));
+  std::iota(all.begin(), all.end(), 0);
+  return net.forward_collect(x, all, train);
+}
 
-  explicit NetPair(const Graph& g) : planned(g), naive(g) {
-    planned.set_memory_planning(true);
-    naive.set_memory_planning(false);
+/// Checks the reusing plans against the no-reuse reference (computed once,
+/// at one thread) at threads 1 and 8: the output of a plain forward, and
+/// every intermediate through three passes that each collect every third
+/// node — the other two thirds keep reusing slots, so an aliasing bug
+/// corrupts a collected activation or the output.
+void expect_matches_no_reuse(const Graph& g, const Tensor& x, bool train,
+                             const std::string& what) {
+  PoolGuard guard;
+  util::set_num_threads(1);
+  const std::vector<Tensor> ref = no_reuse_activations(g, x, train);
+  const int n = g.node_count();
+  constexpr int kGroups = 3;
+  for (const int threads : {1, 8}) {
+    util::set_num_threads(threads);
+    const std::string tag =
+        what + (train ? " train" : " inference") + " threads=" + std::to_string(threads);
+    Network net(g);
+    expect_bitwise_equal(net.forward(x, train), ref[static_cast<std::size_t>(g.output_node())],
+                         tag + " output");
+    for (int r = 0; r < kGroups; ++r) {
+      std::vector<int> group;
+      for (int id = r; id < n; id += kGroups) group.push_back(id);
+      const std::vector<Tensor> got = net.forward_collect(x, group, train);
+      ASSERT_EQ(got.size(), group.size());
+      for (std::size_t i = 0; i < group.size(); ++i)
+        expect_bitwise_equal(got[i], ref[static_cast<std::size_t>(group[i])],
+                             tag + " node " + std::to_string(group[i]));
+    }
   }
-};
+}
 
 Graph initialized_trunk(zoo::NetId id, int resolution, unsigned seed) {
   Graph g = zoo::build_trunk(id, resolution);
@@ -67,33 +100,34 @@ Graph initialized_trunk(zoo::NetId id, int resolution, unsigned seed) {
 class MemPlanZoo : public ::testing::TestWithParam<zoo::NetId> {};
 
 TEST_P(MemPlanZoo, InferenceBitIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
   const Graph g = initialized_trunk(GetParam(), 32, 11);
   util::Rng rng(12);
   const Tensor x = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
-  for (const int threads : {1, 8}) {
-    util::set_num_threads(threads);
-    NetPair nets(g);
-    const Tensor yp = nets.planned.forward(x);
-    const Tensor yn = nets.naive.forward(x);
-    expect_bitwise_equal(yp, yn,
-                         zoo::net_name(GetParam()) + " threads=" + std::to_string(threads));
-  }
+  expect_matches_no_reuse(g, x, /*train=*/false, zoo::net_name(GetParam()));
+}
+
+TEST_P(MemPlanZoo, TrainBitIdenticalAcrossThreadCounts) {
+  const Graph g = initialized_trunk(GetParam(), 32, 13);
+  util::Rng rng(14);
+  const Tensor x = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
+  expect_matches_no_reuse(g, x, /*train=*/true, zoo::net_name(GetParam()));
 }
 
 TEST_P(MemPlanZoo, ForwardCollectMatchesNaive) {
-  PoolGuard guard;
+  // The production collect set (features harvested at every block end)
+  // against the naive layout, where every activation owns its slot.
   const Graph g = initialized_trunk(GetParam(), 32, 21);
   util::Rng rng(22);
   const Tensor x = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
+  const std::vector<Tensor> ref = no_reuse_activations(g, x, /*train=*/false);
   std::vector<int> collect;
   for (const BlockInfo& b : g.blocks()) collect.push_back(b.last_node);
-  NetPair nets(g);
-  const auto ap = nets.planned.forward_collect(x, collect);
-  const auto an = nets.naive.forward_collect(x, collect);
-  ASSERT_EQ(ap.size(), an.size());
-  for (std::size_t i = 0; i < ap.size(); ++i)
-    expect_bitwise_equal(ap[i], an[i], "collect[" + std::to_string(i) + "]");
+  Network net(g);
+  const auto got = net.forward_collect(x, collect);
+  ASSERT_EQ(got.size(), collect.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_bitwise_equal(got[i], ref[static_cast<std::size_t>(collect[i])],
+                         "collect[" + std::to_string(i) + "]");
 }
 
 TEST_P(MemPlanZoo, PlannedPeakBelowNaiveSum) {
@@ -127,17 +161,19 @@ TEST_P(MemPlanZoo, BatchedForwardBitIdenticalToSingleImageForwards) {
   std::vector<const Tensor*> inputs;
   for (const Tensor& t : images) inputs.push_back(&t);
 
+  std::vector<Tensor> singles;
+  for (const Tensor& t : images)
+    singles.push_back(no_reuse_activations(g, t, false)[static_cast<std::size_t>(g.output_node())]);
+
   for (const int threads : {1, 8}) {
     util::set_num_threads(threads);
-    NetPair nets(g);
-    const std::vector<Tensor> batched = nets.planned.forward_batch(inputs);
+    Network net(g);
+    const std::vector<Tensor> batched = net.forward_batch(inputs);
     ASSERT_EQ(batched.size(), images.size());
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      const Tensor single = nets.naive.forward(images[i]);
-      expect_bitwise_equal(batched[i], single,
+    for (std::size_t i = 0; i < images.size(); ++i)
+      expect_bitwise_equal(batched[i], singles[i],
                            zoo::net_name(GetParam()) + " lane " + std::to_string(i) +
                                " threads=" + std::to_string(threads));
-    }
   }
 }
 
@@ -183,33 +219,37 @@ TEST(MemPlan, EveryZooNetPlansBelowNaiveSum) {
 
 TEST(MemPlan, TrainForwardBackwardBitIdentical) {
   // TRN over a MobileNetV2 prefix: the retraining path. The head attaches
-  // through the trunk cut, and train-mode passes must produce identical
-  // parameter gradients through either execution path.
+  // through the trunk cut, and a train-mode pass must produce the same
+  // parameter gradients as the no-reuse reference.
   PoolGuard guard;
   const Graph trunk = initialized_trunk(zoo::NetId::kMobileNetV2_100, 32, 31);
   const auto cuts = core::blockwise_cutpoints(trunk);
   util::Rng rng(32);
   const Graph trn = core::build_trn(trunk, cuts[cuts.size() / 2], core::HeadConfig{}, rng);
-
   const Tensor x = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
+  for (const bool train : {false, true}) expect_matches_no_reuse(trn, x, train, "TRN");
+
+  std::vector<int> all(static_cast<std::size_t>(trn.node_count()));
+  std::iota(all.begin(), all.end(), 0);
   for (const int threads : {1, 8}) {
     util::set_num_threads(threads);
-    NetPair nets(trn);
-    const Tensor yp = nets.planned.forward(x, /*train=*/true);
-    const Tensor yn = nets.naive.forward(x, /*train=*/true);
-    expect_bitwise_equal(yp, yn, "train forward, threads=" + std::to_string(threads));
+    Network planned(trn);
+    Network reference(trn);
+    const Tensor yp = planned.forward(x, /*train=*/true);
+    (void)reference.forward_collect(x, all, /*train=*/true);
 
     util::Rng grad_rng(33);
     const Tensor gout = Tensor::randn(yp.shape(), grad_rng);
-    nets.planned.zero_grads();
-    nets.naive.zero_grads();
-    nets.planned.backward(gout);
-    nets.naive.backward(gout);
-    const auto gp = nets.planned.grads();
-    const auto gn = nets.naive.grads();
-    ASSERT_EQ(gp.size(), gn.size());
+    planned.zero_grads();
+    reference.zero_grads();
+    planned.backward(gout);
+    reference.backward(gout);
+    const auto gp = planned.grads();
+    const auto gr = reference.grads();
+    ASSERT_EQ(gp.size(), gr.size());
     for (std::size_t i = 0; i < gp.size(); ++i)
-      expect_bitwise_equal(*gp[i], *gn[i], "grad[" + std::to_string(i) + "]");
+      expect_bitwise_equal(*gp[i], *gr[i],
+                           "grad[" + std::to_string(i) + "] threads=" + std::to_string(threads));
   }
 }
 
@@ -229,38 +269,28 @@ TEST(MemPlan, MultiInputCombineBitIdentical) {
   util::Rng rng(41);
   init_graph(g, rng);
   const Tensor x = Tensor::randn(Shape::chw(2, 8, 8), rng, 0.5f);
-  for (const bool train : {false, true}) {
-    NetPair nets(g);
-    const Tensor yp = nets.planned.forward(x, train);
-    const Tensor yn = nets.naive.forward(x, train);
-    expect_bitwise_equal(yp, yn, train ? "train" : "inference");
-  }
+  for (const bool train : {false, true}) expect_matches_no_reuse(g, x, train, "diamond");
 }
 
 TEST(MemPlan, RepeatedPlannedForwardsAllocateFarLess) {
-  // The acceptance bar for the arena path: a steady-state planned forward
-  // performs at least 5x fewer heap allocations than a naive one. The first
-  // planned call builds the plan and sizes the arena, so measure from the
+  // The acceptance bar for the arena path: a steady-state forward allocates
+  // exactly two tensors (the output copied out of the arena, and the copy
+  // Network::forward returns) however many nodes the graph has.
+  // The first call builds the plan and sizes the arena, so measure from the
   // second call on.
   const Graph g = initialized_trunk(zoo::NetId::kMobileNetV2_100, 32, 51);
   util::Rng rng(52);
   const Tensor x = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
 
-  NetPair nets(g);
-  (void)nets.planned.forward(x);  // warm-up: plan + arena + conv scratch
-  (void)nets.naive.forward(x);
+  Network net(g);
+  const Tensor warm = net.forward(x);  // warm-up: plan + arena + conv scratch
 
-  const std::uint64_t p0 = tensor::tensor_alloc_count();
-  const Tensor yp = nets.planned.forward(x);
-  const std::uint64_t planned_allocs = tensor::tensor_alloc_count() - p0;
+  const std::uint64_t c0 = tensor::tensor_alloc_count();
+  const Tensor y = net.forward(x);
+  const std::uint64_t allocs = tensor::tensor_alloc_count() - c0;
 
-  const std::uint64_t n0 = tensor::tensor_alloc_count();
-  const Tensor yn = nets.naive.forward(x);
-  const std::uint64_t naive_allocs = tensor::tensor_alloc_count() - n0;
-
-  expect_bitwise_equal(yp, yn, "steady-state forward");
-  EXPECT_GE(naive_allocs, 5 * planned_allocs)
-      << "planned=" << planned_allocs << " naive=" << naive_allocs;
+  expect_bitwise_equal(y, warm, "steady-state forward");
+  EXPECT_EQ(allocs, 2u);
 }
 
 TEST(MemPlan, CollectedTensorsOutliveTheArena) {
@@ -271,7 +301,6 @@ TEST(MemPlan, CollectedTensorsOutliveTheArena) {
   const Tensor x1 = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
   const Tensor x2 = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
   Network net(g);
-  net.set_memory_planning(true);
   std::vector<int> collect;
   for (const BlockInfo& b : net.graph().blocks()) collect.push_back(b.last_node);
   auto first = net.forward_collect(x1, collect);
@@ -280,6 +309,36 @@ TEST(MemPlan, CollectedTensorsOutliveTheArena) {
   (void)net.forward_collect(x2, collect);  // overwrites the arena
   for (std::size_t i = 0; i < first.size(); ++i)
     expect_bitwise_equal(first[i], snapshot[i], "harvested[" + std::to_string(i) + "]");
+}
+
+TEST(MemPlan, OffShapeInputsAreRejected) {
+  // Layers size their work from their inputs while the slots are sized for
+  // the declared shape, so an off-shape input would overrun the arena (a
+  // larger one) or leave slots half written (a smaller one). Every entry
+  // point must throw before any layer runs.
+  const Graph g = initialized_trunk(zoo::NetId::kMobileNetV1_025, 32, 81);
+  util::Rng rng(82);
+  Network net(g);
+  const int cut = core::blockwise_cutpoints(g).front();
+  for (const int side : {64, 16}) {
+    const Tensor x = Tensor::randn(Shape::chw(3, side, side), rng, 0.5f);
+    const std::string tag = "side=" + std::to_string(side);
+    EXPECT_THROW(net.forward(x), std::invalid_argument) << tag;
+    EXPECT_THROW(net.forward(x, /*train=*/true), std::invalid_argument) << tag;
+    EXPECT_THROW(net.forward_collect(x, {cut}), std::invalid_argument) << tag;
+    EXPECT_THROW(net.forward_batch({&x, &x}), std::invalid_argument) << tag;
+    EXPECT_THROW(net.forward_from(0, x), std::invalid_argument) << tag;
+    EXPECT_THROW(net.forward_from_batch(0, {&x}), std::invalid_argument) << tag;
+  }
+  // A resumed pass checks its seed against the resume node's shape.
+  const Shape cut_shape = g.infer_shapes()[static_cast<std::size_t>(cut)];
+  const Tensor wrong_seed(Shape::chw(cut_shape[0], cut_shape[1] * 2, cut_shape[2] * 2));
+  EXPECT_THROW(net.forward_from(cut, wrong_seed), std::invalid_argument);
+  EXPECT_THROW(net.forward_from_batch(cut, {&wrong_seed}), std::invalid_argument);
+
+  // The network still runs on a well-shaped input afterwards.
+  const Tensor ok = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
+  EXPECT_NO_THROW(net.forward(ok));
 }
 
 TEST(MemPlan, PlanIntervalsNeverAliasLiveBuffers) {

@@ -239,11 +239,6 @@ class HalfWriter final : public Layer {
     require_arity(in, 1, "HalfWriter");
     return in[0];
   }
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override {
-    Tensor out(in[0]->shape());
-    forward_into(in, out, train, nullptr);
-    return out;
-  }
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool /*train*/,
                     float* /*scratch*/) override {
     for (std::int64_t i = 0; i < out.numel() / 2; ++i) out[i] = (*in[0])[i];
@@ -263,7 +258,6 @@ TEST(NnVerify, PoisonGuardCatchesUseBeforeWrite) {
   util::Rng rng(3);
   init_graph(g, rng);
   Network net(std::move(g));
-  net.set_memory_planning(true);
   const Tensor x = Tensor::randn(Shape::chw(2, 8, 8), rng, 0.5f);
 
   set_verify_mode(VerifyMode::kStatic);
@@ -284,11 +278,6 @@ class InfWriter final : public Layer {
   LayerKind kind() const override { return LayerKind::kReLU; }
   std::unique_ptr<Layer> clone() const override { return std::make_unique<InfWriter>(*this); }
   Shape output_shape(const std::vector<Shape>& in) const override { return in[0]; }
-  Tensor forward(const std::vector<const Tensor*>& in, bool train) override {
-    Tensor out(in[0]->shape());
-    forward_into(in, out, train, nullptr);
-    return out;
-  }
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool /*train*/,
                     float* /*scratch*/) override {
     out.copy_from(*in[0]);
@@ -308,14 +297,11 @@ TEST(NnVerify, RuntimeGuardCatchesNonFiniteActivations) {
   util::Rng rng(4);
   const Tensor x = Tensor::randn(Shape::chw(2, 4, 4), rng, 0.5f);
   set_verify_mode(VerifyMode::kRuntime);
-  for (const bool planned : {true, false}) {
-    net.set_memory_planning(planned);
-    try {
-      net.forward(x);
-      FAIL() << "numerics guard did not fire (planned=" << planned << ")";
-    } catch (const VerifyError& e) {
-      EXPECT_TRUE(e.report().has(rules::kNonFinite)) << e.what();
-    }
+  try {
+    net.forward(x);
+    FAIL() << "numerics guard did not fire";
+  } catch (const VerifyError& e) {
+    EXPECT_TRUE(e.report().has(rules::kNonFinite)) << e.what();
   }
 }
 
@@ -327,10 +313,7 @@ TEST(NnVerify, RuntimeGuardIsCleanOnARealNet) {
   init_graph(g, rng);
   Network net(std::move(g));
   const Tensor x = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
-  for (const bool planned : {true, false}) {
-    net.set_memory_planning(planned);
-    EXPECT_NO_THROW(net.forward(x)) << "planned=" << planned;
-  }
+  EXPECT_NO_THROW(net.forward(x));
 }
 
 TEST(NnVerify, IllegalCutSiteInsideABlockIsRejected) {
