@@ -2,21 +2,27 @@
 // else is built on, plus end-to-end inference of representative networks at
 // experiment resolution, the SVR fit, and the TRN construction path.
 //
-// `--json <path>` switches to a self-timed kernel sweep that writes one
-// JSON array of {kernel, m, k, n, gflops, ms, backend} records to <path> —
-// every fp32/int8 kernel shape timed under both the scalar and simd
-// backends, plus end-to-end fp32 vs integer forwards of a zoo trunk with
-// the measured and DeviceModel-predicted int8 speedups — so the perf
-// trajectory of the GEMM/conv substrate can be tracked across PRs
+// `--json <path>` switches to a self-timed kernel sweep that writes to
+// <path> one JSON object: a `host` stamp (CPU model, nproc, simd ISA,
+// backend, threads, git sha) and `records`, an array of {kernel, m, k, n,
+// gflops, ms, backend} — every fp32/int8 kernel shape timed under both the
+// scalar and simd backends, square sizes and the small-N GEMMs of TRN
+// convolutions, plus end-to-end fp32 vs integer forwards of a zoo trunk
+// with the measured and DeviceModel-predicted int8 speedups — so the perf
+// trajectory of the GEMM/conv substrate can be tracked across commits
 // (see BENCH_kernels.json).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <tuple>
 
 #include "core/trn.hpp"
 #include "data/hands.hpp"
@@ -31,6 +37,7 @@
 #include "tensor/backend.hpp"
 #include "tensor/gemm.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "zoo/zoo.hpp"
 
 namespace {
@@ -174,6 +181,38 @@ double time_best_ms(Fn&& fn, int warmup = 2, int reps = 5) {
   return best;
 }
 
+/// "model name" of the first /proc/cpuinfo entry.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) return line.substr(colon + 2);
+    }
+  return "unknown";
+}
+
+/// Short git sha of the source tree this binary was built from, with
+/// "-dirty" when tracked files differ from it; "unknown" outside git.
+std::string git_revision() {
+  const auto run = [](const std::string& cmd) {
+    std::string out;
+    if (FILE* p = popen(cmd.c_str(), "r")) {
+      char buf[128];
+      while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+      if (pclose(p) != 0) return std::string();
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) out.pop_back();
+    return out;
+  };
+  const std::string git = "git -C \"" NETCUT_SOURCE_DIR "\" ";
+  const std::string sha = run(git + "rev-parse --short HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  const bool dirty = !run(git + "status --porcelain --untracked-files=no 2>/dev/null").empty();
+  return dirty ? sha + "-dirty" : sha;
+}
+
 int run_json_sweep(const std::string& path) {
   util::Rng rng(42);
   std::vector<KernelRecord> records;
@@ -212,20 +251,38 @@ int run_json_sweep(const std::string& path) {
     // Integer GEMM (uint8 activations x int8 weights -> int32), the engine
     // of the quantized inference path. MACs counted as 2 ops like fp32 so
     // the gflops column is directly comparable.
-    for (const int s : {64, 128, 256, 512}) {
-      std::vector<std::int8_t> a(static_cast<std::size_t>(s) * s);
-      std::vector<std::uint8_t> b(static_cast<std::size_t>(s) * s);
-      std::vector<std::int32_t> c(static_cast<std::size_t>(s) * s);
+    const auto s8u8_like = [&](const char* name, int m, int k, int n, bool prepacked) {
+      std::vector<std::int8_t> a(static_cast<std::size_t>(m) * k);
+      std::vector<std::uint8_t> b(static_cast<std::size_t>(k) * n);
+      std::vector<std::int32_t> c(static_cast<std::size_t>(m) * n);
       for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
       for (auto& v : b) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      KernelRecord r{"gemm_s8u8", s, s, s};
+      const tensor::S8Panels panels = tensor::pack_s8_panels(a.data(), m, k);
+      KernelRecord r{name, m, k, n};
       r.backend = backend;
       r.ms = time_best_ms([&] {
-        tensor::gemm_s8u8(a.data(), b.data(), c.data(), s, s, s);
+        if (prepacked) {
+          tensor::gemm_s8u8(panels, b.data(), c.data(), n);
+        } else {
+          tensor::gemm_s8u8(a.data(), b.data(), c.data(), m, k, n);
+        }
         benchmark::DoNotOptimize(c.data());
       });
-      r.gflops = 2.0 * s * s * s / (r.ms * 1e6);
+      r.gflops = 2.0 * m * k * n / (r.ms * 1e6);
       records.push_back(r);
+    };
+    // Square sizes through the raw-A wrapper, which packs A on every call.
+    for (const int s : {64, 128, 256, 512}) s8u8_like("gemm_s8u8", s, s, s, false);
+
+    // TRN convolutions: a trunk cut early and run at 24-32 px leaves a
+    // handful of output pixels (N = 2x2 .. 8x8), against K up to 2304. The
+    // int8 rows take weights packed once, as QuantizedNetwork does.
+    for (const auto& [m, k, n] : {std::tuple{256, 2304, 4}, std::tuple{1024, 256, 4},
+                                  std::tuple{256, 2304, 9}, std::tuple{128, 1152, 16},
+                                  std::tuple{512, 128, 16}, std::tuple{64, 576, 36},
+                                  std::tuple{64, 576, 64}, std::tuple{256, 64, 64}}) {
+      gemm_like("gemm_trn", m, k, n, tensor::gemm);
+      s8u8_like("gemm_s8u8_trn", m, k, n, true);
     }
 
     for (const int c : {16, 64}) {
@@ -288,15 +345,19 @@ int run_json_sweep(const std::string& path) {
     std::cerr << "micro_kernels: cannot open " << path << "\n";
     return 1;
   }
-  out << "[\n";
+  out << "{\n  \"host\": {\"cpu\": \"" << cpu_model() << "\", \"nproc\": "
+      << sysconf(_SC_NPROCESSORS_ONLN) << ", \"simd_isa\": \"" << tensor::simd_isa()
+      << "\", \"backend\": \"" << tensor::backend_name(tensor::active_backend_kind())
+      << "\", \"threads\": " << util::num_threads() << ", \"git\": \"" << git_revision()
+      << "\"},\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const KernelRecord& r = records[i];
-    out << "  {\"kernel\": \"" << r.kernel << "\", \"m\": " << r.m << ", \"k\": " << r.k
+    out << "    {\"kernel\": \"" << r.kernel << "\", \"m\": " << r.m << ", \"k\": " << r.k
         << ", \"n\": " << r.n << ", \"gflops\": " << r.gflops << ", \"ms\": " << r.ms
         << ", \"backend\": \"" << r.backend << "\"}"
         << (i + 1 < records.size() ? "," : "") << "\n";
   }
-  out << "]\n";
+  out << "  ]\n}\n";
   std::cout << "wrote " << records.size() << " kernel records to " << path << "\n";
   return 0;
 }

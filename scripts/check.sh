@@ -21,12 +21,14 @@
 #    "kernels|layers|quant") once under NETCUT_BACKEND=scalar and once
 #    under NETCUT_BACKEND=simd — both dispatch tables must hold the same
 #    contracts on this machine
-# 6. AddressSanitizer (build-asan/): thread pool, memory planner, graph
-#    verifier and kernel-backend tests — the subsystems that juggle raw
-#    lifetimes plus the hand-packed AVX2/FMA panels — then the layer and
-#    quantization suites (ctest -L "layers|quant"), where every layer's
+# 6. AddressSanitizer (build-asan/): thread pool, memory planner and graph
+#    verifier tests — the subsystems that juggle raw lifetimes — then the
+#    kernel, layer and quantization suites (ctest -L "kernels|layers|quant"):
+#    the AVX2/FMA microkernels read weights in place (rows past a short
+#    tile clamp to its last row) and int8 panels packed once, every layer's
 #    forward() and the int8 dequantize/float fallback nodes run through the
-#    shared Layer::forward helper
+#    shared Layer::forward helper, and 1x1 convolutions hand their input to
+#    the GEMM directly
 # 7. model checker (ctest -L sched): the schedule-exploration campaigns —
 #    every serve protocol under >= 200 seeded schedules plus
 #    bounded-exhaustive prefixes — clean, under the chaos schedule, and the
@@ -110,14 +112,14 @@ NETCUT_BACKEND=scalar \
 NETCUT_BACKEND=simd \
   ctest --test-dir build -L 'kernels|layers|quant' --output-on-failure -j "$(nproc)"
 
-echo "==> [6/13] ASan: thread pool + memory planner + verifier + kernel backends + layers + quant"
+echo "==> [6/13] ASan: thread pool + memory planner + verifier + kernels + layers + quant"
 cmake -B build-asan -S . -DNETCUT_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$(nproc)" \
-  --target test_util_threadpool test_nn_memplan test_nn_verify test_tensor_backends \
-  test_nn_layers test_quant
-ctest --test-dir build-asan -R 'ThreadPool|ThreadDeterminism|MemPlan|NnVerify|Backends' \
+  --target test_util_threadpool test_nn_memplan test_nn_verify test_tensor \
+  test_tensor_backends test_nn_layers test_quant
+ctest --test-dir build-asan -R 'ThreadPool|ThreadDeterminism|MemPlan|NnVerify' \
   --output-on-failure -j "$(nproc)"
-ctest --test-dir build-asan -L 'layers|quant' --output-on-failure -j "$(nproc)"
+ctest --test-dir build-asan -L 'kernels|layers|quant' --output-on-failure -j "$(nproc)"
 
 echo "==> [7/13] model checker (ctest -L sched, clean + chaos + lockcheck)"
 ctest --test-dir build -L sched --output-on-failure -j "$(nproc)"

@@ -67,16 +67,19 @@ void Conv2D::forward_into(const std::vector<const Tensor*>& in, Tensor& out, boo
   const int ow = g.out_w();
   const int k2 = in_c_ * kernel_h_ * kernel_w_;
 
-  float* cols = scratch;
-  if (cols == nullptr) {
-    const std::size_t cols_size = static_cast<std::size_t>(k2) * oh * ow;
-    if (cols_scratch_.size() < cols_size) cols_scratch_.resize(cols_size);
-    cols = cols_scratch_.data();
+  // W viewed as [out_c, k2]; the columns are [k2, oh*ow]. gemm (like every
+  // hot kernel here) dispatches through the active tensor::KernelBackend.
+  const float* cols = x.data();
+  if (!im2col_is_identity()) {
+    float* buf = scratch;
+    if (buf == nullptr) {
+      const std::size_t cols_size = static_cast<std::size_t>(k2) * oh * ow;
+      if (cols_scratch_.size() < cols_size) cols_scratch_.resize(cols_size);
+      buf = cols_scratch_.data();
+    }
+    tensor::im2col(x.data(), g, buf);
+    cols = buf;
   }
-  tensor::im2col(x.data(), g, cols);
-
-  // W viewed as [out_c, k2]; cols is [k2, oh*ow]. gemm (like every hot
-  // kernel here) dispatches through the active tensor::KernelBackend.
   tensor::gemm(weight_.data(), cols, out.data(), out_c_, k2, oh * ow);
   if (has_bias_) {
     const std::size_t hw = static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow);
@@ -90,6 +93,7 @@ void Conv2D::forward_into(const std::vector<const Tensor*>& in, Tensor& out, boo
 }
 
 std::size_t Conv2D::forward_scratch_floats(const std::vector<Shape>& in) const {
+  if (im2col_is_identity()) return 0;
   const ConvGeometry g = geometry(in[0]);
   return static_cast<std::size_t>(in_c_ * kernel_h_ * kernel_w_) *
          static_cast<std::size_t>(g.out_h()) * static_cast<std::size_t>(g.out_w());

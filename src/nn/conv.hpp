@@ -42,6 +42,11 @@ class Conv2D final : public Layer {
   int stride() const { return stride_; }
   int pad_h() const { return pad_h_; }
   int pad_w() const { return pad_w_; }
+  /// 1x1, stride 1, no padding: im2col would copy the input unchanged, so
+  /// forward passes it to the GEMM as B directly and needs no scratch.
+  bool im2col_is_identity() const {
+    return kernel_h_ == 1 && kernel_w_ == 1 && stride_ == 1 && pad_h_ == 0 && pad_w_ == 0;
+  }
 
  private:
   tensor::ConvGeometry geometry(const Shape& in) const;

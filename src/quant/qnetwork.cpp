@@ -18,6 +18,9 @@ namespace {
 /// lines.
 std::size_t align64(std::size_t bytes) { return (bytes + 63) & ~std::size_t{63}; }
 
+/// Floats per requantization chunk (a stack buffer).
+constexpr int kChunk = 256;
+
 /// Per-output-channel sums of the int8 weights. Folding the activation zero
 /// point through these is exact: sum (a - zp) * w == sum a*w - zp * sum w
 /// in integer arithmetic, so the raw-product s8u8 GEMM loses nothing.
@@ -47,19 +50,41 @@ tensor::ConvGeometry conv_geometry(const nn::Conv2D& conv, const tensor::Shape& 
 }
 
 /// Requantize raw s8u8 accumulators into the node's uint8 activation slot:
-/// float = (acc - zp * rowsum) * (w_scale * in_scale) + bias.
-void requantize_rows(const std::int32_t* acc, int rows, int cols, const ChannelQuant& qw,
+/// float = (acc - zp * rowsum) * (w_scale * in_scale) + bias. The floats
+/// fill a stack chunk across row boundaries, so the many one- and four-pixel
+/// rows of a cut trunk still reach quantize_row in full chunks.
+void requantize_rows(const std::int32_t* acc, int rows, int cols, const std::vector<float>& scales,
                      const std::vector<std::int32_t>& rowsums, const QuantParams& in_p,
                      const float* bias, const QuantParams& out_p, std::uint8_t* out) {
+  float buf[kChunk];
+  int filled = 0;
   for (int o = 0; o < rows; ++o) {
-    const float requant = qw.scales[static_cast<std::size_t>(o)] * in_p.scale;
+    const float requant = scales[static_cast<std::size_t>(o)] * in_p.scale;
     const std::int32_t fold = in_p.zero_point * rowsums[static_cast<std::size_t>(o)];
     const float b = bias ? bias[o] : 0.0f;
     const std::int32_t* arow = acc + static_cast<std::int64_t>(o) * cols;
-    std::uint8_t* orow = out + static_cast<std::int64_t>(o) * cols;
-    for (int j = 0; j < cols; ++j)
-      orow[j] = quantize_value(static_cast<float>(arow[j] - fold) * requant + b, out_p);
+    for (int j = 0; j < cols;) {
+      const int len = std::min(cols - j, kChunk - filled);
+      for (int t = 0; t < len; ++t)
+        buf[filled + t] = static_cast<float>(arow[j + t] - fold) * requant + b;
+      filled += len;
+      j += len;
+      if (filled == kChunk) {
+        quantize_row(buf, kChunk, out_p, out);  // out is contiguous, row after row
+        out += kChunk;
+        filled = 0;
+      }
+    }
   }
+  quantize_row(buf, static_cast<std::size_t>(filled), out_p, out);
+}
+
+/// 256-entry uint8 -> float dequantization table.
+std::array<float, 256> dequant_lut(const QuantParams& p) {
+  std::array<float, 256> lut{};
+  for (int v = 0; v < 256; ++v)
+    lut[static_cast<std::size_t>(v)] = dequantize_value(static_cast<std::uint8_t>(v), p);
+  return lut;
 }
 
 /// 256-entry uint8 -> uint8 requantization table for `f` applied in float.
@@ -78,9 +103,10 @@ std::array<std::uint8_t, 256> requant_lut(const QuantParams& in_p, const QuantPa
 QuantizedNetwork::QuantizedNetwork(nn::Graph fused_graph) : net_(std::move(fused_graph)) {
   // Round-trip every conv/dense weight through per-channel int8 now; the
   // information loss is baked into the stored weights, and the integer form
-  // (values + per-channel rowsums) is kept for forward_int8. Quantizing the
-  // restored weights is idempotent, so the stored int8 values are exactly
-  // what int8_conv2d / int8_dense would re-derive.
+  // (values packed once into GEMM panels, scales, per-channel rowsums) is
+  // kept for forward_int8. Quantizing the restored weights is idempotent, so
+  // the stored int8 values are exactly what int8_conv2d / int8_dense would
+  // re-derive.
   for (int id = 1; id < net_.graph().node_count(); ++id) {
     nn::Layer& layer = *net_.graph().node(id).layer;
     tensor::Tensor* w = nullptr;
@@ -114,7 +140,9 @@ QuantizedNetwork::QuantizedNetwork(nn::Graph fused_graph) : net_(std::move(fused
     if (layer.kind() != nn::LayerKind::kDepthwiseConv2D) {
       NodeWeights nw;
       nw.rowsums = weight_rowsums(q, out_channels);
-      nw.qw = std::move(q);
+      nw.panels = tensor::pack_s8_panels(q.values.data(), out_channels,
+                                         static_cast<int>(w->numel() / out_channels));
+      nw.scales = std::move(q.scales);
       node_weights_.emplace(id, std::move(nw));
     }
   }
@@ -174,15 +202,19 @@ void QuantizedNetwork::plan_int8(const tensor::Shape& in_shape) {
           conv_geometry(conv, plan.shapes[static_cast<std::size_t>(nd.inputs[0])]);
       const std::size_t pixels =
           static_cast<std::size_t>(geo.out_h()) * static_cast<std::size_t>(geo.out_w());
-      cols_bytes = std::max(
-          cols_bytes, static_cast<std::size_t>(geo.in_c) * static_cast<std::size_t>(geo.patch()) *
-                          pixels);
+      if (!conv.im2col_is_identity())
+        cols_bytes = std::max(cols_bytes, static_cast<std::size_t>(geo.in_c) *
+                                              static_cast<std::size_t>(geo.patch()) * pixels);
       acc_bytes = std::max(acc_bytes,
                            static_cast<std::size_t>(conv.out_channels()) * pixels * sizeof(std::int32_t));
     } else if (id > 0 && nd.layer->kind() == nn::LayerKind::kDense) {
       const auto& dense = static_cast<const nn::Dense&>(*nd.layer);
       acc_bytes =
           std::max(acc_bytes, static_cast<std::size_t>(dense.out_features()) * sizeof(std::int32_t));
+    } else if (id > 0 && nd.layer->kind() == nn::LayerKind::kAdd) {
+      const std::size_t count =
+          static_cast<std::size_t>(plan.shapes[static_cast<std::size_t>(id)].numel());
+      acc_bytes = std::max(acc_bytes, count * sizeof(float));  // the float sums
     }
   }
   plan.cols_offset = bytes;
@@ -231,14 +263,15 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         const NodeWeights& nw = node_weights_.at(id);
         const tensor::ConvGeometry geo = conv_geometry(conv, in_shape);
         const int pixels = geo.out_h() * geo.out_w();
-        const int patch_k = geo.in_c * geo.patch();
-        std::uint8_t* cols = base + plan.cols_offset;
+        const std::uint8_t* cols = act(src0);
+        if (!conv.im2col_is_identity()) {
+          std::uint8_t* buf = base + plan.cols_offset;
+          tensor::im2col_u8(act(src0), geo, buf, static_cast<std::uint8_t>(in_p.zero_point));
+          cols = buf;
+        }
         auto* acc = reinterpret_cast<std::int32_t*>(base + plan.acc_offset);
-        tensor::im2col_u8(act(src0), geo, cols,
-                          static_cast<std::uint8_t>(in_p.zero_point));
-        tensor::gemm_s8u8(nw.qw.values.data(), cols, acc, conv.out_channels(), patch_k,
-                          pixels);
-        requantize_rows(acc, conv.out_channels(), pixels, nw.qw, nw.rowsums, in_p,
+        tensor::gemm_s8u8(nw.panels, cols, acc, pixels);
+        requantize_rows(acc, conv.out_channels(), pixels, nw.scales, nw.rowsums, in_p,
                         conv.has_bias() ? conv.bias().data() : nullptr, out_p, act(id));
         break;
       }
@@ -246,9 +279,8 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         const auto& dense = static_cast<const nn::Dense&>(*nd.layer);
         const NodeWeights& nw = node_weights_.at(id);
         auto* acc = reinterpret_cast<std::int32_t*>(base + plan.acc_offset);
-        tensor::gemm_s8u8(nw.qw.values.data(), act(src0), acc, dense.out_features(),
-                          dense.in_features(), 1);
-        requantize_rows(acc, dense.out_features(), 1, nw.qw, nw.rowsums, in_p,
+        tensor::gemm_s8u8(nw.panels, act(src0), acc, 1);
+        requantize_rows(acc, dense.out_features(), 1, nw.scales, nw.rowsums, in_p,
                         dense.has_bias() ? dense.bias().data() : nullptr, out_p, act(id));
         break;
       }
@@ -263,6 +295,21 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         std::uint8_t* y = act(id);
         const std::size_t count = numel(id);
         for (std::size_t i = 0; i < count; ++i) y[i] = lut[x[i]];
+        break;
+      }
+      case nn::LayerKind::kAdd: {
+        // The fallback's arithmetic without its float tensors: dequantize
+        // each input through a 256-entry table, sum in Add's order (input
+        // 0, then += each next input) in the float scratch, requantize.
+        float* sum = reinterpret_cast<float*>(base + plan.acc_offset);
+        const std::size_t count = numel(id);
+        for (std::size_t t = 0; t < nd.inputs.size(); ++t) {
+          const std::array<float, 256> lut = dequant_lut(scales_.at(nd.inputs[t]));
+          const std::uint8_t* x = act(nd.inputs[t]);
+          for (std::size_t i = 0; i < count; ++i)
+            sum[i] = t == 0 ? lut[x[i]] : sum[i] + lut[x[i]];
+        }
+        quantize_row(sum, count, out_p, act(id));
         break;
       }
       case nn::LayerKind::kFlatten: {
@@ -308,7 +355,7 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
       }
       default: {
         // Fallback for kinds without a dedicated integer kernel (depthwise,
-        // BatchNorm, Add, Concat, pooling averages, Softmax): dequantize the
+        // BatchNorm, Concat, pooling averages, Softmax): dequantize the
         // inputs, run the float layer through Layer::forward, requantize
         // the output. It heap-allocates per node; the hot conv/dense nodes
         // above never take it.

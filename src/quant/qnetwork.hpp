@@ -6,12 +6,15 @@
 //    accuracy impact of int8 deployment on any architecture.
 //  * QuantizedNetwork::forward_int8: genuine integer execution. Conv2D lowers
 //    to im2col over uint8 activations plus the backend s8u8 GEMM
-//    (tensor::gemm_s8u8), Dense to the same GEMM with N = 1; elementwise
+//    (tensor::gemm_s8u8) on weights packed once at construction; a 1x1,
+//    stride-1, unpadded Conv2D passes its input activation to the GEMM
+//    directly. Dense uses the same GEMM with N = 1; elementwise
 //    requantization (ReLU / ReLU6 / MaxPool / Flatten) runs through 256-entry
-//    lookup tables; remaining layer kinds dequantize, run the float layer,
-//    and requantize. Activations and GEMM scratch live in one reused
-//    tensor::Arena laid out once per input shape, so steady-state passes
-//    allocate nothing on the integer path.
+//    lookup tables; Add dequantizes through tables, sums in the float
+//    layer's order and requantizes; remaining layer kinds dequantize, run
+//    the float layer, and requantize. Activations and GEMM scratch live in
+//    one reused tensor::Arena laid out once per input shape, so
+//    steady-state passes allocate nothing on the integer path.
 //  * int8_conv2d / int8_dense: standalone integer kernels (uint8 activations
 //    x int8 weights, int32 accumulators, float requantization) proving the
 //    arithmetic the DeviceModel's int8 timing assumes. Unit tests check them
@@ -26,6 +29,7 @@
 #include "nn/network.hpp"
 #include "quant/calibrate.hpp"
 #include "tensor/arena.hpp"
+#include "tensor/gemm.hpp"
 
 namespace netcut::quant {
 
@@ -57,24 +61,28 @@ class QuantizedNetwork {
 
  private:
   /// Precomputed integer form of one conv/dense node's weights: the int8
-  /// values plus per-output-channel weight sums, which fold the activation
-  /// zero point out of the raw s8u8 accumulator exactly
-  /// (sum (a - zp) * w == sum a*w - zp * sum w in integer arithmetic).
+  /// values packed once into the integer GEMM's panel layout, so no pass
+  /// repacks them, the per-output-channel scales, and per-output-channel
+  /// weight sums, which fold the activation zero point out of the raw s8u8
+  /// accumulator exactly (sum (a - zp) * w == sum a*w - zp * sum w in
+  /// integer arithmetic).
   struct NodeWeights {
-    ChannelQuant qw;
+    tensor::S8Panels panels;
+    std::vector<float> scales;          // per output channel
     std::vector<std::int32_t> rowsums;  // per output channel
   };
 
   /// Byte layout of the integer pass for one input shape: a uint8 activation
   /// slot per node plus one shared scratch region (im2col columns + int32
-  /// accumulators) sized for the hungriest node. All offsets are 64-byte
+  /// accumulators, or an Add's float sums) sized for the hungriest node;
+  /// 1x1 direct convolutions need no columns. All offsets are 64-byte
   /// aligned inside the float arena.
   struct Int8Plan {
     tensor::Shape in_shape;
     std::vector<tensor::Shape> shapes;        // per-node output shape
     std::vector<std::size_t> act_offsets;     // bytes into the arena
     std::size_t cols_offset = 0;              // shared u8 im2col scratch
-    std::size_t acc_offset = 0;               // shared i32 GEMM accumulator
+    std::size_t acc_offset = 0;               // shared i32 GEMM accumulator / Add sums
     std::size_t total_floats = 0;
   };
 

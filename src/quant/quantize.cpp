@@ -1,6 +1,7 @@
 #include "quant/quantize.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -26,6 +27,36 @@ std::uint8_t quantize_value(float x, const QuantParams& p) {
 
 float dequantize_value(std::uint8_t q, const QuantParams& p) {
   return (static_cast<int>(q) - p.zero_point) * p.scale;
+}
+
+void quantize_row(const float* x, std::size_t n, const QuantParams& p, std::uint8_t* out) {
+  // lround without the libm call: below 2^30 in magnitude, truncate and
+  // step away from zero when the dropped fraction is at least a half (the
+  // subtraction is exact). Every test is an integer compare on the float's
+  // bits: float compares may trap, which keeps the compiler from turning
+  // the selects into vector blends. Larger, infinite and NaN quotients are
+  // redone through quantize_value after the loop.
+  constexpr std::uint32_t kAbs = 0x7FFFFFFFu;
+  constexpr std::uint32_t kBig = 0x4E800000u;   // bits of 2^30
+  constexpr std::uint32_t kHalf = 0x3F000000u;  // bits of 0.5
+  const float scale = p.scale;
+  const int zp = p.zero_point;
+  std::uint32_t any_big = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto bits = std::bit_cast<std::uint32_t>(x[i] / scale);
+    const std::uint32_t big = (bits & kAbs) >= kBig;
+    any_big |= big;
+    const float v = std::bit_cast<float>(bits & (big - 1u));  // 0 when big
+    const int t = static_cast<int>(v);                        // toward zero
+    const std::uint32_t half = (std::bit_cast<std::uint32_t>(v - static_cast<float>(t)) & kAbs) >= kHalf;
+    int q = t + static_cast<int>(half) * (1 - 2 * static_cast<int>(bits >> 31)) + zp;
+    q = q < 0 ? 0 : q;
+    q = q > 255 ? 255 : q;
+    out[i] = static_cast<std::uint8_t>(q);
+  }
+  if (any_big != 0)
+    for (std::size_t i = 0; i < n; ++i)
+      if ((std::bit_cast<std::uint32_t>(x[i] / scale) & kAbs) >= kBig) out[i] = quantize_value(x[i], p);
 }
 
 std::vector<std::uint8_t> quantize_tensor(const Tensor& x, const QuantParams& p) {

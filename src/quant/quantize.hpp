@@ -3,6 +3,7 @@
 // per-tensor (asymmetric uint8, scales picked from calibration statistics).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,10 @@ struct QuantParams {
 
 std::uint8_t quantize_value(float x, const QuantParams& p);
 float dequantize_value(std::uint8_t q, const QuantParams& p);
+
+/// out[i] = quantize_value(x[i], p) for i < n, bit for bit, in a loop the
+/// compiler vectorizes: the integer pass requantizes every output element.
+void quantize_row(const float* x, std::size_t n, const QuantParams& p, std::uint8_t* out);
 
 std::vector<std::uint8_t> quantize_tensor(const Tensor& x, const QuantParams& p);
 Tensor dequantize_tensor(const std::vector<std::uint8_t>& q, const tensor::Shape& shape,

@@ -5,9 +5,10 @@
 //    as the correctness oracle. fp32 comparisons against it are
 //    ULP-tolerance (FMA and lane reductions legally change bits); int8
 //    comparisons are bit-exact (integer sums are associative).
-//  * simd   — packed-panel microkernels: AVX2/FMA intrinsics when the CPU
+//  * simd   — register-tiled microkernels: AVX2/FMA intrinsics when the CPU
 //    reports avx2+fma at runtime (function-multiversioned, no global ISA
-//    flags), a portable `#pragma omp simd` register-tile otherwise.
+//    flags), a portable `#pragma omp simd` register-tile otherwise. fp32
+//    reads A in place and packs only B; int8 takes A pre-packed (below).
 //
 // Selection: cpuid-driven default (simd everywhere — the portable tile is
 // its own fallback), overridden by NETCUT_BACKEND=scalar|simd, overridden
@@ -22,19 +23,28 @@ namespace netcut::tensor {
 
 enum class BackendKind { kScalar, kSimd };
 
+/// Rows per tile of the int8 weight panel layout, which both backends'
+/// integer GEMM read. pack_s8_panels (tensor/gemm.hpp) lays A[s8, MxK] out
+/// as ceil(M / kS8PanelRows) tiles of ceil(K / 2) k-pairs; tile t, k-pair
+/// kp, row r holds one i32 word at (t * kpairs + kp) * kS8PanelRows + r:
+/// low i16 = a[t*R + r][2kp], high i16 = a[t*R + r][2kp + 1], zero past the
+/// K tail and past row M. One word is the operand one madd_epi16 lane
+/// contracts against a (b[2kp][j], b[2kp+1][j]) pair.
+inline constexpr int kS8PanelRows = 4;
+
 /// Function table for the hot kernels. fp32 entries match the free-function
 /// contracts in gemm.hpp; the int8 entry computes raw products
-/// C[i32, MxN] = A[s8, MxK] * B[u8, KxN] with no zero-point handling (the
-/// caller folds zero points via per-row weight sums, which is exact in
-/// integer arithmetic).
+/// C[i32, MxN] = A[s8, MxK] * B[u8, KxN] from A in the panel layout above,
+/// with no zero-point handling (the caller folds zero points via per-row
+/// weight sums, which is exact in integer arithmetic).
 struct KernelBackend {
   const char* name = "?";
   void (*gemm)(const float* a, const float* b, float* c, int m, int k, int n,
                bool accumulate) = nullptr;
   void (*gemv)(const float* a, const float* x, float* y, int m, int n) = nullptr;
   void (*gemv_t)(const float* a, const float* x, float* y, int m, int n) = nullptr;
-  void (*gemm_s8u8)(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c, int m,
-                    int k, int n) = nullptr;
+  void (*gemm_s8u8)(const std::int32_t* a_panels, const std::uint8_t* b, std::int32_t* c,
+                    int m, int k, int n) = nullptr;
 };
 
 const KernelBackend& scalar_backend();

@@ -111,17 +111,28 @@ void gemv_t_scalar(const float* a, const float* x, float* y, int m, int n) {
   }
 }
 
-/// Raw-product int8 GEMM reference. Row partition is race-free, and integer
-/// addition is associative, so any split is bit-exact.
-void gemm_s8u8_scalar(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c, int m,
-                      int k, int n) {
+/// a[i][kk] of a weight matrix in the int8 panel layout (tensor/backend.hpp).
+std::int32_t panel_weight(const std::int32_t* panels, int kpairs, int i, int kk) {
+  const std::int64_t word = (static_cast<std::int64_t>(i / kS8PanelRows) * kpairs + kk / 2) *
+                                kS8PanelRows +
+                            i % kS8PanelRows;
+  const auto w = static_cast<std::uint32_t>(panels[word]);
+  return static_cast<std::int16_t>(kk % 2 == 0 ? w & 0xFFFFu : w >> 16);
+}
+
+/// Raw-product int8 GEMM reference. It reads A one weight at a time through
+/// panel_weight, sharing the panel layout with the simd kernel but none of
+/// its tiling. Row partition is race-free, and integer addition is
+/// associative, so any split is bit-exact.
+void gemm_s8u8_scalar(const std::int32_t* a_panels, const std::uint8_t* b, std::int32_t* c,
+                      int m, int k, int n) {
+  const int kpairs = (k + 1) / 2;
   const auto rows = [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
-      const std::int8_t* arow = a + i * k;
       std::int32_t* crow = c + i * n;
       std::memset(crow, 0, sizeof(std::int32_t) * static_cast<std::size_t>(n));
       for (int kk = 0; kk < k; ++kk) {
-        const std::int32_t av = arow[kk];
+        const std::int32_t av = panel_weight(a_panels, kpairs, static_cast<int>(i), kk);
         if (av == 0) continue;
         const std::uint8_t* brow = b + static_cast<std::int64_t>(kk) * n;
         for (int j = 0; j < n; ++j) crow[j] += av * static_cast<std::int32_t>(brow[j]);

@@ -1,14 +1,19 @@
 // Vectorized kernel backend: packed-panel microkernels behind the
 // KernelBackend seam.
 //
-// fp32 GEMM follows the classic pack-and-tile scheme: B is packed once into
-// column panels of kNr floats (zero-padded), each row tile of kMr rows packs
-// A k-major, and the microkernel keeps the full kMr x kNr accumulator block
-// in registers across the whole K loop — the scalar kernel's bottleneck is
-// exactly the per-k C load/modify/store traffic this removes. The int8
-// kernel packs activation columns k-pair-interleaved so one madd(u8->i16,
-// s8->i16) instruction accumulates two K steps into exact i32 lanes (no
-// i16 saturation: |u8 x s8| <= 255*127 and the pair sum fits i32).
+// fp32 GEMM packs only B: once per call, into column panels of kNr floats
+// (zero-padded). A is read where it lies: the microkernel broadcasts
+// straight from the kMr rows of its tile (row stride k), so a weight matrix
+// is never copied. At the few output pixels of a TRN convolution (N <= 16,
+// one column panel) a per-call copy of A would cost as much as the product.
+// The microkernel keeps the full kMr x kNr accumulator block in registers
+// across the whole K loop — the scalar kernel's bottleneck is exactly the
+// per-k C load/modify/store traffic this removes. The int8 kernel takes A
+// already in the k-pair panel layout (tensor/backend.hpp; pack_s8_panels
+// runs once per weight matrix) and packs activation columns
+// k-pair-interleaved, so one madd(u8->i16, s8->i16) instruction accumulates
+// two K steps into exact i32 lanes (no i16 saturation: |u8 x s8| <= 255*127
+// and the pair sum fits i32).
 //
 // Two implementations live in this TU and are chosen at runtime via cpuid:
 // AVX2/FMA function-multiversioned kernels (target attributes, so no global
@@ -18,8 +23,9 @@
 //
 // Determinism: row-panel partitioning mirrors the scalar backend — panel
 // boundaries are multiples of the register tile, so every output element
-// sees the same accumulation order at any thread count. fp32 results differ
-// from the scalar backend only by FMA/reduction rounding (ULP-level, see
+// sees the same accumulation order at any thread count. Each fp32 output is
+// one FMA chain over k in ascending order (plus C when accumulating), so it
+// differs from the scalar backend only by FMA rounding (ULP-level, see
 // DESIGN.md section 11); int8 results are bit-exact by integer associativity.
 #include <cstring>
 #include <vector>
@@ -41,7 +47,7 @@ namespace {
 
 constexpr int kMr = 6;   // fp32 rows per register tile
 constexpr int kNr = 16;  // fp32 cols per register tile (two 8-float lanes)
-constexpr int kMrI8 = 4;
+constexpr int kMrI8 = kS8PanelRows;
 constexpr int kNrI8 = 16;
 constexpr std::int64_t kParallelFlopCutoff = 1 << 16;
 
@@ -87,63 +93,64 @@ void pack_b_fp32(const float* b, int k, int n, float* dst) {
   }
 }
 
-/// Rows [i0, i0+mr) of A[MxK] -> k-major tile, zero-padded to kMr rows:
-/// dst[kk * kMr + r] = a[i0 + r][kk].
-void pack_a_fp32(const float* a, int k, int i0, int mr, float* dst) {
-  for (int kk = 0; kk < k; ++kk) {
-    float* out = dst + static_cast<std::int64_t>(kk) * kMr;
-    for (int r = 0; r < mr; ++r) out[r] = a[static_cast<std::int64_t>(i0 + r) * k + kk];
-    for (int r = mr; r < kMr; ++r) out[r] = 0.0f;
-  }
+// ---------------------------------------------------------------------------
+// fp32 microkernels: c[kMr x kNr] (+)= a[kMr x kc] * bp over kc steps
+// ---------------------------------------------------------------------------
+
+/// Row r of the tile at `a` (row stride lda). Rows past mr alias the last
+/// real row, so a short tile never reads past A; their sums land in tile
+/// rows the caller discards.
+inline const float* tile_row(const float* a, int lda, int mr, int r) {
+  return a + static_cast<std::int64_t>(r < mr ? r : mr - 1) * lda;
 }
 
-// ---------------------------------------------------------------------------
-// fp32 microkernels: c[kMr x kNr] (+)= ap * bp over kc steps
-// ---------------------------------------------------------------------------
-
 #if NETCUT_SIMD_X86
-NETCUT_TARGET_AVX2 void micro_fp32_avx2(const float* ap, const float* bp, int kc, float* c,
-                                        int ldc, bool add) {
+NETCUT_TARGET_AVX2 void micro_fp32_avx2(const float* a, int lda, int mr, const float* bp,
+                                        int kc, float* c, int ldc, bool add) {
+  const float* a0 = tile_row(a, lda, mr, 0);
+  const float* a1 = tile_row(a, lda, mr, 1);
+  const float* a2 = tile_row(a, lda, mr, 2);
+  const float* a3 = tile_row(a, lda, mr, 3);
+  const float* a4 = tile_row(a, lda, mr, 4);
+  const float* a5 = tile_row(a, lda, mr, 5);
   __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
   __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
   __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
   __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
   __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
   __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
-  const auto step = [&](const float* bk, const float* ak) {
+  const auto step = [&](int kk) {
+    const float* bk = bp + static_cast<std::int64_t>(kk) * kNr;
     const __m256 b0 = _mm256_load_ps(bk);
     const __m256 b1 = _mm256_load_ps(bk + 8);
     __m256 av;
-    av = _mm256_broadcast_ss(ak + 0);
+    av = _mm256_broadcast_ss(a0 + kk);
     c00 = _mm256_fmadd_ps(av, b0, c00);
     c01 = _mm256_fmadd_ps(av, b1, c01);
-    av = _mm256_broadcast_ss(ak + 1);
+    av = _mm256_broadcast_ss(a1 + kk);
     c10 = _mm256_fmadd_ps(av, b0, c10);
     c11 = _mm256_fmadd_ps(av, b1, c11);
-    av = _mm256_broadcast_ss(ak + 2);
+    av = _mm256_broadcast_ss(a2 + kk);
     c20 = _mm256_fmadd_ps(av, b0, c20);
     c21 = _mm256_fmadd_ps(av, b1, c21);
-    av = _mm256_broadcast_ss(ak + 3);
+    av = _mm256_broadcast_ss(a3 + kk);
     c30 = _mm256_fmadd_ps(av, b0, c30);
     c31 = _mm256_fmadd_ps(av, b1, c31);
-    av = _mm256_broadcast_ss(ak + 4);
+    av = _mm256_broadcast_ss(a4 + kk);
     c40 = _mm256_fmadd_ps(av, b0, c40);
     c41 = _mm256_fmadd_ps(av, b1, c41);
-    av = _mm256_broadcast_ss(ak + 5);
+    av = _mm256_broadcast_ss(a5 + kk);
     c50 = _mm256_fmadd_ps(av, b0, c50);
     c51 = _mm256_fmadd_ps(av, b1, c51);
   };
   int kk = 0;
   for (; kk + 4 <= kc; kk += 4) {
-    const float* bk = bp + static_cast<std::int64_t>(kk) * kNr;
-    const float* ak = ap + static_cast<std::int64_t>(kk) * kMr;
-    step(bk, ak);
-    step(bk + kNr, ak + kMr);
-    step(bk + 2 * kNr, ak + 2 * kMr);
-    step(bk + 3 * kNr, ak + 3 * kMr);
+    step(kk);
+    step(kk + 1);
+    step(kk + 2);
+    step(kk + 3);
   }
-  for (; kk < kc; ++kk)
-    step(bp + static_cast<std::int64_t>(kk) * kNr, ap + static_cast<std::int64_t>(kk) * kMr);
+  for (; kk < kc; ++kk) step(kk);
   __m256 acc[kMr][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}, {c40, c41}, {c50, c51}};
   for (int r = 0; r < kMr; ++r) {
     float* crow = c + static_cast<std::int64_t>(r) * ldc;
@@ -157,14 +164,15 @@ NETCUT_TARGET_AVX2 void micro_fp32_avx2(const float* ap, const float* bp, int kc
 }
 #endif  // NETCUT_SIMD_X86
 
-void micro_fp32_portable(const float* ap, const float* bp, int kc, float* c, int ldc,
-                         bool add) {
+void micro_fp32_portable(const float* a, int lda, int mr, const float* bp, int kc, float* c,
+                         int ldc, bool add) {
+  const float* rows[kMr];
+  for (int r = 0; r < kMr; ++r) rows[r] = tile_row(a, lda, mr, r);
   float acc[kMr][kNr] = {};
   for (int kk = 0; kk < kc; ++kk) {
     const float* brow = bp + static_cast<std::int64_t>(kk) * kNr;
-    const float* ar = ap + static_cast<std::int64_t>(kk) * kMr;
     for (int r = 0; r < kMr; ++r) {
-      const float av = ar[r];
+      const float av = rows[r][kk];
 #pragma omp simd
       for (int jj = 0; jj < kNr; ++jj) acc[r][jj] += av * brow[jj];
     }
@@ -179,38 +187,37 @@ void micro_fp32_portable(const float* ap, const float* bp, int kc, float* c, int
   }
 }
 
-void micro_fp32(const float* ap, const float* bp, int kc, float* c, int ldc, bool add) {
+void micro_fp32(const float* a, int lda, int mr, const float* bp, int kc, float* c, int ldc,
+                bool add) {
 #if NETCUT_SIMD_X86
   if (kUseAvx2) {
-    micro_fp32_avx2(ap, bp, kc, c, ldc, add);
+    micro_fp32_avx2(a, lda, mr, bp, kc, c, ldc, add);
     return;
   }
 #endif
-  micro_fp32_portable(ap, bp, kc, c, ldc, add);
+  micro_fp32_portable(a, lda, mr, bp, kc, c, ldc, add);
 }
 
-/// Row panel [i0, i1) of the packed-B product. i0 is a kMr multiple; the
-/// only short tile is the final one, so tile assignment is identical at any
-/// thread count.
+/// Row panel [i0, i1) of the packed-B product. A is read in place (row
+/// stride k). i0 is a kMr multiple; the only short tile is the final one,
+/// so tile assignment is identical at any thread count.
 void gemm_fp32_rows(const float* a, const float* bpack, float* c, int i0, int i1, int k,
                     int n, bool accumulate) {
-  static thread_local std::vector<float> apack_store;
-  float* apack = aligned_slot(apack_store, static_cast<std::size_t>(k) * kMr);
   const int panels = (n + kNr - 1) / kNr;
   float buf[kMr * kNr];
   for (int i = i0; i < i1; i += kMr) {
     const int mr = (i + kMr <= i1) ? kMr : i1 - i;
-    pack_a_fp32(a, k, i, mr, apack);
+    const float* atile = a + static_cast<std::int64_t>(i) * k;
     for (int p = 0; p < panels; ++p) {
       const int j0 = p * kNr;
       const int jw = (j0 + kNr <= n) ? kNr : n - j0;
       const float* bpanel = bpack + static_cast<std::int64_t>(p) * k * kNr;
       float* ctile = c + static_cast<std::int64_t>(i) * n + j0;
       if (mr == kMr && jw == kNr) {
-        micro_fp32(apack, bpanel, k, ctile, n, accumulate);
+        micro_fp32(atile, k, mr, bpanel, k, ctile, n, accumulate);
         continue;
       }
-      micro_fp32(apack, bpanel, k, buf, kNr, /*add=*/false);
+      micro_fp32(atile, k, mr, bpanel, k, buf, kNr, /*add=*/false);
       for (int r = 0; r < mr; ++r) {
         float* crow = ctile + static_cast<std::int64_t>(r) * n;
         const float* brow = buf + static_cast<std::int64_t>(r) * kNr;
@@ -374,25 +381,6 @@ void pack_b_s8u8(const std::uint8_t* b, int k, int n, std::uint8_t* dst) {
   }
 }
 
-/// Weight rows [i0, i0+mi) -> per-k-pair i32 words: low i16 = a[r][2kp],
-/// high i16 = a[r][2kp+1] (0 past the K tail), zero rows past mi.
-void pack_a_s8u8(const std::int8_t* a, int k, int i0, int mi, std::int32_t* dst) {
-  const int kpairs = (k + 1) / 2;
-  for (int kp = 0; kp < kpairs; ++kp) {
-    std::int32_t* out = dst + static_cast<std::int64_t>(kp) * kMrI8;
-    for (int r = 0; r < kMrI8; ++r) {
-      std::int32_t lo = 0, hi = 0;
-      if (r < mi) {
-        const std::int8_t* arow = a + static_cast<std::int64_t>(i0 + r) * k;
-        lo = arow[2 * kp];
-        hi = (2 * kp + 1 < k) ? arow[2 * kp + 1] : 0;
-      }
-      out[r] = static_cast<std::int32_t>((static_cast<std::uint32_t>(lo) & 0xFFFFu) |
-                                         (static_cast<std::uint32_t>(hi) << 16));
-    }
-  }
-}
-
 #if NETCUT_SIMD_X86
 NETCUT_TARGET_AVX2 void micro_s8u8_avx2(const std::int32_t* ap, const std::uint8_t* bp,
                                         int kpairs, std::int32_t* c, int ldc) {
@@ -455,17 +443,16 @@ void micro_s8u8(const std::int32_t* ap, const std::uint8_t* bp, int kpairs, std:
   micro_s8u8_portable(ap, bp, kpairs, c, ldc);
 }
 
-void gemm_s8u8_rows(const std::int8_t* a, const std::uint8_t* bpack, std::int32_t* c, int i0,
-                    int i1, int k, int n) {
-  static thread_local std::vector<std::int32_t> apack_store;
+/// Row tiles [i0, i1) of the product; A is the pre-packed panel layout
+/// (tensor/backend.hpp), tile t at offset t * kpairs * kMrI8.
+void gemm_s8u8_rows(const std::int32_t* apanels, const std::uint8_t* bpack, std::int32_t* c,
+                    int i0, int i1, int k, int n) {
   const int kpairs = (k + 1) / 2;
-  std::int32_t* apack =
-      aligned_slot(apack_store, static_cast<std::size_t>(kpairs) * kMrI8);
   const int panels = (n + kNrI8 - 1) / kNrI8;
   std::int32_t buf[kMrI8 * kNrI8];
   for (int i = i0; i < i1; i += kMrI8) {
     const int mi = (i + kMrI8 <= i1) ? kMrI8 : i1 - i;
-    pack_a_s8u8(a, k, i, mi, apack);
+    const std::int32_t* apack = apanels + static_cast<std::int64_t>(i / kMrI8) * kpairs * kMrI8;
     for (int p = 0; p < panels; ++p) {
       const int j0 = p * kNrI8;
       const int jw = (j0 + kNrI8 <= n) ? kNrI8 : n - j0;
@@ -486,8 +473,8 @@ void gemm_s8u8_rows(const std::int8_t* a, const std::uint8_t* bpack, std::int32_
   }
 }
 
-void gemm_s8u8_simd(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c, int m,
-                    int k, int n) {
+void gemm_s8u8_simd(const std::int32_t* apanels, const std::uint8_t* b, std::int32_t* c,
+                    int m, int k, int n) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     std::memset(c, 0,
@@ -504,7 +491,7 @@ void gemm_s8u8_simd(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c
 
   const std::int64_t macs = 1LL * m * k * n;
   if (macs < kParallelFlopCutoff) {
-    gemm_s8u8_rows(a, bpack, c, 0, m, k, n);
+    gemm_s8u8_rows(apanels, bpack, c, 0, m, k, n);
     return;
   }
   const std::int64_t tiles = (m + kMrI8 - 1) / kMrI8;
@@ -516,7 +503,7 @@ void gemm_s8u8_simd(const std::int8_t* a, const std::uint8_t* b, std::int32_t* c
     const int i0 = static_cast<int>(t0) * kMrI8;
     int i1 = static_cast<int>(t1) * kMrI8;
     if (i1 > m) i1 = m;
-    gemm_s8u8_rows(a, bp, c, i0, i1, k, n);
+    gemm_s8u8_rows(apanels, bp, c, i0, i1, k, n);
   });
 }
 

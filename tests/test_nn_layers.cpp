@@ -14,6 +14,7 @@
 #include "nn/dense.hpp"
 #include "nn/norm.hpp"
 #include "nn/pooling.hpp"
+#include "tensor/gemm.hpp"
 #include "util/rng.hpp"
 
 namespace netcut::nn {
@@ -247,6 +248,7 @@ TEST(Layer, ForwardEqualsForwardIntoForEveryKind) {
   const std::vector<Case> cases = {
       {[] { return std::make_unique<Input>(Shape::chw(2, 5, 5)); }, {Shape::chw(2, 5, 5)}},
       {[] { return std::make_unique<Conv2D>(2, 3, 3, 2); }, {Shape::chw(2, 7, 7)}},
+      {[] { return std::make_unique<Conv2D>(4, 3, 1, 1, 0); }, {Shape::chw(4, 5, 5)}},
       {[] { return std::make_unique<DepthwiseConv2D>(3, 3, 1); }, {Shape::chw(3, 6, 6)}},
       {[] { return std::make_unique<Dense>(12, 5); }, {Shape::vec(12)}},
       {[] { return std::make_unique<BatchNorm>(3); }, {Shape::chw(3, 4, 4)}},
@@ -303,6 +305,58 @@ TEST(Layer, ForwardEqualsForwardIntoForEveryKind) {
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(LayerKind::kFlatten) + 1)
       << "a layer kind is missing from the grid";
+}
+
+TEST(Conv2D, OneByOneConvSkipsIm2colBitwise) {
+  // A 1x1, stride-1, unpadded Conv2D passes its input to the GEMM as B.
+  // That must equal the explicit im2col + gemm lowering bit for bit, in
+  // train and in inference, leave backward as it was, and ask the memory
+  // planner for no scratch. 7 output channels and 6x6 = 36 pixels leave a
+  // short row tile and a short column panel.
+  util::Rng rng(12);
+  Conv2D proto(5, 7, 1, 1, 0);
+  for (Tensor* p : proto.params()) *p = Tensor::randn(p->shape(), rng, 0.5f);
+  const Tensor x = Tensor::randn(Shape::chw(5, 6, 6), rng);
+  const Tensor grad_out = Tensor::randn(Shape::chw(7, 6, 6), rng);
+  const int k = 5, n = 36, m = 7;
+  ASSERT_TRUE(proto.im2col_is_identity());
+  EXPECT_EQ(proto.forward_scratch_floats({x.shape()}), 0u);
+
+  tensor::ConvGeometry geo;
+  geo.in_c = 5;
+  geo.in_h = geo.in_w = 6;
+  geo.kernel_h = geo.kernel_w = 1;
+  std::vector<float> cols(static_cast<std::size_t>(k) * n);
+  tensor::im2col(x.data(), geo, cols.data());
+  Tensor want(Shape::chw(m, 6, 6));
+  tensor::gemm(proto.weight().data(), cols.data(), want.data(), m, k, n);
+  for (int o = 0; o < m; ++o)
+    for (int j = 0; j < n; ++j) want.data()[o * n + j] += proto.bias()[o];
+  // Backward's own lowering: dW = dY * cols^T, dx = col2im(W^T * dY).
+  Tensor want_dw(proto.weight().shape()), want_dx(x.shape());
+  tensor::gemm_bt(grad_out.data(), cols.data(), want_dw.data(), m, n, k);
+  std::vector<float> dcols(cols.size());
+  tensor::gemm_at(proto.weight().data(), grad_out.data(), dcols.data(), k, m, n);
+  tensor::col2im(dcols.data(), geo, want_dx.data());
+
+  for (const bool train : {false, true}) {
+    const std::string tag = train ? "train" : "inference";
+    Conv2D conv = proto;
+    Tensor out(want.shape(), std::nanf(""));
+    conv.forward_into(in(x), out, train, nullptr);
+    expect_bitwise_equal(out, want, tag);
+    if (!train) continue;
+    const std::vector<Tensor> grads = conv.backward(grad_out);
+    ASSERT_EQ(grads.size(), 1u);
+    expect_bitwise_equal(grads[0], want_dx, "grad_in");
+    expect_bitwise_equal(*conv.grads()[0], want_dw, "grad_weight");
+  }
+
+  // Any stride or padding needs the real lowering and its scratch.
+  for (const Conv2D& other : {Conv2D(5, 7, 1, 2, 0), Conv2D(5, 7, 1, 1, 1)}) {
+    EXPECT_FALSE(other.im2col_is_identity());
+    EXPECT_GT(other.forward_scratch_floats({x.shape()}), 0u);
+  }
 }
 
 TEST(Layer, BackwardWithoutForwardThrows) {

@@ -4,7 +4,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
 
+#include "core/trn.hpp"
 #include "data/hands.hpp"
 #include "data/pretrained.hpp"
 #include "nn/activation.hpp"
@@ -46,6 +50,32 @@ TEST(QuantParams, ClampsOutOfRange) {
   const QuantParams p = QuantParams::from_range(-1.0f, 1.0f);
   EXPECT_EQ(quantize_value(100.0f, p), 255);
   EXPECT_EQ(quantize_value(-100.0f, p), 0);
+}
+
+TEST(QuantParams, QuantizeRowMatchesQuantizeValue) {
+  // quantize_row rounds in float where quantize_value calls lround; the two
+  // must agree bit for bit: on exact halves and just below them, around
+  // 2^24 and 2^30, on huge, infinite and NaN inputs, and on random values.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = {0.0f,        -0.0f,        0.5f,       -0.5f,      1.5f,
+                           -1.5f,       2.5f,         -2.5f,      0.49999997f, -0.49999997f,
+                           8388607.5f,  -8388607.5f,  16777217.0f, 0x1p30f,    -0x1p30f,
+                           0x1p31f,     1e20f,        -1e20f,     1e-40f,      inf,
+                           -inf,        std::nanf("")};
+  util::Rng rng(27);
+  for (int i = 0; i < 4000; ++i) xs.push_back(static_cast<float>(rng.normal()) * 300.0f);
+  for (int i = 0; i < 1000; ++i) xs.push_back(static_cast<float>(rng.uniform_int(-600, 600)) * 0.5f);
+  for (const float scale : {1.0f, 0.5f, 0.0173f, 3.0f, 1e-30f})
+    for (const int zp : {0, 7, 128, 255}) {
+      QuantParams p;
+      p.scale = scale;
+      p.zero_point = zp;
+      std::vector<std::uint8_t> got(xs.size());
+      quantize_row(xs.data(), xs.size(), p, got.data());
+      for (std::size_t i = 0; i < xs.size(); ++i)
+        ASSERT_EQ(got[i], quantize_value(xs[i], p))
+            << "x " << xs[i] << " scale " << scale << " zero point " << zp;
+    }
 }
 
 TEST(ChannelQuant, PerChannelScalesAndBound) {
@@ -314,6 +344,78 @@ TEST(QuantizedNetwork, ForwardInt8TracksSimulatedForwardOnZooTrunk) {
   // bitwise identical to the first.
   const Tensor yi2 = qnet.forward_int8(imgs[0]);
   EXPECT_EQ(tensor::max_abs_diff(yi, yi2), 0.0f);
+}
+
+TEST(QuantizedNetwork, IntegerAddMatchesSimulatedForwardBitwise) {
+  // On a graph of table-driven ops and Adds, the integer pass and the
+  // simulated-quantization pass do the same float arithmetic, so the
+  // integer Add (dequantize, sum in Add's order, requantize) must reproduce
+  // the simulated output exactly: at arity 2 and 3, over more elements than
+  // one chunk of the pool split.
+  nn::Graph g;
+  const int in = g.add_input(Shape::chw(3, 40, 40));
+  const int relu = g.add(std::make_unique<nn::ReLU>(false), {in}, "relu");
+  const int relu6 = g.add(std::make_unique<nn::ReLU>(true), {in}, "relu6");
+  const int add2 = g.add(std::make_unique<nn::Add>(2), {in, relu}, "add2");
+  g.add(std::make_unique<nn::Add>(3), {add2, relu6, relu}, "add3");
+  QuantizedNetwork qnet(std::move(g));
+  util::Rng rng(26);
+  std::vector<Tensor> imgs;
+  for (int i = 0; i < 3; ++i) imgs.push_back(Tensor::randn(Shape::chw(3, 40, 40), rng, 4.0f));
+  qnet.calibrate({&imgs[0], &imgs[1]});
+  for (const Tensor& img : imgs) {
+    const Tensor ys = qnet.forward(img);
+    const Tensor yi = qnet.forward_int8(img);
+    ASSERT_EQ(ys.shape(), yi.shape());
+    EXPECT_EQ(std::memcmp(ys.data(), yi.data(), static_cast<std::size_t>(ys.numel()) * sizeof(float)),
+              0);
+  }
+}
+
+/// The integer pass is bit-exact across kernel backends on the TRNs the
+/// paper proposes: BN-folded ResNet50/58 and MobileNetV2-1.40/138 at 32 px.
+/// Between them they hold 1x1 direct convolutions, strided and padded ones,
+/// an odd K (the 3-channel stem) and the Dense head, so every GEMM shape the
+/// pre-packed weight panels serve is covered.
+TEST(QuantizedNetwork, ForwardInt8BitIdenticalAcrossBackends) {
+  struct Restore {
+    tensor::BackendKind kind = tensor::active_backend_kind();
+    ~Restore() { tensor::set_backend(kind); }
+  } restore;
+  bool direct = false, strided = false, padded = false, odd_k = false, dense = false;
+  for (const auto& [net, cut] : {std::pair{zoo::NetId::kResNet50, 58},
+                                 std::pair{zoo::NetId::kMobileNetV2_140, 138}}) {
+    util::Rng rng(25);
+    nn::Graph trunk = zoo::build_trunk(net, 32);
+    nn::init_graph(trunk, rng);
+    QuantizedNetwork qnet(fold_batchnorm(core::build_trn(trunk, cut, core::HeadConfig{}, rng)));
+    const nn::Graph& g = qnet.network().graph();
+    for (int id = 1; id < g.node_count(); ++id) {
+      const nn::Layer& layer = *g.node(id).layer;
+      if (layer.kind() == nn::LayerKind::kDense) dense = true;
+      if (layer.kind() != nn::LayerKind::kConv2D) continue;
+      const auto& conv = static_cast<const nn::Conv2D&>(layer);
+      direct |= conv.im2col_is_identity();
+      strided |= conv.stride() > 1;
+      padded |= conv.pad_h() > 0 || conv.pad_w() > 0;
+      odd_k |= conv.in_channels() * conv.kernel_h() * conv.kernel_w() % 2 == 1;
+    }
+
+    std::vector<Tensor> imgs;
+    for (int i = 0; i < 2; ++i) imgs.push_back(Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f));
+    qnet.calibrate({&imgs[0], &imgs[1]});
+    for (const Tensor& img : imgs) {
+      tensor::set_backend(tensor::BackendKind::kScalar);
+      const Tensor ref = qnet.forward_int8(img);
+      tensor::set_backend(tensor::BackendKind::kSimd);
+      const Tensor got = qnet.forward_int8(img);
+      ASSERT_EQ(ref.shape(), got.shape());
+      EXPECT_EQ(std::memcmp(ref.data(), got.data(), static_cast<std::size_t>(ref.numel()) * sizeof(float)),
+                0)
+          << zoo::net_name(net) << "/" << cut;
+    }
+  }
+  EXPECT_TRUE(direct && strided && padded && odd_k && dense);
 }
 
 TEST(QuantizedNetwork, Int8SpeedupReportedAgainstDeviceModel) {

@@ -148,7 +148,46 @@ TEST(Backends, GemvAgreesToUlp) {
   }
 }
 
+/// The simd fp32 GEMM's per-element contract on AVX2: one std::fma chain
+/// over k in ascending order, starting from 0, plus C when accumulating.
+/// Reading A in place must keep this order bit for bit. The TRN shapes are
+/// convolutions with a handful of output pixels (N <= 16, one column panel)
+/// and a K tail; {7, 3, 1} makes every row tile short.
+TEST(Backends, SimdFp32GemmEqualsSequentialFmaChain) {
+  if (std::string(simd_isa()) != "avx2")
+    GTEST_SKIP() << "the portable tile leaves FMA contraction to the compiler";
+  std::vector<ShapeCase> shapes = edge_shapes();
+  shapes.insert(shapes.end(), {{256, 2304, 9}, {64, 576, 4}, {24, 3, 16}, {7, 3, 1}});
+  util::Rng rng(107);
+  for (const ShapeCase& s : shapes) {
+    const auto a = Tensor::randn(Shape{s.m, s.k}, rng);
+    const auto b = Tensor::randn(Shape{s.k, s.n}, rng);
+    const auto c0 = Tensor::randn(Shape{s.m, s.n}, rng);
+    const std::size_t count = static_cast<std::size_t>(s.m) * s.n;
+    std::vector<float> chain(count), chain_acc(count);
+    for (int i = 0; i < s.m; ++i)
+      for (int j = 0; j < s.n; ++j) {
+        float acc = 0.0f;
+        for (int kk = 0; kk < s.k; ++kk)
+          acc = std::fma(a.data()[static_cast<std::size_t>(i) * s.k + kk],
+                         b.data()[static_cast<std::size_t>(kk) * s.n + j], acc);
+        const std::size_t at = static_cast<std::size_t>(i) * s.n + j;
+        chain[at] = acc;
+        chain_acc[at] = c0.data()[at] + acc;
+      }
+    std::vector<float> got(count, std::nanf(""));
+    simd_backend().gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n, false);
+    ASSERT_EQ(std::memcmp(got.data(), chain.data(), count * sizeof(float)), 0)
+        << "overwrite, shape " << s.m << "x" << s.k << "x" << s.n;
+    got.assign(c0.data(), c0.data() + count);
+    simd_backend().gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n, true);
+    ASSERT_EQ(std::memcmp(got.data(), chain_acc.data(), count * sizeof(float)), 0)
+        << "accumulate, shape " << s.m << "x" << s.k << "x" << s.n;
+  }
+}
+
 TEST(Backends, Int8GemmBitExactAcrossBackendsAndMatchesNaive) {
+  BackendGuard guard;
   util::Rng rng(105);
   // K values straddle the madd pair width and the panel interleave; N and M
   // straddle the int8 tile.
@@ -158,15 +197,25 @@ TEST(Backends, Int8GemmBitExactAcrossBackendsAndMatchesNaive) {
     for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
     for (auto& v : b) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
 
+    const S8Panels panels = pack_s8_panels(a.data(), s.m, s.k);
     std::vector<std::int32_t> ref(static_cast<std::size_t>(s.m) * s.n);
     std::vector<std::int32_t> got(ref.size());
-    scalar_backend().gemm_s8u8(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
-    simd_backend().gemm_s8u8(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+    scalar_backend().gemm_s8u8(panels.words.data(), b.data(), ref.data(), s.m, s.k, s.n);
+    simd_backend().gemm_s8u8(panels.words.data(), b.data(), got.data(), s.m, s.k, s.n);
     ASSERT_EQ(ref, got) << "shape " << s.m << "x" << s.k << "x" << s.n;
 
-    // Independent naive oracle on a probe subset (full naive is O(mkn)).
-    for (int i = 0; i < s.m; i += std::max(1, s.m / 3)) {
-      for (int j = 0; j < s.n; j += std::max(1, s.n / 3)) {
+    // The raw-A wrapper packs and multiplies on either backend.
+    for (const BackendKind kind : {BackendKind::kScalar, BackendKind::kSimd}) {
+      set_backend(kind);
+      std::vector<std::int32_t> wrapped(ref.size());
+      gemm_s8u8(a.data(), b.data(), wrapped.data(), s.m, s.k, s.n);
+      ASSERT_EQ(ref, wrapped) << backend_name(kind) << " shape " << s.m << "x" << s.k << "x"
+                              << s.n;
+    }
+
+    // Independent naive oracle on raw A, which also checks the packing.
+    for (int i = 0; i < s.m; ++i) {
+      for (int j = 0; j < s.n; ++j) {
         std::int64_t acc = 0;
         for (int kk = 0; kk < s.k; ++kk)
           acc += static_cast<std::int64_t>(a[static_cast<std::size_t>(i) * s.k + kk]) *
