@@ -85,20 +85,22 @@ void BM_DepthwiseConv(benchmark::State& state) {
 BENCHMARK(BM_DepthwiseConv)->Arg(32)->Arg(128);
 
 void BM_Int8VsFp32Dense(benchmark::State& state) {
+  // One Dense node as production runs it: the fp32 planned forward against
+  // the integer pass on weights quantized and packed once.
   const bool int8 = state.range(0) == 1;
   util::Rng rng(4);
-  nn::Dense dense(512, 128);
-  nn::xavier_init_dense(dense.weight(), rng);
+  nn::Graph g;
+  const int in = g.add_input(tensor::Shape::vec(512));
+  auto dense = std::make_unique<nn::Dense>(512, 128);
+  nn::xavier_init_dense(dense->weight(), rng);
+  g.add(std::move(dense), {in}, "dense");
   const auto x = tensor::Tensor::uniform(tensor::Shape::vec(512), rng, 0.0f, 1.0f);
-  const quant::QuantParams p = quant::QuantParams::from_range(0.0f, 1.0f);
+  nn::Network fp(g);
+  quant::QuantizedNetwork qnet(std::move(g));
+  qnet.calibrate({&x});
   for (auto _ : state) {
-    if (int8) {
-      auto y = quant::int8_dense(dense, x, p);
-      benchmark::DoNotOptimize(y.data());
-    } else {
-      auto y = dense.forward({&x}, false);
-      benchmark::DoNotOptimize(y.data());
-    }
+    auto y = int8 ? qnet.forward_int8(x) : fp.forward(x);
+    benchmark::DoNotOptimize(y.data());
   }
 }
 BENCHMARK(BM_Int8VsFp32Dense)->Arg(0)->Arg(1);

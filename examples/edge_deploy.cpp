@@ -58,13 +58,13 @@ int main() {
   std::printf("activation calibration on %zu images; max weight quant error %.5f\n",
               calib.size(), qnet.max_weight_error());
 
-  // Output agreement fp32 vs int8 on the test split.
+  // Output agreement fp32 vs the integer pass on the test split.
   nn::Network fused_fp32(folded);
   double sim = 0.0;
   float max_dev = 0.0f;
   for (const data::Sample& s : dataset.test()) {
     const tensor::Tensor a = fused_fp32.forward(s.image);
-    const tensor::Tensor b = qnet.forward(s.image);
+    const tensor::Tensor b = qnet.forward_int8(s.image);
     sim += ml::angular_similarity(a, b);
     max_dev = std::max(max_dev, tensor::max_abs_diff(a, b));
   }

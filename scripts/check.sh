@@ -25,10 +25,10 @@
 #    verifier tests — the subsystems that juggle raw lifetimes — then the
 #    kernel, layer and quantization suites (ctest -L "kernels|layers|quant"):
 #    the AVX2/FMA microkernels read weights in place (rows past a short
-#    tile clamp to its last row) and int8 panels packed once, every layer's
-#    forward() and the int8 dequantize/float fallback nodes run through the
-#    shared Layer::forward helper, and 1x1 convolutions hand their input to
-#    the GEMM directly
+#    tile clamp to its last row) and int8 panels packed once, 1x1
+#    convolutions hand their input to the GEMM directly, and the int8
+#    pass's dequantize/float fallback nodes (depthwise, Concat, ...) run
+#    through Layer::forward, its only caller in src/
 # 7. model checker (ctest -L sched): the schedule-exploration campaigns —
 #    every serve protocol under >= 200 seeded schedules plus
 #    bounded-exhaustive prefixes — clean, under the chaos schedule, and the
@@ -57,6 +57,7 @@
 #    scripts/coverage.sh — a gcov-instrumented build (build-cov/) that fails
 #    if line coverage of src/core/cascade.cpp drops below 80%
 set -euo pipefail
+set -f  # ctest selectors below hold regex metacharacters; never glob them
 
 cd "$(dirname "$0")/.."
 
@@ -67,6 +68,60 @@ NETCUT_CHAOS_SCHEDULE="spike=0.02x2.5,drop=0.002,burst=0.01x6x1.5,seed=20260806"
 # replicas from slow ones. Fleet tests pin their own FaultModel; this run
 # proves that pinning holds even when the environment says "kill worker 1".
 NETCUT_FAILOVER_SCHEDULE="crash=1@700,hang=2@350~40,flaky=3x0.05,throttle=2.0@100~400,seed=20260808"
+
+CHAOS="NETCUT_FAULTS=$NETCUT_CHAOS_SCHEDULE"
+FAILOVER="NETCUT_FAULTS=$NETCUT_FAILOVER_SCHEDULE"
+
+# Every ctest invocation, in run order, one row each:
+#   step;build dir;ctest selector;env
+# An empty selector runs the whole suite. Selector and env are word lists.
+CTEST_RUNS=(
+  "2;build;;"
+  "3;build;;$CHAOS"
+  "4;build;-L serve;"
+  "4;build;-L serve;$CHAOS"
+  "4;build;-L serve;$FAILOVER"
+  "5;build;-L kernels|layers|quant;NETCUT_BACKEND=scalar"
+  "5;build;-L kernels|layers|quant;NETCUT_BACKEND=simd"
+  "6;build-asan;-R ThreadPool|ThreadDeterminism|MemPlan|NnVerify;"
+  "6;build-asan;-L kernels|layers|quant;"
+  "7;build;-L sched;"
+  "7;build;-L sched;$CHAOS"
+  "7;build;-L serve;NETCUT_LOCKCHECK=1"
+  "9;build-tsan;-L serve|sched;"
+  "9;build-tsan;-L serve|sched;$CHAOS"
+  "9;build-tsan;-L serve;$FAILOVER NETCUT_LOCKCHECK=1"
+  "10;build-ubsan;;"
+  "13;build;-L cascade;"
+  "13;build;-L cascade;$CHAOS"
+)
+
+# step N TITLE [CMD...]: prints the banner, runs CMD (a build, if any), then
+# every CTEST_RUNS row of step N.
+step() {
+  local n=$1 title=$2
+  shift 2
+  echo "==> [$n/13] $title"
+  "$@"
+  local row step_n dir sel envs
+  for row in "${CTEST_RUNS[@]}"; do
+    IFS=';' read -r step_n dir sel envs <<<"$row"
+    [ "$step_n" = "$n" ] || continue
+    # shellcheck disable=SC2086  # selector and env split into words on purpose
+    env $envs ctest --test-dir "$dir" $sel --output-on-failure -j "$(nproc)"
+  done
+}
+
+# build_tree DIR SANITIZER [TARGET...]: configures and builds one tree, all
+# targets unless some are named. An empty SANITIZER leaves the cache as is.
+build_tree() {
+  local dir=$1 sanitizer=$2
+  shift 2
+  cmake -B "$dir" -S . ${sanitizer:+-DNETCUT_SANITIZE=$sanitizer} >/dev/null
+  local targets=()
+  [ $# -gt 0 ] && targets=(--target "$@")
+  cmake --build "$dir" -j "$(nproc)" "${targets[@]}"
+}
 
 # Per-label pass counts from dedicated `ctest -L <label>` runs (ctest has no
 # built-in pass-count-per-label report; the label suites are small).
@@ -87,80 +142,25 @@ label_summary() {
   done < <(ctest --test-dir build --print-labels | sed -n 's/^  //p')
 }
 
-echo "==> [1/13] configure + build (build/, -Werror)"
-cmake -B build -S . >/dev/null
-cmake --build build -j "$(nproc)"
-
-echo "==> [2/13] ctest (full tier-1 suite)"
-ctest --test-dir build --output-on-failure -j "$(nproc)"
-
-echo "==> [3/13] ctest under fault injection (NETCUT_FAULTS chaos schedule)"
-NETCUT_FAULTS="$NETCUT_CHAOS_SCHEDULE" \
-  ctest --test-dir build --output-on-failure -j "$(nproc)"
-
-echo "==> [4/13] serving layer (ctest -L serve, clean + chaos + failover chaos)"
-ctest --test-dir build -L serve --output-on-failure -j "$(nproc)"
-NETCUT_FAULTS="$NETCUT_CHAOS_SCHEDULE" \
-  ctest --test-dir build -L serve --output-on-failure -j "$(nproc)"
-NETCUT_FAULTS="$NETCUT_FAILOVER_SCHEDULE" \
-  ctest --test-dir build -L serve --output-on-failure -j "$(nproc)"
+step 1 "configure + build (build/, -Werror)" build_tree build ""
+step 2 "ctest (full tier-1 suite)"
+step 3 "ctest under fault injection (NETCUT_FAULTS chaos schedule)"
+step 4 "serving layer (ctest -L serve, clean + chaos + failover chaos)"
 label_summary
-
-echo "==> [5/13] kernel backends (ctest -L kernels|layers|quant, scalar + simd)"
-NETCUT_BACKEND=scalar \
-  ctest --test-dir build -L 'kernels|layers|quant' --output-on-failure -j "$(nproc)"
-NETCUT_BACKEND=simd \
-  ctest --test-dir build -L 'kernels|layers|quant' --output-on-failure -j "$(nproc)"
-
-echo "==> [6/13] ASan: thread pool + memory planner + verifier + kernels + layers + quant"
-cmake -B build-asan -S . -DNETCUT_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$(nproc)" \
-  --target test_util_threadpool test_nn_memplan test_nn_verify test_tensor \
-  test_tensor_backends test_nn_layers test_quant
-ctest --test-dir build-asan -R 'ThreadPool|ThreadDeterminism|MemPlan|NnVerify' \
-  --output-on-failure -j "$(nproc)"
-ctest --test-dir build-asan -L 'kernels|layers|quant' --output-on-failure -j "$(nproc)"
-
-echo "==> [7/13] model checker (ctest -L sched, clean + chaos + lockcheck)"
-ctest --test-dir build -L sched --output-on-failure -j "$(nproc)"
-NETCUT_FAULTS="$NETCUT_CHAOS_SCHEDULE" \
-  ctest --test-dir build -L sched --output-on-failure -j "$(nproc)"
-# Live lock-discipline pass: the whole serving suite with the runtime
-# rank analyzer armed — any order inversion or held-while-blocking aborts.
-NETCUT_LOCKCHECK=1 \
-  ctest --test-dir build -L serve --output-on-failure -j "$(nproc)"
-
-echo "==> [8/13] negative tests (seeded bugs must be caught)"
+step 5 "kernel backends (ctest -L kernels|layers|quant, scalar + simd)"
+step 6 "ASan: thread pool + memory planner + verifier + kernels + layers + quant" \
+  build_tree build-asan address test_util_threadpool test_nn_memplan test_nn_verify \
+  test_tensor test_tensor_backends test_nn_layers test_quant
+step 7 "model checker (ctest -L sched, clean + chaos + lockcheck)"
+step 8 "negative tests (seeded bugs must be caught)"
 ./tests/negative/sched_catches_lost_wakeup.sh build/tests/test_sched
 ./tests/negative/tsan_catches_race.sh
-
-echo "==> [9/13] TSan: serve + sched (ctest -L serve|sched, clean + chaos + failover)"
-cmake -B build-tsan -S . -DNETCUT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$(nproc)" --target test_serve test_sched test_serve_failover
-ctest --test-dir build-tsan -L 'serve|sched' --output-on-failure -j "$(nproc)"
-NETCUT_FAULTS="$NETCUT_CHAOS_SCHEDULE" \
-  ctest --test-dir build-tsan -L 'serve|sched' --output-on-failure -j "$(nproc)"
-# Failover chaos under TSan with the runtime lock analyzer armed: shard
-# drain, orphan re-queue and warm-up stealing are exactly the paths where a
-# rank inversion or a lock held across a blocking call would hide.
-NETCUT_FAULTS="$NETCUT_FAILOVER_SCHEDULE" NETCUT_LOCKCHECK=1 \
-  ctest --test-dir build-tsan -L serve --output-on-failure -j "$(nproc)"
-
-echo "==> [10/13] UBSan: full tier-1 suite"
-cmake -B build-ubsan -S . -DNETCUT_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j "$(nproc)"
-ctest --test-dir build-ubsan --output-on-failure -j "$(nproc)"
-
-echo "==> [11/13] clang-tidy"
-./scripts/tidy.sh
-
-echo "==> [12/13] clang thread-safety analysis"
-./scripts/threadsafety.sh
-
-echo "==> [13/13] cascade (ctest -L cascade, clean + chaos; coverage behind NETCUT_COVERAGE=1)"
-ctest --test-dir build -L cascade --output-on-failure -j "$(nproc)"
-NETCUT_FAULTS="$NETCUT_CHAOS_SCHEDULE" \
-  ctest --test-dir build -L cascade --output-on-failure -j "$(nproc)"
+step 9 "TSan: serve + sched (ctest -L serve|sched, clean + chaos + failover)" \
+  build_tree build-tsan thread test_serve test_sched test_serve_failover
+step 10 "UBSan: full tier-1 suite" build_tree build-ubsan undefined
+step 11 "clang-tidy" ./scripts/tidy.sh
+step 12 "clang thread-safety analysis" ./scripts/threadsafety.sh
+step 13 "cascade (ctest -L cascade, clean + chaos; coverage behind NETCUT_COVERAGE=1)"
 # Line-coverage gate for the cascade module (gcov build in build-cov/) — the
 # expensive instrumented rebuild only runs when explicitly requested.
 if [ "${NETCUT_COVERAGE:-0}" = "1" ]; then

@@ -169,20 +169,19 @@ std::string cache_row(const std::string& key, const AccuracyResult& r) {
   return row + ',' + ck.str();
 }
 
-/// Accepts a legacy 3-field row (key,ang,top1) or a checksummed 4-field
-/// row; rejects torn lines, non-numeric fields, and checksum mismatches.
+/// Accepts a checksummed 4-field row (key,ang,top1,fnv1a64); rejects torn
+/// lines, non-numeric fields, checksum mismatches and the pre-checksum
+/// 3-field form.
 bool parse_cache_row(const std::string& line, std::string& key, AccuracyResult& r) {
   const auto fields = split_fields(line, ',');
-  if (fields.size() != 3 && fields.size() != 4) return false;
+  if (fields.size() != 4) return false;
   if (fields[0].empty()) return false;
   if (!parse_full_double(fields[1], r.angular_similarity)) return false;
   if (!parse_full_double(fields[2], r.top1)) return false;
-  if (fields.size() == 4) {
-    const std::string prefix = fields[0] + ',' + fields[1] + ',' + fields[2];
-    std::ostringstream ck;
-    ck << std::hex << util::fnv1a64(prefix);
-    if (ck.str() != fields[3]) return false;
-  }
+  const std::string prefix = fields[0] + ',' + fields[1] + ',' + fields[2];
+  std::ostringstream ck;
+  ck << std::hex << util::fnv1a64(prefix);
+  if (ck.str() != fields[3]) return false;
   key = fields[0];
   return true;
 }

@@ -27,8 +27,6 @@ constexpr int kPretrainResolution = 24;
 /// Checked container around the raw nn::save_params payload.
 constexpr std::uint32_t kContainerMagic = 0x3243574Eu;  // "NCW2"
 constexpr std::uint32_t kContainerVersion = 1;
-/// The raw legacy stream's leading magic ("NCWM"), for format sniffing.
-constexpr std::uint32_t kLegacyMagic = 0x4E43574Du;
 
 std::string cache_file(zoo::NetId net, const data::PretrainedConfig& config,
                        const std::string& cache_dir) {
@@ -47,25 +45,17 @@ void save_weights_checked(const nn::Graph& graph, const std::string& path) {
 
 enum class CacheLoad { kMissing, kLoaded, kQuarantined };
 
-/// Loads a cached weight file into `graph`, sniffing the checked container
-/// vs the legacy raw format. Any validation failure — bad checksum,
-/// truncation, structural mismatch, non-finite params — quarantines the
-/// file and reports kQuarantined so the caller retrains.
+/// Loads a cached weight file into `graph`. Any validation failure — a
+/// file without the checked container, bad checksum, truncation,
+/// structural mismatch, non-finite params — quarantines the file and
+/// reports kQuarantined so the caller retrains.
 CacheLoad load_weights_checked(nn::Graph& graph, const std::string& path) {
-  const auto magic = util::peek_magic(path);
-  if (!magic) return CacheLoad::kMissing;
   try {
-    if (*magic == kContainerMagic) {
-      const auto payload = util::read_checked(path, kContainerMagic, kContainerVersion);
-      if (!payload) return CacheLoad::kMissing;  // raced away; treat as missing
-      std::istringstream in(*payload, std::ios::binary);
-      nn::load_params(graph, in, path);
-      return CacheLoad::kLoaded;
-    }
-    // Legacy headerless file (written before the checked container
-    // existed): no checksum, but the structural validation still applies.
-    if (nn::load_params(graph, path)) return CacheLoad::kLoaded;
-    return CacheLoad::kMissing;
+    const auto payload = util::read_checked(path, kContainerMagic, kContainerVersion);
+    if (!payload) return CacheLoad::kMissing;
+    std::istringstream in(*payload, std::ios::binary);
+    nn::load_params(graph, in, path);
+    return CacheLoad::kLoaded;
   } catch (const std::exception& e) {
     const std::string moved = util::quarantine_file(path);
     std::fprintf(stderr,

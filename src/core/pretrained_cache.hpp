@@ -39,8 +39,8 @@ std::string pretrained_cache_file(zoo::NetId net, const data::PretrainedConfig& 
 /// Writes are atomic (tmp + rename) and wrapped in a checksummed container;
 /// a cached file that is truncated, bit-flipped, or structurally wrong is
 /// quarantined (renamed aside with a warning) and the trunk is retrained —
-/// a crash mid-write can never poison later runs. Legacy headerless weight
-/// files are still read.
+/// a crash mid-write can never poison later runs. A file without the
+/// container (the pre-container raw format) counts as corrupt.
 nn::Graph pretrained_trunk(zoo::NetId net, int resolution,
                            const data::PretrainedConfig& config,
                            const std::string& cache_dir);

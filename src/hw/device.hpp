@@ -90,9 +90,11 @@ class DeviceModel {
 
   /// Predicted end-to-end fp32/int8 latency ratio for the graph — the
   /// model's int8 speedup term. The measured counterpart is the wall-clock
-  /// ratio of Network::forward to QuantizedNetwork::forward_int8; the kernel
-  /// benchmark and quant tests report both side by side so the analytical
-  /// term can be sanity-checked against real integer execution.
+  /// ratio of Network::forward to QuantizedNetwork::forward_int8, the one
+  /// integer path: `micro_kernels --json` and the quant tests report both
+  /// side by side, and perfbench `infer` reports the measured ratio as
+  /// quant.int8_speedup, so the analytical term can be sanity-checked
+  /// against real integer execution.
   double int8_speedup(const nn::Graph& graph, bool fuse, int batch = 1) const;
 
   /// Which nodes are absorbed into their producer kernel under fusion

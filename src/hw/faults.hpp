@@ -34,8 +34,9 @@
 // Example: NETCUT_FAULTS="throttle=2.0@200~400,spike=0.02x6,drop=0.01"
 // Example: NETCUT_FAULTS="crash=2@120,hang=1@40~25,flaky=3x0.2"
 //
-// With no schedule active every consumer takes its exact pre-fault code
-// path, so clean outputs stay bit-identical.
+// With no schedule active every stream is inert (no run fails, every
+// multiplier is exactly 1.0) and no consumer trims or reorders its clean
+// arithmetic, so clean outputs stay bit-identical.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/stats.hpp"
 
@@ -32,34 +33,16 @@ Measurement LatencyMeasurer::measure_true_ms(double true_ms) {
   util::Rng rng(util::derive_seed(config_.seed, label));
   const FaultModel& model = config_.faults != nullptr ? *config_.faults : FaultModel::global();
 
-  Measurement m;
-  if (!model.active()) {
-    // Fault-free: the exact legacy protocol, bit-identical to before the
-    // fault layer existed.
-    for (int i = 0; i < config_.warmup_runs; ++i) simulate_run_ms(true_ms, i, rng);
-
-    std::vector<double> samples;
-    samples.reserve(static_cast<std::size_t>(config_.timed_runs));
-    for (int i = 0; i < config_.timed_runs; ++i)
-      samples.push_back(simulate_run_ms(true_ms, config_.warmup_runs + i, rng));
-
-    m.mean_ms = util::mean(samples);
-    m.stdev_ms = util::stdev(samples);
-    m.min_ms = util::min_of(samples);
-    m.max_ms = util::max_of(samples);
-    m.median_ms = util::median(samples);
-    m.runs = config_.timed_runs;
-    return m;
-  }
-
-  // Fault schedule active: run the self-healing protocol. One fault stream
-  // per measurement, derived from the same stable label as the noise RNG.
+  // One fault stream per measurement, derived from the same stable label as
+  // the noise RNG. Without a schedule the stream is inert: no run fails and
+  // every multiplier is exactly 1.0, so the clean protocol is this loop too.
   FaultStream faults = model.stream(label);
   for (int i = 0; i < config_.warmup_runs; ++i) {
     faults.next(i);
     simulate_run_ms(true_ms, i, rng);
   }
 
+  Measurement m;
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(config_.timed_runs));
   for (int i = 0; i < config_.timed_runs; ++i) {
@@ -87,21 +70,13 @@ Measurement LatencyMeasurer::measure_true_ms(double true_ms) {
     throw std::runtime_error(
         "measure_network: every timed run failed under the active fault schedule");
 
-  // MAD-based outlier rejection: spikes and burst contamination sit many
-  // robust sigmas from the median and get trimmed; the aggregate is the
-  // trimmed mean.
+  // Under a schedule, spikes and burst contamination are trimmed and the
+  // aggregate is the trimmed mean; clean samples are kept whole.
   const double med = util::median(samples);
-  const double robust_sigma = 1.4826 * util::mad(samples, med);
-  std::vector<double> kept;
-  kept.reserve(samples.size());
-  if (robust_sigma > 0.0) {
-    for (double s : samples)
-      if (std::abs(s - med) <= config_.mad_k * robust_sigma) kept.push_back(s);
-  } else {
-    kept = samples;  // degenerate spread: nothing to reject against
-  }
-  if (kept.empty()) kept.push_back(med);
-  m.outliers_rejected = static_cast<int>(samples.size() - kept.size());
+  const std::size_t taken = samples.size();
+  const std::vector<double> kept =
+      faults.active() ? util::mad_trim(samples, med, config_.mad_k) : std::move(samples);
+  m.outliers_rejected = static_cast<int>(taken - kept.size());
 
   m.mean_ms = util::mean(kept);
   m.stdev_ms = util::stdev(kept);

@@ -5,12 +5,14 @@
 // the statistical texture of real device timings while staying
 // deterministic for a given seed.
 //
-// Under an active hw::FaultModel the protocol self-heals: failed runs are
-// retried with bounded backoff, surviving samples pass MAD-based outlier
-// rejection, and the reported mean is the trimmed aggregate with an
+// The protocol self-heals: failed runs are retried with bounded backoff
+// and, under an active hw::FaultModel, surviving samples pass MAD-based
+// outlier rejection and the reported mean is the trimmed aggregate with an
 // attached confidence — so throttle spikes and dropped runs degrade the
 // confidence instead of silently poisoning the latency estimate. With no
-// active faults the legacy code path runs and outputs are bit-identical.
+// active faults the same loop runs on an inert fault stream (no run fails,
+// every multiplier is exactly 1.0) and nothing is trimmed, so clean numbers
+// are those of the plain 200 + 800 protocol, bit for bit.
 #pragma once
 
 #include "hw/device.hpp"

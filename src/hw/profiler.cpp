@@ -1,6 +1,7 @@
 #include "hw/profiler.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "util/stats.hpp"
 
@@ -32,50 +33,38 @@ LatencyTable LayerProfiler::profile(const nn::Graph& graph, const std::string& n
     pl.name = kc.name;
     pl.fused_away = kc.fused_away;
     if (!kc.fused_away) {
-      const double event_ms = kc.latency_ms + config_.event_overhead_us * 1e-3;
-      if (!model.active()) {
-        // Fault-free: the exact legacy per-layer loop, bit-identical.
-        double sum = 0.0;
-        for (int r = 0; r < config_.profile_runs; ++r)
-          sum += event_ms * rng.lognormal(0.0, config_.noise_sigma);
-        pl.latency_ms = sum / config_.profile_runs;
+      // Per-layer fault stream (inert without a schedule): event timings
+      // fail and spike just like end-to-end runs. Each surviving run keeps
+      // its noise factor times its fault multiplier (exactly the noise when
+      // clean); under a schedule the factors are MAD-trimmed and the row
+      // carries its surviving-run fraction as confidence.
+      FaultStream faults = model.stream(table_label + "/node" + std::to_string(kc.node));
+      std::vector<double> factors;
+      factors.reserve(static_cast<std::size_t>(config_.profile_runs));
+      for (int r = 0; r < config_.profile_runs; ++r) {
+        for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
+          const RunFault f = faults.next(r);
+          if (!f.failed) {
+            factors.push_back(rng.lognormal(0.0, config_.noise_sigma) * f.multiplier);
+            break;
+          }
+        }
+      }
+      if (factors.empty()) {
+        pl.latency_ms = 0.0;  // no usable timing: flagged by confidence 0
+        pl.confidence = 0.0;
       } else {
-        // Per-layer fault stream: event timings fail and spike just like
-        // end-to-end runs; surviving samples are MAD-trimmed and the row
-        // carries its surviving-run fraction as confidence.
-        FaultStream faults =
-            model.stream(table_label + "/node" + std::to_string(kc.node));
-        std::vector<double> samples;
-        samples.reserve(static_cast<std::size_t>(config_.profile_runs));
-        for (int r = 0; r < config_.profile_runs; ++r) {
-          for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
-            const RunFault f = faults.next(r);
-            if (!f.failed) {
-              samples.push_back(event_ms * rng.lognormal(0.0, config_.noise_sigma) *
-                                f.multiplier);
-              break;
-            }
-          }
-        }
-        if (samples.empty()) {
-          pl.latency_ms = 0.0;  // no usable timing: flagged by confidence 0
-          pl.confidence = 0.0;
-        } else {
-          const double med = util::median(samples);
-          const double robust_sigma = 1.4826 * util::mad(samples, med);
-          std::vector<double> kept;
-          kept.reserve(samples.size());
-          if (robust_sigma > 0.0) {
-            for (double s : samples)
-              if (std::abs(s - med) <= config_.mad_k * robust_sigma) kept.push_back(s);
-          } else {
-            kept = samples;
-          }
-          if (kept.empty()) kept.push_back(med);
-          pl.latency_ms = util::mean(kept);
-          pl.confidence =
-              static_cast<double>(kept.size()) / static_cast<double>(config_.profile_runs);
-        }
+        const std::vector<double> kept =
+            faults.active() ? util::mad_trim(factors, util::median(factors), config_.mad_k)
+                            : std::move(factors);
+        const double event_ms = kc.latency_ms + config_.event_overhead_us * 1e-3;
+        // Explicit fma, one run after another, so a row's rounding does not
+        // depend on how the compiler contracts or vectorizes this loop.
+        double sum = 0.0;
+        for (double x : kept) sum = std::fma(event_ms, x, sum);
+        pl.latency_ms = sum / static_cast<double>(kept.size());
+        pl.confidence =
+            static_cast<double>(kept.size()) / static_cast<double>(config_.profile_runs);
       }
     }
     table.layers.push_back(std::move(pl));

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "nn/conv.hpp"
+#include "nn/dense.hpp"
 #include "nn/pooling.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
@@ -104,9 +106,7 @@ QuantizedNetwork::QuantizedNetwork(nn::Graph fused_graph) : net_(std::move(fused
   // Round-trip every conv/dense weight through per-channel int8 now; the
   // information loss is baked into the stored weights, and the integer form
   // (values packed once into GEMM panels, scales, per-channel rowsums) is
-  // kept for forward_int8. Quantizing the restored weights is idempotent, so
-  // the stored int8 values are exactly what int8_conv2d / int8_dense would
-  // re-derive.
+  // kept for forward_int8.
   for (int id = 1; id < net_.graph().node_count(); ++id) {
     nn::Layer& layer = *net_.graph().node(id).layer;
     tensor::Tensor* w = nullptr;
@@ -151,25 +151,6 @@ QuantizedNetwork::QuantizedNetwork(nn::Graph fused_graph) : net_(std::move(fused
 void QuantizedNetwork::calibrate(const std::vector<const tensor::Tensor*>& images,
                                  const CalibrationConfig& config) {
   scales_ = calibrate_activations(net_, images, config);
-}
-
-tensor::Tensor QuantizedNetwork::forward(const tensor::Tensor& input) {
-  if (!calibrated()) throw std::logic_error("QuantizedNetwork: calibrate first");
-  // Mirror Network::forward but insert an activation round trip after each
-  // node ("quantized on the fly per-tensor", Section III-B4).
-  nn::Graph& g = net_.graph();
-  const int n = g.node_count();
-  std::vector<tensor::Tensor> acts(static_cast<std::size_t>(n));
-  acts[0] = fake_quantize(input, scales_.at(0));
-  for (int id = 1; id < n; ++id) {
-    nn::Node& nd = g.node(id);
-    std::vector<const tensor::Tensor*> in;
-    in.reserve(nd.inputs.size());
-    for (int src : nd.inputs) in.push_back(&acts[static_cast<std::size_t>(src)]);
-    tensor::Tensor y = nd.layer->forward(in, false);
-    acts[static_cast<std::size_t>(id)] = fake_quantize(y, scales_.at(id));
-  }
-  return acts[static_cast<std::size_t>(n - 1)];
 }
 
 void QuantizedNetwork::plan_int8(const tensor::Shape& in_shape) {
@@ -391,61 +372,6 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
   const std::size_t count = static_cast<std::size_t>(out.numel());
   for (std::size_t i = 0; i < count; ++i) f[i] = dequantize_value(q[i], out_p);
   return out;
-}
-
-tensor::Tensor int8_conv2d(const nn::Conv2D& conv, const tensor::Tensor& input,
-                           const QuantParams& in_params) {
-  const std::vector<std::uint8_t> qin = quantize_tensor(input, in_params);
-  const ChannelQuant qw = quantize_weights_per_channel(conv.weight());
-
-  const tensor::ConvGeometry geo = conv_geometry(conv, input.shape());
-  const int pixels = geo.out_h() * geo.out_w();
-  const int O = conv.out_channels();
-  const int K = geo.in_c * geo.patch();
-
-  // Lower to im2col over the quantized image (out-of-bounds taps filled with
-  // the zero point, i.e. real 0) and one backend s8u8 GEMM; the zero point
-  // folds out of the raw accumulators through the per-channel weight sums.
-  std::vector<std::uint8_t> cols(static_cast<std::size_t>(K) *
-                                 static_cast<std::size_t>(pixels));
-  tensor::im2col_u8(qin.data(), geo, cols.data(),
-                    static_cast<std::uint8_t>(in_params.zero_point));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(O) * static_cast<std::size_t>(pixels));
-  tensor::gemm_s8u8(qw.values.data(), cols.data(), acc.data(), O, K, pixels);
-
-  const std::vector<std::int32_t> rowsums = weight_rowsums(qw, O);
-  tensor::Tensor y(tensor::Shape::chw(O, geo.out_h(), geo.out_w()));
-  for (int o = 0; o < O; ++o) {
-    const float requant = qw.scales[static_cast<std::size_t>(o)] * in_params.scale;
-    const std::int32_t fold = in_params.zero_point * rowsums[static_cast<std::size_t>(o)];
-    const float bias = conv.has_bias() ? conv.bias()[o] : 0.0f;
-    const std::int32_t* arow = acc.data() + static_cast<std::int64_t>(o) * pixels;
-    float* yrow = y.data() + static_cast<std::int64_t>(o) * pixels;
-    for (int j = 0; j < pixels; ++j)
-      yrow[j] = static_cast<float>(arow[j] - fold) * requant + bias;
-  }
-  return y;
-}
-
-tensor::Tensor int8_dense(const nn::Dense& dense, const tensor::Tensor& input,
-                          const QuantParams& in_params) {
-  const std::vector<std::uint8_t> qin = quantize_tensor(input, in_params);
-  const ChannelQuant qw = quantize_weights_per_channel(dense.weight());
-  const int O = dense.out_features();
-  const int I = dense.in_features();
-
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(O));
-  tensor::gemm_s8u8(qw.values.data(), qin.data(), acc.data(), O, I, 1);
-  const std::vector<std::int32_t> rowsums = weight_rowsums(qw, O);
-
-  tensor::Tensor y(tensor::Shape::vec(O));
-  for (int o = 0; o < O; ++o) {
-    const std::int32_t fold = in_params.zero_point * rowsums[static_cast<std::size_t>(o)];
-    y[o] = static_cast<float>(acc[static_cast<std::size_t>(o)] - fold) *
-               qw.scales[static_cast<std::size_t>(o)] * in_params.scale +
-           (dense.has_bias() ? dense.bias()[o] : 0.0f);
-  }
-  return y;
 }
 
 }  // namespace netcut::quant

@@ -1,31 +1,25 @@
-// Quantized inference paths.
+// Quantized inference (Section III-B4): QuantizedNetwork runs a fused
+// graph as genuine integer execution, uint8 activations end to end.
 //
-//  * QuantizedNetwork::forward: graph-wide simulated-quantization execution —
-//    every node's output passes through a calibrated uint8 round trip and all
-//    conv/dense weights through a per-channel int8 round trip. Measures the
-//    accuracy impact of int8 deployment on any architecture.
-//  * QuantizedNetwork::forward_int8: genuine integer execution. Conv2D lowers
-//    to im2col over uint8 activations plus the backend s8u8 GEMM
-//    (tensor::gemm_s8u8) on weights packed once at construction; a 1x1,
-//    stride-1, unpadded Conv2D passes its input activation to the GEMM
-//    directly. Dense uses the same GEMM with N = 1; elementwise
-//    requantization (ReLU / ReLU6 / MaxPool / Flatten) runs through 256-entry
-//    lookup tables; Add dequantizes through tables, sums in the float
-//    layer's order and requantizes; remaining layer kinds dequantize, run
-//    the float layer, and requantize. Activations and GEMM scratch live in
-//    one reused tensor::Arena laid out once per input shape, so
-//    steady-state passes allocate nothing on the integer path.
-//  * int8_conv2d / int8_dense: standalone integer kernels (uint8 activations
-//    x int8 weights, int32 accumulators, float requantization) proving the
-//    arithmetic the DeviceModel's int8 timing assumes. Unit tests check them
-//    against the simulated-quantization reference.
+// Conv2D lowers to im2col over uint8 activations plus the backend s8u8 GEMM
+// (tensor::gemm_s8u8) on weights packed once at construction; a 1x1,
+// stride-1, unpadded Conv2D passes its input activation to the GEMM
+// directly. Dense uses the same GEMM with N = 1; elementwise
+// requantization (ReLU / ReLU6 / MaxPool / Flatten) runs through 256-entry
+// lookup tables; Add dequantizes through tables, sums in the float layer's
+// order and requantizes; remaining layer kinds (depthwise, Concat, ...)
+// dequantize, run the float layer, and requantize. Activations and GEMM
+// scratch live in one reused tensor::Arena laid out once per input shape,
+// so steady-state passes allocate nothing on the integer path.
+//
+// The simulated-quantization reference the tests compare against (fp32
+// layers with a uint8 round trip after every node) lives in
+// tests/quant_oracle.hpp.
 #pragma once
 
 #include <cstdint>
 #include <map>
 
-#include "nn/conv.hpp"
-#include "nn/dense.hpp"
 #include "nn/network.hpp"
 #include "quant/calibrate.hpp"
 #include "tensor/arena.hpp"
@@ -44,13 +38,11 @@ class QuantizedNetwork {
                  const CalibrationConfig& config = {});
   bool calibrated() const { return !scales_.empty(); }
 
-  /// Simulated-quantized forward pass (fp32 arithmetic, uint8 round trips).
-  tensor::Tensor forward(const tensor::Tensor& input);
-
-  /// Genuine integer forward pass: uint8 activations end to end, int8
-  /// weights, int32 accumulators. Returns the dequantized output; agrees
-  /// with forward() to within requantization rounding (the integer
-  /// accumulation itself is exact). Requires calibrate() first.
+  /// Integer forward pass: uint8 activations end to end, int8 weights,
+  /// int32 accumulators. Returns the dequantized output; agrees with a
+  /// simulated-quantization pass over network() and scales() to within
+  /// requantization rounding (the integer accumulation itself is exact).
+  /// Requires calibrate() first.
   tensor::Tensor forward_int8(const tensor::Tensor& input);
 
   const nn::Network& network() const { return net_; }
@@ -96,17 +88,5 @@ class QuantizedNetwork {
   Int8Plan int8_plan_;
   tensor::Arena int8_arena_;
 };
-
-/// Integer convolution: quantizes the input with `in_params`, lowers to
-/// im2col_u8 + tensor::gemm_s8u8 (uint8 x int8 -> int32), and returns the
-/// float output via requantization scales. Bias is added in float. Matches
-/// conv.forward on round-tripped weights to within one activation
-/// quantization step.
-tensor::Tensor int8_conv2d(const nn::Conv2D& conv, const tensor::Tensor& input,
-                           const QuantParams& in_params);
-
-/// Integer dense layer, same contract as int8_conv2d (s8u8 GEMM with N = 1).
-tensor::Tensor int8_dense(const nn::Dense& dense, const tensor::Tensor& input,
-                          const QuantParams& in_params);
 
 }  // namespace netcut::quant

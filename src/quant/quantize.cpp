@@ -59,30 +59,6 @@ void quantize_row(const float* x, std::size_t n, const QuantParams& p, std::uint
       if ((std::bit_cast<std::uint32_t>(x[i] / scale) & kAbs) >= kBig) out[i] = quantize_value(x[i], p);
 }
 
-std::vector<std::uint8_t> quantize_tensor(const Tensor& x, const QuantParams& p) {
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(x.numel()));
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    out[static_cast<std::size_t>(i)] = quantize_value(x[i], p);
-  return out;
-}
-
-Tensor dequantize_tensor(const std::vector<std::uint8_t>& q, const tensor::Shape& shape,
-                         const QuantParams& p) {
-  if (static_cast<std::int64_t>(q.size()) != shape.numel())
-    throw std::invalid_argument("dequantize_tensor: size mismatch");
-  Tensor out(shape);
-  for (std::int64_t i = 0; i < out.numel(); ++i)
-    out[i] = dequantize_value(q[static_cast<std::size_t>(i)], p);
-  return out;
-}
-
-Tensor fake_quantize(const Tensor& x, const QuantParams& p) {
-  Tensor out(x.shape());
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    out[i] = dequantize_value(quantize_value(x[i], p), p);
-  return out;
-}
-
 ChannelQuant quantize_weights_per_channel(const Tensor& w) {
   if (w.shape().rank() < 2)
     throw std::invalid_argument("quantize_weights_per_channel: need >= rank-2 weights");
@@ -120,13 +96,6 @@ Tensor dequantize_weights(const ChannelQuant& q, const tensor::Shape& shape) {
     }
   }
   return out;
-}
-
-float quantization_error(const Tensor& x, const QuantParams& p) {
-  float m = 0.0f;
-  for (std::int64_t i = 0; i < x.numel(); ++i)
-    m = std::max(m, std::abs(x[i] - dequantize_value(quantize_value(x[i], p), p)));
-  return m;
 }
 
 }  // namespace netcut::quant

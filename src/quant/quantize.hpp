@@ -29,14 +29,6 @@ float dequantize_value(std::uint8_t q, const QuantParams& p);
 /// compiler vectorizes: the integer pass requantizes every output element.
 void quantize_row(const float* x, std::size_t n, const QuantParams& p, std::uint8_t* out);
 
-std::vector<std::uint8_t> quantize_tensor(const Tensor& x, const QuantParams& p);
-Tensor dequantize_tensor(const std::vector<std::uint8_t>& q, const tensor::Shape& shape,
-                         const QuantParams& p);
-
-/// Round trip through uint8 — the "fake quant" operator used to measure
-/// deployment accuracy impact on the fp32 execution path.
-Tensor fake_quantize(const Tensor& x, const QuantParams& p);
-
 /// Symmetric per-output-channel int8 weight quantization for OIHW / [O, I]
 /// weights: one scale per output channel (the paper's per-feature scheme).
 struct ChannelQuant {
@@ -46,8 +38,5 @@ struct ChannelQuant {
 
 ChannelQuant quantize_weights_per_channel(const Tensor& w);
 Tensor dequantize_weights(const ChannelQuant& q, const tensor::Shape& shape);
-
-/// Max |x_fp32 - dequant(quant(x))| for a round trip.
-float quantization_error(const Tensor& x, const QuantParams& p);
 
 }  // namespace netcut::quant

@@ -158,8 +158,7 @@ std::optional<Completion> Fleet::submit(const Request& r, double now_ms) {
     ++stats_.submitted;
 
     const bool pressured = queue_.total_size() >= config_.pressure_backlog;
-    if (config_.admission &&
-        (!feasible(r, now_ms) || (pressured && over_fair_share(r)))) {
+    if (!feasible(r, now_ms) || (pressured && over_fair_share(r))) {
       ++tc.shed;
       ++stats_.shed;
       Completion c;
@@ -361,7 +360,7 @@ std::vector<Completion> Fleet::drain_worker(std::size_t w, double now_ms) {
       // checks would over-admit: fifty orphans all judged against the
       // pre-requeue backlog). EDF order is preserved per shard because
       // drain() yields EDF order and reinsert() re-heapifies.
-      if (!config_.admission || feasible(r, now_ms)) {
+      if (feasible(r, now_ms)) {
         queue_.shard(queue_.route(r.tenant)).reinsert(r);
         ++stats_.requeued;
         continue;

@@ -93,9 +93,6 @@ struct FleetWorker {
 struct FleetConfig {
   std::vector<SloClass> classes = {SloClass{}};
   std::uint64_t seed = 9090;  // steal-victim streams (per-worker derived)
-  /// Admission control master switch. Off = every request is admitted
-  /// (the fleet degrades into sharded best-effort serving).
-  bool admission = true;
   /// Fraction of a request's remaining slack kept as safety margin by the
   /// feasibility bound (admit only if best-case eta fits in (1 - headroom)
   /// of the slack). Without it the saturated steady state parks the

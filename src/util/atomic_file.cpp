@@ -105,15 +105,6 @@ std::optional<std::string> read_checked(const std::string& path, std::uint32_t m
   return payload;
 }
 
-std::optional<std::uint32_t> peek_magic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  if (!in) return std::nullopt;
-  return magic;
-}
-
 std::string quarantine_file(const std::string& path) {
   std::string target = path + ".quarantined";
   for (int i = 1; fs::exists(target); ++i) target = path + ".quarantined." + std::to_string(i);

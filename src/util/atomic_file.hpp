@@ -46,10 +46,6 @@ void atomic_write_checked(const std::string& path, std::string_view payload,
 std::optional<std::string> read_checked(const std::string& path, std::uint32_t magic,
                                         std::uint32_t version);
 
-/// Peeks at the first four bytes of a file (format sniffing for legacy
-/// caches). Returns nullopt when the file is missing or shorter than 4B.
-std::optional<std::uint32_t> peek_magic(const std::string& path);
-
 /// Renames `path` aside to the first free "<path>.quarantined[.N]" so a
 /// corrupt cache is kept for post-mortem but never re-read. Returns the
 /// quarantine path.

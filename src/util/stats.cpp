@@ -53,6 +53,17 @@ double mad(const std::vector<double>& xs, double center) {
   return median(std::move(dev));
 }
 
+std::vector<double> mad_trim(const std::vector<double>& xs, double center, double k) {
+  const double robust_sigma = 1.4826 * mad(xs, center);
+  if (robust_sigma <= 0.0) return xs;  // degenerate spread: nothing to reject against
+  std::vector<double> kept;
+  kept.reserve(xs.size());
+  for (double x : xs)
+    if (std::abs(x - center) <= k * robust_sigma) kept.push_back(x);
+  if (kept.empty()) kept.push_back(center);
+  return kept;
+}
+
 double min_of(const std::vector<double>& xs) {
   require_nonempty(xs, "min_of");
   return *std::min_element(xs.begin(), xs.end());

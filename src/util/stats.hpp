@@ -13,6 +13,11 @@ double percentile(std::vector<double> xs, double p);  // p in [0, 100]
 /// Median absolute deviation about `center` (robust scale; multiply by
 /// 1.4826 for a normal-consistent sigma).
 double mad(const std::vector<double>& xs, double center);
+/// MAD-based outlier rejection: the samples within k robust sigmas
+/// (1.4826 * MAD about `center`, normally the median), in their original
+/// order. A zero spread keeps every sample; if nothing survives, `center`
+/// stands alone.
+std::vector<double> mad_trim(const std::vector<double>& xs, double center, double k);
 double min_of(const std::vector<double>& xs);
 double max_of(const std::vector<double>& xs);
 

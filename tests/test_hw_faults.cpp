@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/estimator.hpp"
 #include "core/lab.hpp"
@@ -20,6 +21,7 @@
 #include "nn/conv.hpp"
 #include "nn/norm.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "zoo/zoo.hpp"
 
 namespace netcut::hw {
@@ -214,6 +216,44 @@ TEST(Measure, CleanPathBitIdenticalToExplicitlyDisabled) {
   EXPECT_EQ(ma.runs, mb.runs);
   EXPECT_EQ(ma.outliers_rejected, 0);
   EXPECT_DOUBLE_EQ(ma.confidence, 1.0);
+}
+
+TEST(Measure, CleanLoopIsThePlainProtocol) {
+  // Without a schedule the self-healing loop runs on an inert fault stream
+  // and trims nothing: a measurement is the plain 200 warm-up + 800 timed
+  // runs bit for bit, and a profile row the plain per-run fma chain.
+  DeviceModel dev;
+  const Graph g = conv_bn_relu_chain(2);
+  MeasureConfig mc;
+  mc.noise_sigma = 0.3;  // heavy lognormal tails: trimming would cut some
+  mc.faults = &FaultModel::disabled();
+  LatencyMeasurer meas(dev, mc);
+  ProfilerConfig pc;
+  pc.noise_sigma = 0.5;
+  pc.faults = &FaultModel::disabled();
+  LayerProfiler prof(dev, meas, pc);
+  const LatencyTable table = prof.profile(g, "chain", Precision::kInt8, true);  // measure/0
+
+  const double truth = dev.network_latency_ms(g, Precision::kInt8, true);
+  util::Rng rng(util::derive_seed(mc.seed, "measure/0"));
+  for (int i = 0; i < mc.warmup_runs; ++i) meas.simulate_run_ms(truth, i, rng);
+  std::vector<double> samples;
+  for (int i = 0; i < mc.timed_runs; ++i)
+    samples.push_back(meas.simulate_run_ms(truth, mc.warmup_runs + i, rng));
+  EXPECT_EQ(table.end_to_end_ms, util::mean(samples));
+
+  util::Rng prng(util::derive_seed(pc.seed, "profiler/0"));
+  const std::vector<KernelCost> costs = dev.kernel_costs(g, Precision::kInt8, true);
+  ASSERT_EQ(table.layers.size(), costs.size());
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    if (costs[i].fused_away) continue;
+    const double event_ms = costs[i].latency_ms + pc.event_overhead_us * 1e-3;
+    double sum = 0.0;
+    for (int r = 0; r < pc.profile_runs; ++r)
+      sum = std::fma(event_ms, prng.lognormal(0.0, pc.noise_sigma), sum);
+    EXPECT_DOUBLE_EQ(table.layers[i].latency_ms, sum / pc.profile_runs) << costs[i].name;
+    EXPECT_EQ(table.layers[i].confidence, 1.0);
+  }
 }
 
 TEST(Measure, TrimmedMeanSurvivesSpikes) {

@@ -12,6 +12,7 @@
 #include "nn/network.hpp"
 #include "nn/pooling.hpp"
 #include "quant/quantize.hpp"
+#include "quant_oracle.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "zoo/zoo.hpp"

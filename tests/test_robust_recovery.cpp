@@ -17,6 +17,7 @@
 #include "core/explorer.hpp"
 #include "core/lab.hpp"
 #include "core/pretrained_cache.hpp"
+#include "nn/serialize.hpp"
 #include "util/atomic_file.hpp"
 
 namespace netcut {
@@ -71,7 +72,6 @@ TEST(AtomicFile, CheckedRoundTripIncludingBinaryPayload) {
   std::string payload = "hello\0world\n\xff\x01 binary";
   payload.resize(22);
   util::atomic_write_checked(path, payload, 0xABCD1234u, 3);
-  EXPECT_EQ(util::peek_magic(path).value(), 0xABCD1234u);
   const auto back = util::read_checked(path, 0xABCD1234u, 3);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, payload);
@@ -121,12 +121,17 @@ TEST(AccuracyCache, MalformedRowsSkippedCountedAndHealed) {
   const std::string key = zoo::net_name(base) + "|" + std::to_string(cut) + "|" +
                           std::to_string(probe.config_hash());
 
-  // A valid legacy (checksum-less) row, a torn append, and binary garbage.
+  // A valid checksummed row, a torn append, binary garbage, and a
+  // pre-checksum 3-field row (no longer read).
   {
+    const std::string row = key + ",0.875,0.65";
+    std::ostringstream ck;
+    ck << std::hex << util::fnv1a64(row);
     std::ofstream out(cache);
-    out << key << ",0.875,0.65\n";
+    out << row << ',' << ck.str() << '\n';
     out << "NetX|3|123,0.4\n";
     out << key << ",0.9,not_a_number\n";
+    out << key << ",0.5,0.25\n";
   }
 
   core::TrnEvaluator eval(dataset, tiny_eval(cache, ""));
@@ -135,7 +140,7 @@ TEST(AccuracyCache, MalformedRowsSkippedCountedAndHealed) {
   const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_DOUBLE_EQ(r.angular_similarity, 0.875);
   EXPECT_DOUBLE_EQ(r.top1, 0.65);
-  EXPECT_EQ(eval.cache_rows_skipped(), 2);
+  EXPECT_EQ(eval.cache_rows_skipped(), 3);
   EXPECT_NE(err.find("malformed"), std::string::npos);
 
   // The healed file parses cleanly and still carries the surviving row.
@@ -191,6 +196,32 @@ TEST(WeightCache, CorruptFileQuarantinedAndRetrainedDeterministically) {
   testing::internal::GetCapturedStderr();
   graph_params(healed2, c);
   EXPECT_EQ(a, c);
+}
+
+TEST(WeightCache, HeaderlessFileQuarantinedAndRetrained) {
+  const std::string dir = fresh_dir("weight_cache_headerless");
+  const zoo::NetId net = zoo::NetId::kMobileNetV1_025;
+  const data::PretrainedConfig cfg = tiny_pretrain();
+
+  nn::Graph first = core::pretrained_trunk(net, 24, cfg, dir);
+  const std::string path = core::pretrained_cache_file(net, cfg, dir);
+  ASSERT_TRUE(fs::exists(path));
+
+  // Overwrite the cache with the bare nn::save_params stream (the format
+  // written before the checked container): it is not read, but quarantined,
+  // and retraining reproduces the same weights.
+  nn::save_params(first, path);
+  const std::string headerless = slurp(path);
+  testing::internal::CaptureStderr();
+  nn::Graph healed = core::pretrained_trunk(net, 24, cfg, dir);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("quarantined"), std::string::npos);
+  EXPECT_EQ(slurp(path + ".quarantined"), headerless);
+  EXPECT_NE(slurp(path), headerless);  // rewritten in the checked container
+  std::vector<float> a, b;
+  graph_params(first, a);
+  graph_params(healed, b);
+  EXPECT_EQ(a, b);
 }
 
 // --------------------------------------------------------- exploration journal

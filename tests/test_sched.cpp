@@ -218,7 +218,6 @@ TEST(SchedShard, StealReinsertConservesRequests) {
 serve::FleetConfig sched_fleet_config() {
   serve::FleetConfig fc;
   fc.seed = 1313;
-  fc.admission = true;
   return fc;
 }
 

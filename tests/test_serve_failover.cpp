@@ -213,7 +213,6 @@ TEST(HealthMonitor, ErrorScoreIsLeakyAndEscalates) {
 serve::FleetConfig failover_sched_config() {
   serve::FleetConfig fc;
   fc.seed = 1717;
-  fc.admission = true;
   fc.health.suspect_after_ms = 0.5;
   fc.health.down_after_ms = 1.5;
   fc.health.probation_ms = 1.0;
