@@ -28,8 +28,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,19 +52,13 @@ struct ServeRun {
   bool reproducible = false;
 };
 
-std::function<double(int)> batch_curve(std::shared_ptr<const nn::Graph> graph) {
-  auto device = std::make_shared<hw::DeviceModel>();
-  auto cache = std::make_shared<std::map<int, double>>();
-  return [graph = std::move(graph), device, cache](int b) {
-    if (auto it = cache->find(b); it != cache->end()) return it->second;
-    const double v = device->network_latency_ms(*graph, hw::Precision::kInt8, true, b);
-    return cache->emplace(b, v).first->second;
-  };
+/// Int8 device curve over the largest batch any row serves (8).
+std::function<double(int)> batch_curve(const nn::Graph& graph, int resume = 0) {
+  return hw::DeviceModel().batch_curve(graph, hw::Precision::kInt8, true, 8, resume);
 }
 
-ServeRun run_config(const std::shared_ptr<const nn::Graph>& graph,
-                    const serve_sim::LoadConfig& load, const std::string& label,
-                    int max_batch) {
+ServeRun run_config(const nn::Graph& graph, const serve_sim::LoadConfig& load,
+                    const std::string& label, int max_batch) {
   auto once = [&] {
     serve::RequestQueue queue;
     serve::ServeConfig sc;
@@ -201,13 +193,14 @@ struct FleetRun {
 
 /// Homogeneous timing-only fleet: one TRN per replica, faults pinned off
 /// (these rows are capacity measurements), per-worker derived serve seeds.
-serve::Fleet make_fleet(const std::shared_ptr<const nn::Graph>& graph, std::size_t n,
-                        serve::FleetConfig cfg, double nominal_deadline_ms) {
+serve::Fleet make_fleet(const nn::Graph& graph, std::size_t n, serve::FleetConfig cfg,
+                        double nominal_deadline_ms) {
+  const auto curve = batch_curve(graph);
   std::vector<serve::FleetWorker> workers;
   for (std::size_t w = 0; w < n; ++w) {
     serve::FleetWorker fw;
     fw.name = "w" + std::to_string(w);
-    fw.options = {{"trn", nullptr, batch_curve(graph), {}}};
+    fw.options = {{"trn", nullptr, curve, {}}};
     fw.serve.max_batch = 8;
     fw.serve.nominal_deadline_ms = nominal_deadline_ms;
     fw.serve.seed = util::derive_seed(7070, "bench/fleet/worker/" + std::to_string(w));
@@ -217,8 +210,7 @@ serve::Fleet make_fleet(const std::shared_ptr<const nn::Graph>& graph, std::size
   return serve::Fleet(std::move(workers), std::move(cfg));
 }
 
-FleetRun run_fleet_config(const std::shared_ptr<const nn::Graph>& graph,
-                          const serve::FleetConfig& fc,
+FleetRun run_fleet_config(const nn::Graph& graph, const serve::FleetConfig& fc,
                           const serve_sim::FleetLoadConfig& load, const std::string& label,
                           std::size_t workers) {
   const auto arrivals = serve_sim::generate_fleet_arrivals(load, fc.classes, {});
@@ -268,8 +260,7 @@ int main(int argc, char** argv) {
       json_path = argv[i] + 7;
   }
 
-  const auto graph = std::make_shared<const nn::Graph>(
-      zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32));
+  const nn::Graph graph = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32);
   const auto curve = batch_curve(graph);
   std::printf("device batch curve (ms): b1 %.4f  b2 %.4f  b4 %.4f  b8 %.4f\n", curve(1),
               curve(2), curve(4), curve(8));
@@ -505,24 +496,16 @@ int main(int argc, char** argv) {
   // the deep one. This row pins the latency side: at a deadline-feasible
   // load, the cascade's mean response beats serving every request deep.
   util::Rng casc_rng(11);
-  const std::vector<int> casc_cuts = core::blockwise_cutpoints(*graph);
+  const std::vector<int> casc_cuts = core::blockwise_cutpoints(graph);
   const int casc_shallow = casc_cuts[casc_cuts.size() / 3];
   const int casc_deep = casc_cuts.back();
-  const auto shallow_graph = std::make_shared<const nn::Graph>(
-      core::build_trn(*graph, casc_shallow, core::HeadConfig{}, casc_rng));
-  const auto deep_graph = std::make_shared<const nn::Graph>(
-      core::build_trn(*graph, casc_deep, core::HeadConfig{}, casc_rng));
-  const int casc_resume = graph->prefix(casc_shallow).node_count() - 1;
+  const nn::Graph shallow_graph =
+      core::build_trn(graph, casc_shallow, core::HeadConfig{}, casc_rng);
+  const nn::Graph deep_graph = core::build_trn(graph, casc_deep, core::HeadConfig{}, casc_rng);
+  const int casc_resume = core::resume_node(graph, casc_shallow);
   const auto shallow_curve = batch_curve(shallow_graph);
   const auto deep_curve = batch_curve(deep_graph);
-  auto stage2_device = std::make_shared<hw::DeviceModel>();
-  auto stage2_cache = std::make_shared<std::map<int, double>>();
-  const auto stage2_curve = [deep_graph, stage2_device, casc_resume, stage2_cache](int k) {
-    if (auto it = stage2_cache->find(k); it != stage2_cache->end()) return it->second;
-    const double v = stage2_device->network_latency_from_ms(*deep_graph, hw::Precision::kInt8,
-                                                            true, casc_resume, k);
-    return stage2_cache->emplace(k, v).first->second;
-  };
+  const auto stage2_curve = batch_curve(deep_graph, casc_resume);
   const double casc_p = 0.3;  // calibrated escalation mass (timing-only row)
 
   serve_sim::LoadConfig casc_load;

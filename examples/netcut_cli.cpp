@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -67,15 +66,8 @@ void usage() {
 int run_fleet_demo(std::size_t workers, const std::string& kill_spec) {
   using namespace netcut;
 
-  const auto graph = std::make_shared<const nn::Graph>(
-      zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32));
-  auto device = std::make_shared<hw::DeviceModel>();
-  auto cache = std::make_shared<std::map<int, double>>();
-  auto curve = [graph, device, cache](int b) {
-    if (auto it = cache->find(b); it != cache->end()) return it->second;
-    const double v = device->network_latency_ms(*graph, hw::Precision::kInt8, true, b);
-    return cache->emplace(b, v).first->second;
-  };
+  const auto curve = hw::DeviceModel().batch_curve(
+      zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32), hw::Precision::kInt8, true, 8);
 
   // --kill-worker W@S is sugar for the crash=W@S NETCUT_FAULTS clause,
   // scoped to this fleet (measurement streams are untouched).

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -46,18 +45,11 @@ using namespace netcut;
 
 namespace {
 
-std::function<double(int)> batch_curve_on(std::shared_ptr<const nn::Graph> graph,
-                                          std::shared_ptr<const hw::DeviceModel> device) {
-  auto cache = std::make_shared<std::map<int, double>>();
-  return [graph = std::move(graph), device = std::move(device), cache](int b) {
-    if (auto it = cache->find(b); it != cache->end()) return it->second;
-    const double v = device->network_latency_ms(*graph, hw::Precision::kInt8, true, b);
-    return cache->emplace(b, v).first->second;
-  };
-}
-
-std::function<double(int)> batch_curve(std::shared_ptr<const nn::Graph> graph) {
-  return batch_curve_on(std::move(graph), std::make_shared<hw::DeviceModel>());
+/// Int8 device curve over the demo's batch cap (8).
+std::function<double(int)> batch_curve(const nn::Graph& graph,
+                                       const hw::DeviceModel& device = hw::DeviceModel(),
+                                       int resume = 0) {
+  return device.batch_curve(graph, hw::Precision::kInt8, true, 8, resume);
 }
 
 }  // namespace
@@ -73,12 +65,10 @@ int main() {
 
   const int late_cut = cuts[cuts.size() - 1];
   const int early_cut = cuts[cuts.size() / 4];
-  auto preferred_graph = std::make_shared<const nn::Graph>(
-      core::build_trn(trunk, late_cut, core::HeadConfig{}, rng));
-  auto fallback_graph = std::make_shared<const nn::Graph>(
-      core::build_trn(trunk, early_cut, core::HeadConfig{}, rng));
-  nn::Network preferred(*preferred_graph);
-  nn::Network fallback(*fallback_graph);
+  const nn::Graph preferred_graph = core::build_trn(trunk, late_cut, core::HeadConfig{}, rng);
+  const nn::Graph fallback_graph = core::build_trn(trunk, early_cut, core::HeadConfig{}, rng);
+  nn::Network preferred(preferred_graph);
+  nn::Network fallback(fallback_graph);
 
   const auto pref_curve = batch_curve(preferred_graph);
   const auto fall_curve = batch_curve(fallback_graph);
@@ -126,9 +116,9 @@ int main() {
   sc.max_batch = 8;
   sc.nominal_deadline_ms = load.deadline_slack_ms;
   sc.watchdog.window = 16;
-  serve::BatchServer server({{"preferred", &preferred, batch_curve(preferred_graph), {}},
-                             {"fallback", &fallback, batch_curve(fallback_graph), {}}},
-                            queue, sc);
+  serve::BatchServer server(
+      {{"preferred", &preferred, pref_curve, {}}, {"fallback", &fallback, fall_curve, {}}},
+      queue, sc);
   const serve_sim::SimReport rep = serve_sim::run_open_loop(server, queue, arrivals);
 
   std::printf("\nserved %zu requests in %.2f simulated ms\n", rep.completions.size(),
@@ -156,16 +146,8 @@ int main() {
   // through an all-deep static server for the head-to-head.
   // -------------------------------------------------------------------------
   core::CascadeTrn cascade(trunk, early_cut, late_cut, core::HeadConfig{}, rng);
-  auto shared_device = std::make_shared<const hw::DeviceModel>();
   const int resume = cascade.resume_node();
-  auto stage2_cache = std::make_shared<std::map<int, double>>();
-  const auto stage2_curve = [graph = preferred_graph, shared_device, resume,
-                             stage2_cache](int k) {
-    if (auto it = stage2_cache->find(k); it != stage2_cache->end()) return it->second;
-    const double v = shared_device->network_latency_from_ms(*graph, hw::Precision::kInt8,
-                                                            true, resume, k);
-    return stage2_cache->emplace(k, v).first->second;
-  };
+  const auto stage2_curve = batch_curve(preferred_graph, hw::DeviceModel(), resume);
 
   // Calibrate on the request pool itself — the demo-scale stand-in for the
   // explorer's held-out calibration split. The threshold is the pool's
@@ -198,14 +180,14 @@ int main() {
   sco.stage2_ms = stage2_curve;
   serve::RequestQueue cascade_queue;
   serve::BatchServer cascade_server(
-      {{"cascade", nullptr, batch_curve(fallback_graph), sco}}, cascade_queue, csc);
+      {{"cascade", nullptr, fall_curve, sco}}, cascade_queue, csc);
   const serve_sim::SimReport crep =
       serve_sim::run_open_loop(cascade_server, cascade_queue, cascade_arrivals);
 
-  nn::Network deep_static(*preferred_graph);
+  nn::Network deep_static(preferred_graph);
   serve::RequestQueue deep_queue;
   serve::BatchServer deep_server(
-      {{"all-deep", &deep_static, batch_curve(preferred_graph), {}}}, deep_queue, csc);
+      {{"all-deep", &deep_static, pref_curve, {}}}, deep_queue, csc);
   const serve_sim::SimReport drep =
       serve_sim::run_open_loop(deep_server, deep_queue, cascade_arrivals);
 
@@ -251,14 +233,14 @@ int main() {
   std::vector<std::function<double(int)>> pref_curves;  // per-replica, reused below
   std::printf("\nheterogeneous fleet (scaled devices, preferred TRN):\n");
   for (std::size_t w = 0; w < replicas.size(); ++w) {
-    auto device = std::make_shared<const hw::DeviceModel>(
+    const hw::DeviceModel device(
         hw::scaled_device({}, replicas[w].perf_factor, replicas[w].name));
-    const auto pref = batch_curve_on(preferred_graph, device);
-    const auto fall = batch_curve_on(fallback_graph, device);
+    const auto pref = batch_curve(preferred_graph, device);
+    const auto fall = batch_curve(fallback_graph, device);
     std::printf("  %-14s %.2fx: preferred b1 %.4f ms b8 %.4f ms, fallback b1 %.4f ms\n",
                 replicas[w].name, replicas[w].perf_factor, pref(1), pref(8), fall(1));
-    fleet_nets.push_back(std::make_unique<nn::Network>(*preferred_graph));
-    fleet_nets.push_back(std::make_unique<nn::Network>(*fallback_graph));
+    fleet_nets.push_back(std::make_unique<nn::Network>(preferred_graph));
+    fleet_nets.push_back(std::make_unique<nn::Network>(fallback_graph));
     serve::FleetWorker fw;
     fw.name = replicas[w].name;
     fw.options = {{"preferred", fleet_nets[2 * w].get(), pref, {}},
@@ -336,8 +318,8 @@ int main() {
     fw.name = "replica" + std::to_string(w);
     // Timing-only options: the failover act is about the control plane, so
     // it skips the batch forwards and runs purely on the latency curves.
-    fw.options = {{"preferred", nullptr, batch_curve(preferred_graph), {}},
-                  {"fallback", nullptr, batch_curve(fallback_graph), {}}};
+    fw.options = {{"preferred", nullptr, pref_curve, {}},
+                  {"fallback", nullptr, fall_curve, {}}};
     fw.serve.max_batch = 8;
     fw.serve.nominal_deadline_ms = 8.0 * pref_curve(1);
     fw.serve.seed = util::derive_seed(7070, "demo/failover/worker/" + std::to_string(w));

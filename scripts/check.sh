@@ -16,7 +16,9 @@
 #    throttle window, so replica death and mere slowness coexist); every
 #    fleet test pins its own FaultModel, so the env schedule proves the
 #    pinning rather than perturbing the assertions; then a --label-summary
-#    line with per-label pass counts
+#    line with per-label pass counts. Before the suites, a fresh
+#    `serve_snapshot --json` run must match the committed BENCH_serve.json
+#    in every field but the wall-clock queue_take row
 # 5. kernel backends: the numerics-sensitive suites (ctest -L
 #    "kernels|layers|quant") once under NETCUT_BACKEND=scalar and once
 #    under NETCUT_BACKEND=simd — both dispatch tables must hold the same
@@ -123,6 +125,45 @@ build_tree() {
   cmake --build "$dir" -j "$(nproc)" "${targets[@]}"
 }
 
+# serve_snapshot_pinned: the simulated serving rows are a pure function of
+# (config, seed), so a fresh serve_snapshot run reproduces the committed
+# BENCH_serve.json field for field. Only the wall-clock queue_take row may
+# differ; every other differing field is printed and fails the step.
+serve_snapshot_pinned() {
+  local fresh rc=0
+  fresh=$(mktemp)
+  build/bench/serve_snapshot --json "$fresh" >/dev/null || rc=$?
+  if [ "$rc" -eq 0 ]; then
+    python3 - BENCH_serve.json "$fresh" <<'PY' || rc=$?
+import json, sys
+
+def flat(node, path, out):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            flat(v, f"{path}.{k}" if path else k, out)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            flat(v, f"{path}[{i}]", out)
+    else:
+        out[path] = node
+    return out
+
+committed, fresh = (flat(json.load(open(p)), "", {}) for p in sys.argv[1:])
+differ = sorted(k for k in committed.keys() | fresh.keys()
+                if not k.startswith("queue_take") and committed.get(k) != fresh.get(k))
+for k in differ:
+    print(f"    {k}: committed {committed.get(k)!r}, fresh {fresh.get(k)!r}")
+sys.exit(1 if differ else 0)
+PY
+  fi
+  rm -f "$fresh"
+  if [ "$rc" -ne 0 ]; then
+    echo "    serve_snapshot differs from BENCH_serve.json (see above)"
+    return "$rc"
+  fi
+  echo "    serve_snapshot matches BENCH_serve.json (queue_take excluded)"
+}
+
 # Per-label pass counts from dedicated `ctest -L <label>` runs (ctest has no
 # built-in pass-count-per-label report; the label suites are small).
 label_summary() {
@@ -145,7 +186,8 @@ label_summary() {
 step 1 "configure + build (build/, -Werror)" build_tree build ""
 step 2 "ctest (full tier-1 suite)"
 step 3 "ctest under fault injection (NETCUT_FAULTS chaos schedule)"
-step 4 "serving layer (ctest -L serve, clean + chaos + failover chaos)"
+step 4 "serving layer (serve_snapshot pin, ctest -L serve, clean + chaos + failover chaos)" \
+  serve_snapshot_pinned
 label_summary
 step 5 "kernel backends (ctest -L kernels|layers|quant, scalar + simd)"
 step 6 "ASan: thread pool + memory planner + verifier + kernels + layers + quant" \

@@ -44,7 +44,7 @@ int parse_ordinal(const std::string& s, const std::string& clause) {
 int checked_resume(const nn::Graph& trunk, int shallow_cut, int deep_cut) {
   if (shallow_cut >= deep_cut)
     throw std::invalid_argument("CascadeTrn: shallow cut must precede deep cut");
-  return trunk.prefix(shallow_cut).node_count() - 1;
+  return resume_node(trunk, shallow_cut);
 }
 
 }  // namespace

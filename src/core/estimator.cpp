@@ -96,28 +96,6 @@ double ProfilerEstimator::estimate_ms(zoo::NetId base, int cut_node) {
   return table.end_to_end_ms * (1.0 - sum_removed / sum_all);
 }
 
-double ProfilerEstimator::estimate_batch_ms(zoo::NetId base, int cut_node, int batch) {
-  if (batch < 1) throw std::invalid_argument("estimate_batch_ms: batch must be >= 1");
-  const double single = estimate_ms(base, cut_node);
-  if (batch == 1) return single;
-  const double true_single = lab_.true_ms(base, cut_node);
-  if (true_single <= 0.0) return static_cast<double>(batch) * single;
-  return single * lab_.true_batch_ms(base, cut_node, batch) / true_single;
-}
-
-double ProfilerEstimator::estimate_cascade_ms(zoo::NetId base, int shallow_cut, int deep_cut,
-                                              double p_escalate) {
-  if (p_escalate < 0.0 || p_escalate > 1.0)
-    throw std::invalid_argument("estimate_cascade_ms: p_escalate must be in [0, 1]");
-  const double shallow = estimate_ms(base, shallow_cut);
-  if (p_escalate == 0.0) return shallow;
-  const double deep = estimate_ms(base, deep_cut);
-  const double true_deep = lab_.true_ms(base, deep_cut);
-  if (true_deep <= 0.0) return shallow + p_escalate * std::max(0.0, deep - shallow);
-  const double stage2 = deep * lab_.true_stage2_ms(base, shallow_cut, deep_cut) / true_deep;
-  return shallow + p_escalate * stage2;
-}
-
 AnalyticalEstimator::AnalyticalEstimator(LatencyLab& lab, bool grid_search,
                                          ml::SvrConfig base_config)
     : lab_(lab), grid_search_(grid_search), base_config_(base_config),

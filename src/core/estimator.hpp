@@ -13,7 +13,6 @@
 //    paper's ablation showing why the RBF kernel matters.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
@@ -45,30 +44,6 @@ class LatencyEstimator {
  public:
   virtual ~LatencyEstimator() = default;
   virtual double estimate_ms(zoo::NetId base, int cut_node) = 0;
-
-  /// Estimated latency of one batched pass over `batch` images. The default
-  /// assumes perfectly linear scaling (batch x estimate_ms) — a conservative
-  /// upper bound, since a batched launch amortizes per-kernel overhead.
-  /// Estimators with access to the device's batch behavior override this;
-  /// batch == 1 always equals estimate_ms.
-  virtual double estimate_batch_ms(zoo::NetId base, int cut_node, int batch) {
-    return static_cast<double>(batch) * estimate_ms(base, cut_node);
-  }
-
-  /// Expected latency of a confidence-gated cascade over (shallow, deep)
-  /// with escalation probability `p_escalate`: every request pays the
-  /// shallow stage, escalated ones add the deep TRN's suffix past the
-  /// shared trunk prefix. The default approximates that suffix by the
-  /// difference of the two single-cut estimates (the trunk delta; it
-  /// slightly undercounts the deep head). Estimators with device access
-  /// override with the device's true suffix scaling; batch == 1 semantics.
-  virtual double estimate_cascade_ms(zoo::NetId base, int shallow_cut, int deep_cut,
-                                     double p_escalate) {
-    const double shallow = estimate_ms(base, shallow_cut);
-    const double deep = estimate_ms(base, deep_cut);
-    return shallow + p_escalate * std::max(0.0, deep - shallow);
-  }
-
   virtual std::string name() const = 0;
 };
 
@@ -84,22 +59,6 @@ class ProfilerEstimator final : public LatencyEstimator {
   static constexpr double kMinRowConfidence = 0.5;
 
   double estimate_ms(zoo::NetId base, int cut_node) override;
-
-  /// Batched estimate: rescale the single-image estimate by the device's
-  /// noise-free batch-scaling curve at this cut,
-  ///   estimate_batch_ms = estimate_ms * true_batch_ms(cut, batch) / true_ms(cut),
-  /// so the estimator keeps its profiled-measurement grounding while the
-  /// batch amortization (launch once, weights stream once) comes from the
-  /// device model. batch == 1 reduces to estimate_ms exactly.
-  double estimate_batch_ms(zoo::NetId base, int cut_node, int batch) override;
-
-  /// Cascade estimate grounded like the batched one: the second-stage cost
-  /// is the single-cut deep estimate rescaled by the device's noise-free
-  /// suffix ratio true_stage2_ms / true_ms(deep), so profiling errors track
-  /// the same row they came from. p_escalate == 0 reduces to the shallow
-  /// estimate, p_escalate == 1 to shallow + full second stage.
-  double estimate_cascade_ms(zoo::NetId base, int shallow_cut, int deep_cut,
-                             double p_escalate) override;
 
   std::string name() const override { return "profiler"; }
 

@@ -37,87 +37,40 @@ nn::Graph LatencyLab::build_native_trn(zoo::NetId base, int cut_node) {
   return build_trn(*state(base).trunk, cut_node, config_.head, rng);
 }
 
+double LatencyLab::measured_from(zoo::NetId base, int cut_node, int resume) {
+  NetState& st = state(base);
+  const auto key = std::make_pair(cut_node, resume);
+  if (auto it = st.measured.find(key); it != st.measured.end()) return it->second;
+  const nn::Graph trn = build_native_trn(base, cut_node);
+  const double ms =
+      measurer_.measure_network(trn, config_.precision, config_.fuse, resume).mean_ms;
+  st.measured[key] = ms;
+  return ms;
+}
+
+double LatencyLab::true_from(zoo::NetId base, int cut_node, int resume) {
+  NetState& st = state(base);
+  const auto key = std::make_pair(cut_node, resume);
+  if (auto it = st.true_latency.find(key); it != st.true_latency.end()) return it->second;
+  const nn::Graph trn = build_native_trn(base, cut_node);
+  const double ms =
+      device_.network_latency_ms(trn, config_.precision, config_.fuse, 1, resume);
+  st.true_latency[key] = ms;
+  return ms;
+}
+
 double LatencyLab::measured_ms(zoo::NetId base, int cut_node) {
-  NetState& st = state(base);
-  if (auto it = st.measured.find(cut_node); it != st.measured.end()) return it->second;
-  const nn::Graph trn = build_native_trn(base, cut_node);
-  const double ms =
-      measurer_.measure_network(trn, config_.precision, config_.fuse).mean_ms;
-  st.measured[cut_node] = ms;
-  return ms;
+  return measured_from(base, cut_node, 0);
 }
 
-double LatencyLab::true_ms(zoo::NetId base, int cut_node) {
-  NetState& st = state(base);
-  if (auto it = st.true_latency.find(cut_node); it != st.true_latency.end())
-    return it->second;
-  const nn::Graph trn = build_native_trn(base, cut_node);
-  const double ms = device_.network_latency_ms(trn, config_.precision, config_.fuse);
-  st.true_latency[cut_node] = ms;
-  return ms;
-}
-
-double LatencyLab::measured_batch_ms(zoo::NetId base, int cut_node, int batch) {
-  if (batch == 1) return measured_ms(base, cut_node);
-  NetState& st = state(base);
-  const auto key = std::make_pair(cut_node, batch);
-  if (auto it = st.measured_batch.find(key); it != st.measured_batch.end())
-    return it->second;
-  const nn::Graph trn = build_native_trn(base, cut_node);
-  const double ms =
-      measurer_.measure_network(trn, config_.precision, config_.fuse, batch).mean_ms;
-  st.measured_batch[key] = ms;
-  return ms;
-}
-
-double LatencyLab::true_batch_ms(zoo::NetId base, int cut_node, int batch) {
-  if (batch == 1) return true_ms(base, cut_node);
-  NetState& st = state(base);
-  const auto key = std::make_pair(cut_node, batch);
-  if (auto it = st.true_batch.find(key); it != st.true_batch.end()) return it->second;
-  const nn::Graph trn = build_native_trn(base, cut_node);
-  const double ms = device_.network_latency_ms(trn, config_.precision, config_.fuse, batch);
-  st.true_batch[key] = ms;
-  return ms;
-}
-
-int LatencyLab::resume_node(zoo::NetId base, int shallow_cut) {
-  return state(base).trunk->prefix(shallow_cut).node_count() - 1;
-}
+double LatencyLab::true_ms(zoo::NetId base, int cut_node) { return true_from(base, cut_node, 0); }
 
 double LatencyLab::measured_stage2_ms(zoo::NetId base, int shallow_cut, int deep_cut) {
-  return measured_stage2_batch_ms(base, shallow_cut, deep_cut, 1);
+  return measured_from(base, deep_cut, resume_node(*state(base).trunk, shallow_cut));
 }
 
 double LatencyLab::true_stage2_ms(zoo::NetId base, int shallow_cut, int deep_cut) {
-  return true_stage2_batch_ms(base, shallow_cut, deep_cut, 1);
-}
-
-double LatencyLab::measured_stage2_batch_ms(zoo::NetId base, int shallow_cut, int deep_cut,
-                                            int batch) {
-  NetState& st = state(base);
-  const auto key = std::make_pair(std::make_pair(shallow_cut, deep_cut), batch);
-  if (auto it = st.measured_stage2.find(key); it != st.measured_stage2.end())
-    return it->second;
-  const nn::Graph trn = build_native_trn(base, deep_cut);
-  const double ms = measurer_
-                        .measure_network_from(trn, config_.precision, config_.fuse,
-                                              resume_node(base, shallow_cut), batch)
-                        .mean_ms;
-  st.measured_stage2[key] = ms;
-  return ms;
-}
-
-double LatencyLab::true_stage2_batch_ms(zoo::NetId base, int shallow_cut, int deep_cut,
-                                        int batch) {
-  NetState& st = state(base);
-  const auto key = std::make_pair(std::make_pair(shallow_cut, deep_cut), batch);
-  if (auto it = st.true_stage2.find(key); it != st.true_stage2.end()) return it->second;
-  const nn::Graph trn = build_native_trn(base, deep_cut);
-  const double ms = device_.network_latency_from_ms(trn, config_.precision, config_.fuse,
-                                                    resume_node(base, shallow_cut), batch);
-  st.true_stage2[key] = ms;
-  return ms;
+  return true_from(base, deep_cut, resume_node(*state(base).trunk, shallow_cut));
 }
 
 const hw::LatencyTable& LatencyLab::profile(zoo::NetId base) {

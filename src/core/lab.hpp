@@ -52,33 +52,14 @@ class LatencyLab {
   /// Noise-free model latency (ground truth underlying measured_ms).
   double true_ms(zoo::NetId base, int cut_node);
 
-  /// Measured latency of one batched pass over `batch` images (one kernel
-  /// launch per node for the whole batch). batch == 1 equals measured_ms.
-  /// Memoized per (cut, batch).
-  double measured_batch_ms(zoo::NetId base, int cut_node, int batch);
-
-  /// Noise-free model latency of a batch-`batch` pass.
-  double true_batch_ms(zoo::NetId base, int cut_node, int batch);
-
-  /// Shared-prefix resume node of a (shallow, deep) cascade pair: the node
-  /// id of `shallow_cut` inside the deep TRN's graph (cut sites are output
-  /// dominators forming a chain, and Graph::prefix remaps the shallow cut's
-  /// ancestors identically in both TRNs, so the id coincides with the last
-  /// trunk node of the shallow TRN).
-  int resume_node(zoo::NetId base, int shallow_cut);
-
   /// Measured second-stage latency of a cascade escalation: the deep TRN's
   /// suffix past the shared trunk prefix at `shallow_cut` (the delta layers
-  /// plus the deep head). Memoized per (shallow, deep) pair.
+  /// plus the deep head), i.e. the deep TRN resumed at
+  /// resume_node(trunk, shallow_cut). Memoized with measured_ms.
   double measured_stage2_ms(zoo::NetId base, int shallow_cut, int deep_cut);
 
   /// Noise-free model latency underlying measured_stage2_ms.
   double true_stage2_ms(zoo::NetId base, int shallow_cut, int deep_cut);
-
-  /// Batched second-stage latency over `batch` escalated images. batch == 1
-  /// equals measured_stage2_ms / true_stage2_ms. Memoized.
-  double measured_stage2_batch_ms(zoo::NetId base, int shallow_cut, int deep_cut, int batch);
-  double true_stage2_batch_ms(zoo::NetId base, int shallow_cut, int deep_cut, int batch);
 
   /// Per-layer profile of the *full* base network (one table per network is
   /// all the profiler-based estimator needs).
@@ -107,16 +88,14 @@ class LatencyLab {
     std::unique_ptr<nn::Graph> trunk;  // native resolution
     std::vector<int> blockwise;
     std::vector<int> iterative;
-    std::map<int, double> measured;
-    std::map<int, double> true_latency;
-    std::map<std::pair<int, int>, double> measured_batch;  // (cut, batch)
-    std::map<std::pair<int, int>, double> true_batch;
-    // Cascade second stages, keyed ((shallow, deep), batch).
-    std::map<std::pair<std::pair<int, int>, int>, double> measured_stage2;
-    std::map<std::pair<std::pair<int, int>, int>, double> true_stage2;
+    // TRN latencies keyed (cut, resume); resume 0 is the whole TRN.
+    std::map<std::pair<int, int>, double> measured;
+    std::map<std::pair<int, int>, double> true_latency;
     std::unique_ptr<hw::LatencyTable> table;
   };
   NetState& state(zoo::NetId base);
+  double measured_from(zoo::NetId base, int cut_node, int resume);
+  double true_from(zoo::NetId base, int cut_node, int resume);
 
   LabConfig config_;
   hw::DeviceModel device_;

@@ -62,6 +62,10 @@ int layers_removed(const nn::Graph& trunk, int cut_node) {
   return trunk.layer_count() - layers_remaining(trunk, cut_node);
 }
 
+int resume_node(const nn::Graph& trunk, int shallow_cut) {
+  return trunk.prefix(shallow_cut).node_count() - 1;
+}
+
 std::string trn_name(const std::string& base_name, const nn::Graph& trunk, int cut_node) {
   return base_name + "/" + std::to_string(layers_remaining(trunk, cut_node));
 }

@@ -46,6 +46,13 @@ int layers_remaining(const nn::Graph& trunk, int cut_node);
 /// Number of trunk layers removed by the cut.
 int layers_removed(const nn::Graph& trunk, int cut_node);
 
+/// Node id at which a deeper TRN of `trunk` resumes from the activation of
+/// `shallow_cut`: the cut's id inside any deeper TRN's graph. Cut sites are
+/// output dominators forming a chain, and Graph::prefix keeps a node's
+/// ancestors in id order, so the shallow cut is the last node of its own
+/// prefix and keeps that id in every deeper prefix.
+int resume_node(const nn::Graph& trunk, int shallow_cut);
+
 /// Paper-style TRN name, e.g. "ResNet50/113" (base network / remaining
 /// layer count).
 std::string trn_name(const std::string& base_name, const nn::Graph& trunk, int cut_node);

@@ -6,17 +6,6 @@
 
 namespace netcut::data {
 
-const char* grasp_name(GraspType g) {
-  switch (g) {
-    case GraspType::kOpenPalm: return "OpenPalm";
-    case GraspType::kMediumWrap: return "MediumWrap";
-    case GraspType::kPowerSphere: return "PowerSphere";
-    case GraspType::kParallelExtension: return "ParallelExtension";
-    case GraspType::kPalmarPinch: return "PalmarPinch";
-  }
-  return "Unknown";
-}
-
 namespace {
 
 struct Pose {

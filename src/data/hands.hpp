@@ -28,8 +28,6 @@ enum class GraspType {
 };
 inline constexpr int kGraspCount = 5;
 
-const char* grasp_name(GraspType g);
-
 struct Sample {
   Tensor image;   // [3, res, res] in [0, 1]
   Tensor label;   // [5] probability distribution

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace netcut::hw {
 
@@ -126,20 +127,28 @@ std::vector<KernelCost> DeviceModel::kernel_costs(const nn::Graph& graph, Precis
 }
 
 double DeviceModel::network_latency_ms(const nn::Graph& graph, Precision precision,
-                                       bool fuse, int batch) const {
-  double total = 0.0;
-  for (const KernelCost& kc : kernel_costs(graph, precision, fuse, batch)) total += kc.latency_ms;
-  return total;
-}
-
-double DeviceModel::network_latency_from_ms(const nn::Graph& graph, Precision precision,
-                                            bool fuse, int resume, int batch) const {
+                                       bool fuse, int batch, int resume) const {
   if (resume < 0 || resume >= graph.node_count())
-    throw std::invalid_argument("DeviceModel::network_latency_from_ms: resume out of range");
+    throw std::invalid_argument("DeviceModel::network_latency_ms: resume out of range");
   double total = 0.0;
   for (const KernelCost& kc : kernel_costs(graph, precision, fuse, batch))
     if (kc.node > resume) total += kc.latency_ms;
   return total;
+}
+
+std::function<double(int)> DeviceModel::batch_curve(const nn::Graph& graph,
+                                                     Precision precision, bool fuse,
+                                                     int max_batch, int resume) const {
+  if (max_batch < 1) throw std::invalid_argument("DeviceModel::batch_curve: max_batch < 1");
+  std::vector<double> ms;
+  ms.reserve(static_cast<std::size_t>(max_batch));
+  for (int b = 1; b <= max_batch; ++b)
+    ms.push_back(network_latency_ms(graph, precision, fuse, b, resume));
+  return [ms = std::move(ms)](int b) {
+    if (b < 1 || b > static_cast<int>(ms.size()))
+      throw std::out_of_range("DeviceModel::batch_curve: batch out of range");
+    return ms[static_cast<std::size_t>(b - 1)];
+  };
 }
 
 double DeviceModel::int8_speedup(const nn::Graph& graph, bool fuse, int batch) const {

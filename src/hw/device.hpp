@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -74,19 +75,24 @@ class DeviceModel {
   std::vector<KernelCost> kernel_costs(const nn::Graph& graph, Precision precision,
                                        bool fuse, int batch = 1) const;
 
-  /// True end-to-end latency of a batch-`batch` pass in ms.
-  double network_latency_ms(const nn::Graph& graph, Precision precision, bool fuse,
-                            int batch = 1) const;
-
-  /// True latency of the suffix a prefix-resume pass executes: the sum of
-  /// kernel costs for nodes strictly after `resume` — the second-stage cost
-  /// of a cascade escalation that reuses the shared trunk activation. At a
-  /// legal cut site fusion never reaches across the boundary (cuts land on
+  /// True latency in ms of a batch-`batch` pass over the nodes strictly
+  /// after `resume`: the sum of their kernel costs, in node order.
+  /// resume == 0 is the whole network. A positive `resume` prices the
+  /// suffix a prefix-resume pass executes, the second-stage cost of a
+  /// cascade escalation that reuses the shared trunk activation. At a legal
+  /// cut site fusion never reaches across the boundary (cuts land on
   /// block-end ReLU/Add nodes; a following conv never folds backward into
   /// them), so the suffix sum composes exactly: full = prefix + suffix.
-  /// resume == 0 reproduces network_latency_ms bit-for-bit.
-  double network_latency_from_ms(const nn::Graph& graph, Precision precision, bool fuse,
-                                 int resume, int batch = 1) const;
+  double network_latency_ms(const nn::Graph& graph, Precision precision, bool fuse,
+                            int batch = 1, int resume = 0) const;
+
+  /// The device curve a serve::ServeOption takes: b -> network_latency_ms(
+  /// graph, precision, fuse, b, resume) for b in 1..max_batch. The values
+  /// are computed up front, so the curve holds no mutable state and is safe
+  /// to call from any thread; a batch outside 1..max_batch throws
+  /// std::out_of_range.
+  std::function<double(int)> batch_curve(const nn::Graph& graph, Precision precision, bool fuse,
+                                         int max_batch, int resume = 0) const;
 
   /// Predicted end-to-end fp32/int8 latency ratio for the graph — the
   /// model's int8 speedup term. The measured counterpart is the wall-clock

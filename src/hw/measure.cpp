@@ -19,16 +19,8 @@ double LatencyMeasurer::simulate_run_ms(double true_ms, int run_index, util::Rng
 }
 
 Measurement LatencyMeasurer::measure_network(const nn::Graph& graph, Precision precision,
-                                             bool fuse, int batch) {
-  return measure_true_ms(device_.network_latency_ms(graph, precision, fuse, batch));
-}
-
-Measurement LatencyMeasurer::measure_network_from(const nn::Graph& graph, Precision precision,
-                                                  bool fuse, int resume, int batch) {
-  return measure_true_ms(device_.network_latency_from_ms(graph, precision, fuse, resume, batch));
-}
-
-Measurement LatencyMeasurer::measure_true_ms(double true_ms) {
+                                             bool fuse, int resume) {
+  const double true_ms = device_.network_latency_ms(graph, precision, fuse, 1, resume);
   const std::string label = "measure/" + std::to_string(measurement_counter_++);
   util::Rng rng(util::derive_seed(config_.seed, label));
   const FaultModel& model = config_.faults != nullptr ? *config_.faults : FaultModel::global();

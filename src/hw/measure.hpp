@@ -53,18 +53,13 @@ class LatencyMeasurer {
  public:
   LatencyMeasurer(const DeviceModel& device, MeasureConfig config = {});
 
-  /// Full protocol: 200 warm-up + 800 timed runs of the whole network.
-  /// `batch` > 1 times a batched pass (one launch per kernel for the whole
-  /// batch); batch == 1 is the original single-image protocol, bit-identical.
+  /// Full protocol: 200 warm-up + 800 timed single-image runs over the
+  /// nodes strictly after `resume`. resume == 0 times the whole network; a
+  /// positive `resume` times the suffix a prefix-resume pass executes, the
+  /// measured second-stage cost of a cascade escalation. Each call consumes
+  /// one measurement label.
   Measurement measure_network(const nn::Graph& graph, Precision precision, bool fuse,
-                              int batch = 1);
-
-  /// Same protocol over the suffix a prefix-resume pass executes (nodes
-  /// strictly after `resume`) — the measured second-stage cost of a cascade
-  /// escalation. Consumes one measurement label like any other measurement;
-  /// resume == 0 times the whole network.
-  Measurement measure_network_from(const nn::Graph& graph, Precision precision, bool fuse,
-                                   int resume, int batch = 1);
+                              int resume = 0);
 
   /// One simulated run at the given global run index (0 = cold start).
   double simulate_run_ms(double true_ms, int run_index, util::Rng& rng) const;
@@ -72,8 +67,6 @@ class LatencyMeasurer {
   const MeasureConfig& config() const { return config_; }
 
  private:
-  Measurement measure_true_ms(double true_ms);
-
   const DeviceModel& device_;
   MeasureConfig config_;
   std::uint64_t measurement_counter_ = 0;

@@ -17,10 +17,4 @@ double TrainerModel::training_hours(const nn::Graph& graph) const {
   return seconds / 3600.0 + config_.per_network_overhead_h;
 }
 
-double TrainerModel::total_hours(const std::vector<const nn::Graph*>& graphs) const {
-  double h = 0.0;
-  for (const nn::Graph* g : graphs) h += training_hours(*g);
-  return h;
-}
-
 }  // namespace netcut::hw

@@ -28,9 +28,6 @@ class TrainerModel {
   /// GPU-hours to retrain one network (at its full training resolution).
   double training_hours(const nn::Graph& graph) const;
 
-  /// GPU-hours to retrain a set of networks sequentially.
-  double total_hours(const std::vector<const nn::Graph*>& graphs) const;
-
  private:
   TrainerConfig config_;
 };

@@ -19,8 +19,6 @@ class ReLU final : public Layer {
   std::vector<Tensor> backward(const Tensor& grad_out) override;
   LayerCost cost(const std::vector<Shape>& in) const override;
 
-  bool clips_at_6() const { return clip6_; }
-
  private:
   bool clip6_;
   Tensor cached_input_;

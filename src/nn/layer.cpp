@@ -39,12 +39,6 @@ void Layer::zero_grads() {
   for (Tensor* g : grads()) g->fill(0.0f);
 }
 
-std::int64_t Layer::param_count() const {
-  std::int64_t n = 0;
-  for (const Tensor* p : const_cast<Layer*>(this)->params()) n += p->numel();
-  return n;
-}
-
 void Layer::require_arity(const std::vector<Shape>& in, int arity, const char* who) {
   if (static_cast<int>(in.size()) != arity)
     throw std::invalid_argument(std::string(who) + ": wrong input arity");

@@ -94,8 +94,6 @@ class Layer {
 
   virtual LayerCost cost(const std::vector<Shape>& in) const = 0;
 
-  std::int64_t param_count() const;
-
  protected:
   static void require_arity(const std::vector<Shape>& in, int arity, const char* who);
   static void require_arity(const std::vector<const Tensor*>& in, int arity, const char* who);

@@ -85,7 +85,6 @@ class Network {
   void zero_grads();
 
   std::int64_t total_flops() const { return graph_.total_cost().flops; }
-  std::int64_t total_params() const { return graph_.total_cost().params; }
 
   /// Output shape at the declared input resolution.
   Shape output_shape() const;

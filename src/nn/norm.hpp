@@ -46,7 +46,6 @@ class BatchNorm final : public Layer {
 
   // ---- Calibration protocol ----
   void begin_stat_collection();
-  bool collecting_stats() const { return collecting_; }
   /// Folds the accumulated sums into running_mean / running_var.
   void end_stat_collection();
 
@@ -57,7 +56,6 @@ class BatchNorm final : public Layer {
   /// and the only numerically sane one once deep feature maps shrink
   /// toward 1x1 (per-image spatial stats would zero them out).
   void set_freeze_stats(bool freeze) { freeze_stats_ = freeze; }
-  bool freeze_stats() const { return freeze_stats_; }
 
  private:
   int channels_;

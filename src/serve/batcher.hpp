@@ -40,9 +40,8 @@ struct BatcherConfig {
 class BatchFormer {
  public:
   /// `batch_latency_ms(n)` estimates the service time of a batch of n on
-  /// the option currently in service (e.g. from
-  /// LatencyEstimator::estimate_batch_ms or a measured curve). It must be
-  /// non-decreasing in n.
+  /// the option currently in service (e.g. hw::DeviceModel::batch_curve or
+  /// a measured curve). It must be non-decreasing in n.
   BatchFormer(BatcherConfig config, std::function<double(int)> batch_latency_ms);
 
   /// Batch size to take from an EDF-ordered backlog of `pending` requests

@@ -60,8 +60,9 @@ struct ServeCascade {
   /// timing-only options.
   double p_escalate = 0.0;
   /// Nominal stage-2 latency for k escalated requests (the delta layers
-  /// plus the deep head — e.g. LatencyLab::true_stage2_batch_ms curried).
-  /// Must be non-decreasing in k. Required when enabled.
+  /// plus the deep head — e.g. hw::DeviceModel::batch_curve of the deep TRN
+  /// at the cascade's resume node). Must be non-decreasing in k. Required
+  /// when enabled.
   std::function<double(int)> stage2_ms;
 };
 
@@ -73,9 +74,9 @@ struct ServeOption {
   /// cascade.trn is set (the cascade then owns compute).
   nn::Network* net = nullptr;
   /// Nominal (noise-free) service time of a batch of n on the device, e.g.
-  /// LatencyLab::true_batch_ms or ProfilerEstimator::estimate_batch_ms
-  /// curried over (base, cut). Must be non-decreasing in n. With a cascade
-  /// this is the *stage-1* (shallow) latency.
+  /// hw::DeviceModel::batch_curve of the TRN's graph. Must be
+  /// non-decreasing in n. With a cascade this is the *stage-1* (shallow)
+  /// latency.
   std::function<double(int)> latency_ms;
   /// Confidence-gated second stage; disabled by default.
   ServeCascade cascade;
@@ -171,9 +172,6 @@ class BatchServer {
   /// the admission-control bound: if even this cannot meet a deadline,
   /// nothing on this replica can. Includes expected escalation mass.
   double fastest_latency_ms(int n) const { return expected_latency_ms(options_.back(), n); }
-
-  std::size_t option_count() const { return options_.size(); }
-  const std::string& option_name(std::size_t i) const { return options_[i].name; }
 
   /// Miss rate over the watchdog's current sliding window (0 until it has
   /// observations) — the live health signal fleet reports surface.

@@ -31,7 +31,6 @@ class Tensor {
   /// Non-owning view over `data` (shape.numel() floats). The caller keeps
   /// the memory alive for the view's lifetime; copying the view detaches.
   static Tensor view(Shape shape, float* data);
-  bool is_view() const { return ptr_ != nullptr && data_.empty(); }
 
   const Shape& shape() const { return shape_; }
   std::int64_t numel() const { return size_; }

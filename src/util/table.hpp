@@ -24,8 +24,6 @@ class Table {
   /// Render as CSV (header row + data rows).
   std::string to_csv() const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -1,6 +1,10 @@
 // Device model, measurement protocol, profiler, and trainer-model checks.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+
+#include "core/trn.hpp"
 #include "hw/device.hpp"
 #include "hw/measure.hpp"
 #include "hw/profiler.hpp"
@@ -68,6 +72,27 @@ TEST(DeviceModel, KernelCostsCoverEveryNode) {
   double total = 0.0;
   for (const KernelCost& kc : costs) total += kc.latency_ms;
   EXPECT_NEAR(total, dev.network_latency_ms(g, Precision::kInt8, true), 1e-12);
+}
+
+TEST(DeviceModel, BatchCurveEqualsLatencyQueryBitwise) {
+  // The curve serving takes is the latency query computed up front, both
+  // for the whole network and for the suffix a cascade's second stage
+  // resumes into at a blockwise cut.
+  const Graph trunk = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32);
+  const std::vector<int> cuts = core::blockwise_cutpoints(trunk);
+  const int resume = core::resume_node(trunk, cuts[cuts.size() / 3]);
+  ASSERT_GT(resume, 0);
+  const DeviceModel dev;
+  for (const int r : {0, resume}) {
+    const auto curve = dev.batch_curve(trunk, Precision::kInt8, true, 8, r);
+    for (int b = 1; b <= 8; ++b) {
+      const double want = dev.network_latency_ms(trunk, Precision::kInt8, true, b, r);
+      const double got = curve(b);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "resume " << r << " batch " << b;
+    }
+    EXPECT_THROW(curve(0), std::out_of_range);
+    EXPECT_THROW(curve(9), std::out_of_range);
+  }
 }
 
 TEST(DeviceModel, PaperScaleCalibration) {

@@ -66,17 +66,12 @@ std::vector<serve::Request> take_all(serve::RequestQueue& q) {
   return q.take([](const serve::Request&, std::size_t pending) { return pending; });
 }
 
-/// Memoized batched-latency curve of a zoo trunk on the simulated device.
-std::function<double(int)> batch_curve(std::shared_ptr<const nn::Graph> graph,
+/// Batched-latency curve (batches 1..8) of a zoo trunk on the simulated
+/// device, scaled by `scale`.
+std::function<double(int)> batch_curve(const std::shared_ptr<const nn::Graph>& graph,
                                        double scale = 1.0) {
-  auto device = std::make_shared<hw::DeviceModel>();
-  auto cache = std::make_shared<std::map<int, double>>();
-  return [graph = std::move(graph), device, cache, scale](int b) {
-    if (auto it = cache->find(b); it != cache->end()) return it->second;
-    const double v =
-        scale * device->network_latency_ms(*graph, hw::Precision::kInt8, true, b);
-    return cache->emplace(b, v).first->second;
-  };
+  return [curve = hw::DeviceModel().batch_curve(*graph, hw::Precision::kInt8, true, 8),
+          scale](int b) { return scale * curve(b); };
 }
 
 std::shared_ptr<const nn::Graph> small_trunk() {

@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -330,16 +329,9 @@ TEST(SchedFailover, DrainVsStealVsPushConserves) {
 // ---------------------------------------------------------------------------
 
 std::function<double(int)> trunk_curve(double scale = 1.0) {
-  auto device = std::make_shared<hw::DeviceModel>();
-  auto graph = std::make_shared<const nn::Graph>(
-      zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32));
-  auto cache = std::make_shared<std::map<int, double>>();
-  return [device, graph, cache, scale](int b) {
-    if (auto it = cache->find(b); it != cache->end()) return it->second;
-    const double v =
-        scale * device->network_latency_ms(*graph, hw::Precision::kInt8, true, b);
-    return cache->emplace(b, v).first->second;
-  };
+  const nn::Graph graph = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32);
+  return [curve = hw::DeviceModel().batch_curve(graph, hw::Precision::kInt8, true, 8),
+          scale](int b) { return scale * curve(b); };
 }
 
 serve::Fleet sim_fleet(std::size_t n, serve::FleetConfig cfg, double deadline_ms,
