@@ -7,7 +7,7 @@
 // backend, threads, git sha) and `records`, an array of {kernel, m, k, n,
 // gflops, ms, backend} — every fp32/int8 kernel shape timed under both the
 // scalar and simd backends, square sizes and the small-N GEMMs of TRN
-// convolutions, plus end-to-end fp32 vs integer forwards of a zoo trunk
+// convolutions, the TRN's depthwise layers, plus end-to-end fp32 vs integer forwards of a zoo trunk
 // with the measured and DeviceModel-predicted int8 speedups — so the perf
 // trajectory of the GEMM/conv substrate can be tracked across commits
 // (see BENCH_kernels.json).
@@ -21,8 +21,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/trn.hpp"
 #include "data/hands.hpp"
@@ -71,18 +73,53 @@ void BM_Conv3x3(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv3x3)->Arg(16)->Arg(64);
 
-void BM_DepthwiseConv(benchmark::State& state) {
-  const int c = static_cast<int>(state.range(0));
-  util::Rng rng(3);
-  nn::DepthwiseConv2D conv(c, 3, 1);
-  nn::he_init_conv(conv.weight(), rng);
-  const auto x = tensor::Tensor::randn(tensor::Shape::chw(c, 16, 16), rng);
-  for (auto _ : state) {
-    auto y = conv.forward({&x}, false);
-    benchmark::DoNotOptimize(y.data());
+/// The depthwise geometries of the MobileNetV2-1.40/138 TRN at 32 px, all
+/// 3x3 "same": channels, square input plane, stride. Planes shrink while
+/// channels grow, down to 1x1 planes where 8 of the 9 taps are padding.
+struct DepthwiseCase {
+  int channels, plane, stride;
+};
+constexpr DepthwiseCase kTrnDepthwise[] = {
+    {48, 16, 1}, {144, 16, 2}, {192, 8, 1}, {528, 2, 1}, {1344, 1, 1}};
+
+/// One depthwise node as the planned executor runs it: output and kernel
+/// scratch allocated once, forward_into per call.
+struct DepthwiseNode {
+  nn::DepthwiseConv2D conv;
+  tensor::Tensor x, y;
+  std::vector<float> scratch;
+  DepthwiseNode(const DepthwiseCase& dc, util::Rng& rng)
+      : conv(dc.channels, 3, dc.stride),
+        x(tensor::Tensor::randn(tensor::Shape::chw(dc.channels, dc.plane, dc.plane), rng)) {
+    nn::he_init_conv(conv.weight(), rng);
+    y = tensor::Tensor(conv.output_shape({x.shape()}));
+    scratch.resize(conv.forward_scratch_floats({x.shape()}));
   }
+  void run() { conv.forward_into({&x}, y, false, scratch.data()); }
+  std::int64_t flops() const { return conv.cost({x.shape()}).flops; }
+};
+
+/// Args: index into kTrnDepthwise, backend (0 scalar, 1 simd).
+void BM_DepthwiseConv(benchmark::State& state) {
+  const DepthwiseCase& dc = kTrnDepthwise[state.range(0)];
+  const tensor::BackendKind entry = tensor::active_backend_kind();
+  tensor::set_backend(state.range(1) == 0 ? tensor::BackendKind::kScalar
+                                          : tensor::BackendKind::kSimd);
+  util::Rng rng(3);
+  DepthwiseNode node(dc, rng);
+  for (auto _ : state) {
+    node.run();
+    benchmark::DoNotOptimize(node.y.data());
+  }
+  tensor::set_backend(entry);
+  state.SetItemsProcessed(state.iterations() * node.flops());
+  char label[48];
+  std::snprintf(label, sizeof(label), "%d@%dx%d s%d %s", dc.channels, dc.plane, dc.plane,
+                dc.stride, state.range(1) == 0 ? "scalar" : "simd");
+  state.SetLabel(label);
 }
-BENCHMARK(BM_DepthwiseConv)->Arg(32)->Arg(128);
+BENCHMARK(BM_DepthwiseConv)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, static_cast<int>(std::size(kTrnDepthwise)) - 1, 1), {0, 1}});
 
 void BM_Int8VsFp32Dense(benchmark::State& state) {
   // One Dense node as production runs it: the fp32 planned forward against
@@ -299,6 +336,22 @@ int run_json_sweep(const std::string& path) {
         benchmark::DoNotOptimize(y.data());
       });
       r.gflops = 2.0 * r.m * r.k * r.n / (r.ms * 1e6);
+      records.push_back(r);
+    }
+
+    // The TRN's depthwise nodes: m = channels, k = 9 taps, n = output
+    // pixels; gflops counts the layer's FLOPs (taps plus bias).
+    for (const DepthwiseCase& dc : kTrnDepthwise) {
+      DepthwiseNode node(dc, rng);
+      const int out = node.y.shape()[1];
+      KernelRecord r{dc.stride == 1 ? "depthwise3x3_s1" : "depthwise3x3_s2", dc.channels, 9,
+                     out * out};
+      r.backend = backend;
+      r.ms = time_best_ms([&] {
+        node.run();
+        benchmark::DoNotOptimize(node.y.data());
+      });
+      r.gflops = static_cast<double>(node.flops()) / (r.ms * 1e6);
       records.push_back(r);
     }
   }

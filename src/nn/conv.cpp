@@ -180,48 +180,43 @@ Shape DepthwiseConv2D::output_shape(const std::vector<Shape>& in) const {
   require_arity(in, 1, "DepthwiseConv2D");
   if (in[0].rank() != 3 || in[0][0] != channels_)
     throw std::invalid_argument("DepthwiseConv2D: input shape mismatch");
-  const int oh = (in[0][1] + 2 * pad_ - kernel_) / stride_ + 1;
-  const int ow = (in[0][2] + 2 * pad_ - kernel_) / stride_ + 1;
-  if (oh < 1 || ow < 1)
+  const ConvGeometry g = geometry(in[0]);
+  if (g.out_h() < 1 || g.out_w() < 1)
     throw std::invalid_argument("DepthwiseConv2D: output collapses below 1x1");
-  return Shape::chw(channels_, oh, ow);
+  return Shape::chw(channels_, g.out_h(), g.out_w());
+}
+
+ConvGeometry DepthwiseConv2D::geometry(const Shape& in) const {
+  ConvGeometry g;
+  g.in_c = in[0];
+  g.in_h = in[1];
+  g.in_w = in[2];
+  g.kernel_h = g.kernel_w = kernel_;
+  g.stride = stride_;
+  g.pad_h = g.pad_w = pad_;
+  return g;
 }
 
 void DepthwiseConv2D::forward_into(const std::vector<const Tensor*>& in, Tensor& out,
-                                   bool train, float* /*scratch*/) {
+                                   bool train, float* scratch) {
   require_arity(in, 1, "DepthwiseConv2D");
   const Tensor& x = *in[0];
-  const int ih = x.shape()[1], iw = x.shape()[2];
-  const int oh = out.shape()[1], ow = out.shape()[2];
-
-  // Channels are independent; partition the channel range. Per-channel
-  // arithmetic order is unchanged, so results are thread-count invariant.
-  const std::int64_t per_chan = 2LL * kernel_ * kernel_ * oh * ow;
-  const std::int64_t grain = per_chan > 0 ? ((1 << 16) + per_chan - 1) / per_chan : 1;
-  util::parallel_for(0, channels_, grain, [&](std::int64_t c0, std::int64_t c1) {
-  for (std::int64_t c = c0; c < c1; ++c) {
-    const float* chan = x.data() + c * ih * iw;
-    const float* w = weight_.data() + c * kernel_ * kernel_;
-    float* dst = out.data() + c * oh * ow;
-    const float b = has_bias_ ? bias_[c] : 0.0f;
-    for (int yo = 0; yo < oh; ++yo) {
-      for (int xo = 0; xo < ow; ++xo) {
-        float s = b;
-        for (int kh = 0; kh < kernel_; ++kh) {
-          const int iy = yo * stride_ + kh - pad_;
-          if (iy < 0 || iy >= ih) continue;
-          for (int kw = 0; kw < kernel_; ++kw) {
-            const int ix = xo * stride_ + kw - pad_;
-            if (ix < 0 || ix >= iw) continue;
-            s += w[kh * kernel_ + kw] * chan[iy * iw + ix];
-          }
-        }
-        dst[yo * ow + xo] = s;
-      }
-    }
+  const ConvGeometry g = geometry(x.shape());
+  float* buf = scratch;
+  if (buf == nullptr) {
+    const std::size_t need = tensor::depthwise_scratch_floats(g);
+    if (scratch_.size() < need) scratch_.resize(need);
+    buf = scratch_.data();
   }
-  });
+  // Dispatches through the active tensor::KernelBackend; both backends
+  // partition whole channels, so results are thread-count invariant.
+  tensor::depthwise_conv(x.data(), weight_.data(), has_bias_ ? bias_.data() : nullptr,
+                         out.data(), g, buf);
   if (train) cached_input_ = x;
+}
+
+std::size_t DepthwiseConv2D::forward_scratch_floats(const std::vector<Shape>& in) const {
+  return tensor::depthwise_scratch_floats(geometry(in[0]));
 }
 
 std::vector<Tensor> DepthwiseConv2D::backward(const Tensor& grad_out) {

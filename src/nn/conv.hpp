@@ -47,10 +47,10 @@ class Conv2D final : public Layer {
   bool im2col_is_identity() const {
     return kernel_h_ == 1 && kernel_w_ == 1 && stride_ == 1 && pad_h_ == 0 && pad_w_ == 0;
   }
-
- private:
+  /// The convolution's geometry over a CHW input of shape `in`.
   tensor::ConvGeometry geometry(const Shape& in) const;
 
+ private:
   int in_c_, out_c_, kernel_h_, kernel_w_, stride_, pad_h_, pad_w_;
   bool has_bias_;
   Tensor weight_;  // [out_c, in_c, kh, kw]
@@ -79,6 +79,7 @@ class DepthwiseConv2D final : public Layer {
   Shape output_shape(const std::vector<Shape>& in) const override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
+  std::size_t forward_scratch_floats(const std::vector<Shape>& in) const override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override;
@@ -88,11 +89,14 @@ class DepthwiseConv2D final : public Layer {
   Tensor& weight() { return weight_; }
   const Tensor& weight() const { return weight_; }
   Tensor& bias() { return bias_; }
+  const Tensor& bias() const { return bias_; }
   bool has_bias() const { return has_bias_; }
   int channels() const { return channels_; }
   int kernel() const { return kernel_; }
   int stride() const { return stride_; }
   int pad() const { return pad_; }
+  /// The convolution's geometry over a CHW input of shape `in`.
+  tensor::ConvGeometry geometry(const Shape& in) const;
 
  private:
   int channels_, kernel_, stride_, pad_;
@@ -101,6 +105,9 @@ class DepthwiseConv2D final : public Layer {
   Tensor bias_;    // [c]
   Tensor grad_weight_, grad_bias_;
   Tensor cached_input_;
+  // Kernel scratch for callers that plan none (Layer::forward), grown on
+  // demand and reused, as Conv2D's columns are.
+  std::vector<float> scratch_;
 };
 
 }  // namespace netcut::nn

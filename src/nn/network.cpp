@@ -56,7 +56,8 @@ const MemoryPlan& Network::plan_for(const std::vector<int>& collect, bool train,
 }
 
 void Network::run_lane(const MemoryPlan& plan, std::size_t base, int resume, const Tensor& seed,
-                       std::vector<Tensor>& acts, bool train, VerifyReport* guard) {
+                       std::vector<Tensor>& acts, std::vector<const Tensor*>& in, bool train,
+                       VerifyReport* guard) {
   // Layers size their work from their inputs, not from the planned slots:
   // a seed of any other shape would write past its slots and the arena.
   const Shape& want = plan.shape(resume);
@@ -71,8 +72,7 @@ void Network::run_lane(const MemoryPlan& plan, std::size_t base, int resume, con
       Tensor::view(seed.shape(), const_cast<float*>(seed.data()));
   for (int id = resume + 1; id < n; ++id) {
     Node& nd = graph_.node(id);
-    std::vector<const Tensor*> in;
-    in.reserve(nd.inputs.size());
+    in.clear();
     for (int src : nd.inputs) {
       const Tensor& t = acts[static_cast<std::size_t>(src)];
       if (t.empty()) throw std::logic_error("Network: missing activation at node " + nd.name);
@@ -112,7 +112,9 @@ std::vector<Tensor> Network::forward_collect(const Tensor& input,
 
   have_activations_ = false;
   activations_.assign(static_cast<std::size_t>(n), Tensor());
-  run_lane(plan, 0, 0, input, activations_, train, guard ? &guard_report : nullptr);
+  lane_inputs_.resize(1);
+  run_lane(plan, 0, 0, input, activations_, lane_inputs_[0], train,
+           guard ? &guard_report : nullptr);
   have_activations_ = true;
   if (guard) enforce(guard_report, "Network::forward (runtime numerics guard)");
 
@@ -169,6 +171,7 @@ std::vector<Tensor> Network::forward_from_batch(int resume,
   const bool guard = runtime_verify_enabled();
   std::vector<VerifyReport> lane_reports(guard ? seeds.size() : 0);
   if (guard) arena_.poison(0, plan.arena_floats());
+  if (lane_inputs_.size() < seeds.size()) lane_inputs_.resize(seeds.size());
 
   // Lanes bind views into disjoint arena regions and write disjoint output
   // slots; every layer's inference forward_into is free of member writes
@@ -181,8 +184,8 @@ std::vector<Tensor> Network::forward_from_batch(int resume,
     for (std::int64_t lane = lb; lane < le; ++lane) {
       const std::size_t l = static_cast<std::size_t>(lane);
       std::vector<Tensor> acts(static_cast<std::size_t>(n));
-      run_lane(plan, l * plan.lane_stride(), resume, *seeds[l], acts, /*train=*/false,
-               guard ? &lane_reports[l] : nullptr);
+      run_lane(plan, l * plan.lane_stride(), resume, *seeds[l], acts, lane_inputs_[l],
+               /*train=*/false, guard ? &lane_reports[l] : nullptr);
       // Copying the view materializes an owning tensor independent of the
       // arena (and of every other lane).
       outputs[l] = acts[static_cast<std::size_t>(out_node)];

@@ -102,10 +102,12 @@ class Network {
   /// shape must equal that node's inferred shape, else std::invalid_argument),
   /// then runs every later node into its planned slot, offset by `base`
   /// floats (the lane). `acts` (node_count() entries) receives the views;
-  /// inference drops a view once its last consumer ran. `guard` collects
-  /// the runtime numerics scan when non-null.
+  /// inference drops a view once its last consumer ran. `in` is the lane's
+  /// reused input-pointer list, refilled per node. `guard` collects the
+  /// runtime numerics scan when non-null.
   void run_lane(const MemoryPlan& plan, std::size_t base, int resume, const Tensor& seed,
-                std::vector<Tensor>& acts, bool train, VerifyReport* guard);
+                std::vector<Tensor>& acts, std::vector<const Tensor*>& in, bool train,
+                VerifyReport* guard);
 
   Graph graph_;
   std::vector<Tensor> activations_;  // valid after a train-mode forward
@@ -113,6 +115,10 @@ class Network {
 
   std::vector<MemoryPlan> plans_;  // MRU cache, front = most recent
   tensor::Arena arena_;
+  // One input-pointer list per lane, cleared and refilled for every node,
+  // so the node loop allocates nothing once the lists have grown. Lanes run
+  // concurrently, so they cannot share one.
+  std::vector<std::vector<const Tensor*>> lane_inputs_;
 };
 
 }  // namespace netcut::nn

@@ -10,6 +10,7 @@
 #include "nn/pooling.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
+#include "util/thread_pool.hpp"
 
 namespace netcut::quant {
 
@@ -38,17 +39,95 @@ std::vector<std::int32_t> weight_rowsums(const ChannelQuant& qw, int out_channel
   return sums;
 }
 
-tensor::ConvGeometry conv_geometry(const nn::Conv2D& conv, const tensor::Shape& in) {
-  tensor::ConvGeometry geo;
-  geo.in_c = in[0];
-  geo.in_h = in[1];
-  geo.in_w = in[2];
-  geo.kernel_h = conv.kernel_h();
-  geo.kernel_w = conv.kernel_w();
-  geo.stride = conv.stride();
-  geo.pad_h = conv.pad_h();
-  geo.pad_w = conv.pad_w();
-  return geo;
+/// Channels per block of the integer depthwise kernel: 16 i32 lanes are two
+/// AVX2 vectors per tap.
+constexpr int kDwLanes = 16;
+
+/// Depthwise int8 weights [C, K*K] -> per channel block, tap-major lanes:
+/// taps[(b * K*K + t) * kDwLanes + j] = w[b * kDwLanes + j][t], zero past
+/// the last channel.
+std::vector<std::int32_t> depthwise_taps(const ChannelQuant& qw, int channels) {
+  const int taps = static_cast<int>(qw.values.size() / static_cast<std::size_t>(channels));
+  const int blocks = (channels + kDwLanes - 1) / kDwLanes;
+  std::vector<std::int32_t> out(static_cast<std::size_t>(blocks) * taps * kDwLanes, 0);
+  for (int c = 0; c < channels; ++c)
+    for (int t = 0; t < taps; ++t)
+      out[(static_cast<std::size_t>(c / kDwLanes) * taps + t) * kDwLanes + c % kDwLanes] =
+          qw.values[static_cast<std::size_t>(c) * taps + t];
+  return out;
+}
+
+/// Channel blocks per pool chunk of the integer depthwise; chunk boundaries
+/// depend only on the geometry.
+std::int64_t depthwise_grain(const tensor::ConvGeometry& g) {
+  const std::int64_t block_ops = 2LL * g.patch() * g.out_h() * g.out_w() * kDwLanes;
+  return ((1 << 16) + block_ops - 1) / block_ops;
+}
+
+/// Bytes of one padded HWC input tile of a channel block (widened to i32,
+/// so the tap loop is plain same-width integer multiply-adds).
+std::size_t depthwise_tile_bytes(const tensor::ConvGeometry& g) {
+  return align64(static_cast<std::size_t>(g.in_h + 2 * g.pad_h) *
+                 static_cast<std::size_t>(g.in_w + 2 * g.pad_w) * kDwLanes * sizeof(std::int32_t));
+}
+
+/// Scratch bytes of the integer depthwise: one tile per pool chunk.
+std::size_t depthwise_tiles_bytes(const tensor::ConvGeometry& g) {
+  const std::int64_t blocks = (g.in_c + kDwLanes - 1) / kDwLanes;
+  const std::int64_t grain = depthwise_grain(g);
+  return static_cast<std::size_t>((blocks + grain - 1) / grain) * depthwise_tile_bytes(g);
+}
+
+/// Raw depthwise products acc[c][pixel] = sum over all K*K taps of w * a,
+/// with the input padded by `zero_point`, which folds out through the
+/// per-channel rowsums exactly as im2col_u8's padding does. Each block of
+/// kDwLanes channels is transposed into a padded HWC tile, so one tap of one
+/// pixel is a kDwLanes-wide integer multiply-add. Each pool chunk reuses its
+/// own tile in `tiles` (depthwise_tiles_bytes), so chunks write disjoint
+/// bytes.
+/// Integer sums are exact, so the result is the same on every backend and
+/// at any thread count.
+void depthwise_s8u8(const std::uint8_t* x, const std::int32_t* taps, const tensor::ConvGeometry& g,
+                    std::int32_t zero_point, std::uint8_t* tiles, std::int32_t* acc) {
+  const int ih = g.in_h, iw = g.in_w, pad = g.pad_h;
+  const int ph = ih + 2 * pad, pw = iw + 2 * pad;
+  const int oh = g.out_h(), ow = g.out_w();
+  const int kernel = g.kernel_h, stride = g.stride;
+  const int kk = kernel * kernel;
+  const std::int64_t ihw = static_cast<std::int64_t>(ih) * iw;
+  const std::int64_t ohw = static_cast<std::int64_t>(oh) * ow;
+  const std::int64_t blocks = (g.in_c + kDwLanes - 1) / kDwLanes;
+  const std::int64_t grain = depthwise_grain(g);
+  util::parallel_for(0, blocks, grain, [&](std::int64_t b0, std::int64_t b1) {
+    auto* tile = reinterpret_cast<std::int32_t*>(
+        tiles + static_cast<std::size_t>(b0 / grain) * depthwise_tile_bytes(g));
+    for (std::int64_t b = b0; b < b1; ++b) {
+      const int c0 = static_cast<int>(b) * kDwLanes;
+      const int lanes = std::min(kDwLanes, g.in_c - c0);
+      std::fill(tile, tile + static_cast<std::int64_t>(ph) * pw * kDwLanes, zero_point);
+      for (int j = 0; j < lanes; ++j) {
+        const std::uint8_t* chan = x + (c0 + j) * ihw;
+        for (int iy = 0; iy < ih; ++iy) {
+          std::int32_t* dst = tile + (static_cast<std::int64_t>(iy + pad) * pw + pad) * kDwLanes + j;
+          for (int ix = 0; ix < iw; ++ix) dst[ix * kDwLanes] = chan[iy * iw + ix];
+        }
+      }
+      const std::int32_t* wb = taps + b * kk * kDwLanes;
+      for (int yo = 0; yo < oh; ++yo)
+        for (int xo = 0; xo < ow; ++xo) {
+          std::int32_t sum[kDwLanes] = {};
+          for (int kh = 0; kh < kernel; ++kh) {
+            const std::int32_t* row =
+                tile + (static_cast<std::int64_t>(yo * stride + kh) * pw + xo * stride) * kDwLanes;
+            const std::int32_t* wrow = wb + kh * kernel * kDwLanes;
+            for (int kw = 0; kw < kernel; ++kw)
+              for (int j = 0; j < kDwLanes; ++j)
+                sum[j] += wrow[kw * kDwLanes + j] * row[kw * kDwLanes + j];
+          }
+          for (int j = 0; j < lanes; ++j) acc[(c0 + j) * ohw + yo * ow + xo] = sum[j];
+        }
+    }
+  });
 }
 
 /// Requantize raw s8u8 accumulators into the node's uint8 activation slot:
@@ -103,10 +182,10 @@ std::array<std::uint8_t, 256> requant_lut(const QuantParams& in_p, const QuantPa
 }  // namespace
 
 QuantizedNetwork::QuantizedNetwork(nn::Graph fused_graph) : net_(std::move(fused_graph)) {
-  // Round-trip every conv/dense weight through per-channel int8 now; the
-  // information loss is baked into the stored weights, and the integer form
-  // (values packed once into GEMM panels, scales, per-channel rowsums) is
-  // kept for forward_int8.
+  // Round-trip every conv/depthwise/dense weight through per-channel int8
+  // now; the information loss is baked into the stored weights, and the
+  // integer form (values packed once into GEMM panels, or depthwise tap
+  // lanes; scales; per-channel rowsums) is kept for forward_int8.
   for (int id = 1; id < net_.graph().node_count(); ++id) {
     nn::Layer& layer = *net_.graph().node(id).layer;
     tensor::Tensor* w = nullptr;
@@ -137,14 +216,15 @@ QuantizedNetwork::QuantizedNetwork(nn::Graph fused_graph) : net_(std::move(fused
     const tensor::Tensor restored = dequantize_weights(q, w->shape());
     max_weight_error_ = std::max(max_weight_error_, tensor::max_abs_diff(*w, restored));
     *w = restored;
-    if (layer.kind() != nn::LayerKind::kDepthwiseConv2D) {
-      NodeWeights nw;
-      nw.rowsums = weight_rowsums(q, out_channels);
+    NodeWeights nw;
+    nw.rowsums = weight_rowsums(q, out_channels);
+    if (layer.kind() == nn::LayerKind::kDepthwiseConv2D)
+      nw.taps = depthwise_taps(q, out_channels);
+    else
       nw.panels = tensor::pack_s8_panels(q.values.data(), out_channels,
                                          static_cast<int>(w->numel() / out_channels));
-      nw.scales = std::move(q.scales);
-      node_weights_.emplace(id, std::move(nw));
-    }
+    nw.scales = std::move(q.scales);
+    node_weights_.emplace(id, std::move(nw));
   }
 }
 
@@ -180,7 +260,7 @@ void QuantizedNetwork::plan_int8(const tensor::Shape& in_shape) {
     if (id > 0 && nd.layer->kind() == nn::LayerKind::kConv2D) {
       const auto& conv = static_cast<const nn::Conv2D&>(*nd.layer);
       const tensor::ConvGeometry geo =
-          conv_geometry(conv, plan.shapes[static_cast<std::size_t>(nd.inputs[0])]);
+          conv.geometry(plan.shapes[static_cast<std::size_t>(nd.inputs[0])]);
       const std::size_t pixels =
           static_cast<std::size_t>(geo.out_h()) * static_cast<std::size_t>(geo.out_w());
       if (!conv.im2col_is_identity())
@@ -188,6 +268,14 @@ void QuantizedNetwork::plan_int8(const tensor::Shape& in_shape) {
                                               static_cast<std::size_t>(geo.patch()) * pixels);
       acc_bytes = std::max(acc_bytes,
                            static_cast<std::size_t>(conv.out_channels()) * pixels * sizeof(std::int32_t));
+    } else if (id > 0 && nd.layer->kind() == nn::LayerKind::kDepthwiseConv2D) {
+      const auto& dw = static_cast<const nn::DepthwiseConv2D&>(*nd.layer);
+      const tensor::ConvGeometry geo =
+          dw.geometry(plan.shapes[static_cast<std::size_t>(nd.inputs[0])]);
+      cols_bytes = std::max(cols_bytes, depthwise_tiles_bytes(geo));
+      acc_bytes = std::max(acc_bytes, static_cast<std::size_t>(dw.channels()) *
+                                          static_cast<std::size_t>(geo.out_h() * geo.out_w()) *
+                                          sizeof(std::int32_t));
     } else if (id > 0 && nd.layer->kind() == nn::LayerKind::kDense) {
       const auto& dense = static_cast<const nn::Dense&>(*nd.layer);
       acc_bytes =
@@ -242,7 +330,7 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
       case nn::LayerKind::kConv2D: {
         const auto& conv = static_cast<const nn::Conv2D&>(*nd.layer);
         const NodeWeights& nw = node_weights_.at(id);
-        const tensor::ConvGeometry geo = conv_geometry(conv, in_shape);
+        const tensor::ConvGeometry geo = conv.geometry(in_shape);
         const int pixels = geo.out_h() * geo.out_w();
         const std::uint8_t* cols = act(src0);
         if (!conv.im2col_is_identity()) {
@@ -254,6 +342,17 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         tensor::gemm_s8u8(nw.panels, cols, acc, pixels);
         requantize_rows(acc, conv.out_channels(), pixels, nw.scales, nw.rowsums, in_p,
                         conv.has_bias() ? conv.bias().data() : nullptr, out_p, act(id));
+        break;
+      }
+      case nn::LayerKind::kDepthwiseConv2D: {
+        const auto& dw = static_cast<const nn::DepthwiseConv2D&>(*nd.layer);
+        const NodeWeights& nw = node_weights_.at(id);
+        const tensor::ConvGeometry geo = dw.geometry(in_shape);
+        auto* acc = reinterpret_cast<std::int32_t*>(base + plan.acc_offset);
+        depthwise_s8u8(act(src0), nw.taps.data(), geo, in_p.zero_point, base + plan.cols_offset,
+                       acc);
+        requantize_rows(acc, dw.channels(), geo.out_h() * geo.out_w(), nw.scales, nw.rowsums, in_p,
+                        dw.has_bias() ? dw.bias().data() : nullptr, out_p, act(id));
         break;
       }
       case nn::LayerKind::kDense: {
@@ -335,10 +434,10 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         break;
       }
       default: {
-        // Fallback for kinds without a dedicated integer kernel (depthwise,
-        // BatchNorm, Concat, pooling averages, Softmax): dequantize the
-        // inputs, run the float layer through Layer::forward, requantize
-        // the output. It heap-allocates per node; the hot conv/dense nodes
+        // Fallback for kinds without a dedicated integer kernel (BatchNorm,
+        // Concat, pooling averages, Softmax): dequantize the inputs, run the
+        // float layer through Layer::forward, requantize the output. It
+        // heap-allocates per node; the hot conv, depthwise and dense nodes
         // above never take it.
         std::vector<tensor::Tensor> fin;
         fin.reserve(nd.inputs.size());

@@ -1,14 +1,19 @@
-// Kernel backend dispatch: every GEMM-shaped hot kernel in the repo routes
-// through a function table selected once at startup. Two backends exist:
+// Kernel backend dispatch: every GEMM-shaped hot kernel in the repo, and
+// the fp32 depthwise convolution, routes through a function table selected
+// once at startup. Two backends exist:
 //
-//  * scalar — the register-tiled reference kernels (PR 1/2), kept verbatim
-//    as the correctness oracle. fp32 comparisons against it are
-//    ULP-tolerance (FMA and lane reductions legally change bits); int8
-//    comparisons are bit-exact (integer sums are associative).
+//  * scalar — the original register-tiled reference kernels and the plain
+//    per-channel depthwise loop, kept verbatim as the correctness oracle.
+//    fp32 GEMM comparisons against it are ULP-tolerance (FMA and lane
+//    reductions legally change bits); the depthwise entry is bitwise equal
+//    (same per-output arithmetic, see below); int8 comparisons are
+//    bit-exact (integer sums are associative).
 //  * simd   — register-tiled microkernels: AVX2/FMA intrinsics when the CPU
 //    reports avx2+fma at runtime (function-multiversioned, no global ISA
 //    flags), a portable `#pragma omp simd` register-tile otherwise. fp32
 //    reads A in place and packs only B; int8 takes A pre-packed (below).
+//    Depthwise vectorises across a block of channels instead of across the
+//    output width (TRN planes shrink to 2x2 and 1x1).
 //
 // Selection: cpuid-driven default (simd everywhere — the portable tile is
 // its own fallback), overridden by NETCUT_BACKEND=scalar|simd, overridden
@@ -20,6 +25,8 @@
 #include <cstdint>
 
 namespace netcut::tensor {
+
+struct ConvGeometry;  // tensor/im2col.hpp
 
 enum class BackendKind { kScalar, kSimd };
 
@@ -36,7 +43,10 @@ inline constexpr int kS8PanelRows = 4;
 /// contracts in gemm.hpp; the int8 entry computes raw products
 /// C[i32, MxN] = A[s8, MxK] * B[u8, KxN] from A in the panel layout above,
 /// with no zero-point handling (the caller folds zero points via per-row
-/// weight sums, which is exact in integer arithmetic).
+/// weight sums, which is exact in integer arithmetic). The depthwise entry
+/// matches tensor::depthwise_conv (tensor/im2col.hpp): every output is the
+/// bias, then its in-bounds taps in (kh, kw) order, one `s += w * x` each,
+/// so both backends produce the same bits.
 struct KernelBackend {
   const char* name = "?";
   void (*gemm)(const float* a, const float* b, float* c, int m, int k, int n,
@@ -45,6 +55,8 @@ struct KernelBackend {
   void (*gemv_t)(const float* a, const float* x, float* y, int m, int n) = nullptr;
   void (*gemm_s8u8)(const std::int32_t* a_panels, const std::uint8_t* b, std::int32_t* c,
                     int m, int k, int n) = nullptr;
+  void (*depthwise)(const float* x, const float* w, const float* bias, float* y,
+                    const ConvGeometry& g, float* scratch) = nullptr;
 };
 
 const KernelBackend& scalar_backend();

@@ -1,12 +1,14 @@
-// Scalar reference backend: the register-tiled kernels from PR 1/2, kept
-// verbatim as the oracle the simd backend is tested against. "Scalar" means
-// no explicit vectorization — the compiler may still auto-vectorize, but
-// the arithmetic order per output element is the fixed k-ascending
-// accumulation the rest of the repo's bit-identity contracts assume.
+// Scalar reference backend: the original register-tiled kernels and
+// depthwise loop, kept verbatim as the oracle the simd backend is tested
+// against. "Scalar" means no explicit vectorization — the compiler may
+// still auto-vectorize, but the arithmetic order per output element is the
+// fixed k-ascending accumulation the rest of the repo's bit-identity
+// contracts assume.
 #include <cstring>
 #include <vector>
 
 #include "tensor/backend.hpp"
+#include "tensor/im2col.hpp"
 #include "util/thread_pool.hpp"
 
 namespace netcut::tensor {
@@ -150,11 +152,46 @@ void gemm_s8u8_scalar(const std::int32_t* a_panels, const std::uint8_t* b, std::
   util::parallel_for(0, m, grain, [&](std::int64_t i0, std::int64_t i1) { rows(i0, i1); });
 }
 
+/// The per-channel depthwise loop DepthwiseConv2D has always run. Channels
+/// are independent; partition the channel range. Per-channel arithmetic
+/// order is unchanged, so results are thread-count invariant.
+void depthwise_scalar(const float* x, const float* w, const float* bias, float* y,
+                      const ConvGeometry& g, float* /*scratch*/) {
+  const int ih = g.in_h, iw = g.in_w;
+  const int oh = g.out_h(), ow = g.out_w();
+  const int kernel = g.kernel_h, stride = g.stride, pad = g.pad_h;
+  const std::int64_t per_chan = 2LL * kernel * kernel * oh * ow;
+  const std::int64_t grain = per_chan > 0 ? ((1 << 16) + per_chan - 1) / per_chan : 1;
+  util::parallel_for(0, g.in_c, grain, [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t c = c0; c < c1; ++c) {
+      const float* chan = x + c * ih * iw;
+      const float* wc = w + c * kernel * kernel;
+      float* dst = y + c * oh * ow;
+      const float b = bias != nullptr ? bias[c] : 0.0f;
+      for (int yo = 0; yo < oh; ++yo) {
+        for (int xo = 0; xo < ow; ++xo) {
+          float s = b;
+          for (int kh = 0; kh < kernel; ++kh) {
+            const int iy = yo * stride + kh - pad;
+            if (iy < 0 || iy >= ih) continue;
+            for (int kw = 0; kw < kernel; ++kw) {
+              const int ix = xo * stride + kw - pad;
+              if (ix < 0 || ix >= iw) continue;
+              s += wc[kh * kernel + kw] * chan[iy * iw + ix];
+            }
+          }
+          dst[yo * ow + xo] = s;
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 
 const KernelBackend& scalar_backend() {
   static const KernelBackend backend{"scalar", gemm_scalar, gemv_scalar, gemv_t_scalar,
-                                     gemm_s8u8_scalar};
+                                     gemm_s8u8_scalar, depthwise_scalar};
   return backend;
 }
 

@@ -27,10 +27,19 @@
 // one FMA chain over k in ascending order (plus C when accumulating), so it
 // differs from the scalar backend only by FMA rounding (ULP-level, see
 // DESIGN.md section 11); int8 results are bit-exact by integer associativity.
+//
+// Depthwise is the exception to both rules above: one implementation,
+// plain C++ whose lane loops the compiler vectorises for the build's ISA.
+// It must be bitwise equal to the scalar loop, and an explicit FMA
+// intrinsic would round differently from that loop wherever the compiler
+// does not contract it; the same `s += w * x` in both TUs is contracted (or
+// not) the same way.
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "tensor/backend.hpp"
+#include "tensor/im2col.hpp"
 #include "util/thread_pool.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -507,13 +516,120 @@ void gemm_s8u8_simd(const std::int32_t* apanels, const std::uint8_t* b, std::int
   });
 }
 
+// ---------------------------------------------------------------------------
+// fp32 depthwise: channel blocks, taps vectorised across channels
+// ---------------------------------------------------------------------------
+
+/// Channels per block. A block works in one scratch region: the input
+/// plane in HWC order, the weights tap-major, the bias.
+constexpr int kDwLanes = 16;
+
+/// The pool splits the blocks into chunks of depthwise_grain(g) blocks, and
+/// each chunk reuses one region, so the scratch is one region per chunk.
+/// Chunk boundaries depend only on the geometry, never on the thread count.
+std::int64_t depthwise_grain(const ConvGeometry& g) {
+  const std::int64_t block_flops = 2LL * g.patch() * g.out_h() * g.out_w() * kDwLanes;
+  return block_flops > 0 ? (kParallelFlopCutoff + block_flops - 1) / block_flops : 1;
+}
+
+/// Floats of one region, a multiple of kDwLanes floats (one 64-byte line):
+/// with a line-aligned scratch base, chunks on different pool threads share
+/// no cache line.
+std::size_t depthwise_region_floats(const ConvGeometry& g) {
+  return (static_cast<std::size_t>(g.in_h) * g.in_w + static_cast<std::size_t>(g.patch()) + 1) *
+         kDwLanes;
+}
+
+/// Channels [c0, c0 + kDwLanes) of the depthwise product, within a scratch
+/// region laid out as above. The block is transposed to HWC, so one tap of
+/// one output pixel is a kDwLanes-wide FMA; a TRN's 2x2 and 1x1 planes
+/// leave nothing to vectorise across the width. Every lane of a pixel shares its geometry, so padded taps are
+/// skipped exactly as the scalar loop skips them, and each output gets the
+/// scalar loop's arithmetic: the bias, then the in-bounds taps in (kh, kw)
+/// order. Lanes past the last channel compute on zeros and are not stored.
+void depthwise_block(const float* x, const float* w, const float* bias, float* y,
+                     const ConvGeometry& g, int c0, float* scratch) {
+  const int ih = g.in_h, iw = g.in_w;
+  const int oh = g.out_h(), ow = g.out_w();
+  const int kernel = g.kernel_h, stride = g.stride, pad = g.pad_h;
+  const int taps = kernel * kernel;
+  const std::int64_t ihw = static_cast<std::int64_t>(ih) * iw;
+  const std::int64_t ohw = static_cast<std::int64_t>(oh) * ow;
+  const int lanes = std::min(kDwLanes, g.in_c - c0);
+  float* tile = scratch;             // [ih * iw][kDwLanes]
+  float* wt = tile + ihw * kDwLanes;  // [taps][kDwLanes]
+  float* bv = wt + taps * kDwLanes;   // [kDwLanes]
+
+  // Only taps some output reads are packed: kernel rows [kh_lo, kh_hi) and
+  // columns [kw_lo, kw_hi). On a 1x1 plane that is the centre tap alone.
+  const int kh_lo = std::max(0, pad - (oh - 1) * stride), kh_hi = std::min(kernel, ih + pad);
+  const int kw_lo = std::max(0, pad - (ow - 1) * stride), kw_hi = std::min(kernel, iw + pad);
+  for (int j = 0; j < kDwLanes; ++j) {
+    const bool live = j < lanes;
+    const float* chan = live ? x + (c0 + j) * ihw : nullptr;
+    for (std::int64_t p = 0; p < ihw; ++p) tile[p * kDwLanes + j] = live ? chan[p] : 0.0f;
+    const float* wc = live ? w + (c0 + j) * taps : nullptr;
+    for (int kh = kh_lo; kh < kh_hi; ++kh)
+      for (int kw = kw_lo; kw < kw_hi; ++kw) {
+        const int t = kh * kernel + kw;
+        wt[t * kDwLanes + j] = live ? wc[t] : 0.0f;
+      }
+    bv[j] = live && bias != nullptr ? bias[c0 + j] : 0.0f;
+  }
+
+  for (int yo = 0; yo < oh; ++yo) {
+    const int iy0 = yo * stride - pad;
+    const int kh0 = std::max(0, -iy0), kh1 = std::min(kernel, ih - iy0);
+    for (int xo = 0; xo < ow; ++xo) {
+      const int ix0 = xo * stride - pad;
+      const int kw0 = std::max(0, -ix0), kw1 = std::min(kernel, iw - ix0);
+      float acc[kDwLanes];
+      for (int j = 0; j < kDwLanes; ++j) acc[j] = bv[j];
+      for (int kh = kh0; kh < kh1; ++kh) {
+        const float* src_row = tile + (static_cast<std::int64_t>(iy0 + kh) * iw + ix0) * kDwLanes;
+        const float* w_row = wt + kh * kernel * kDwLanes;
+        for (int kw = kw0; kw < kw1; ++kw) {
+          const float* src = src_row + kw * kDwLanes;
+          const float* wv = w_row + kw * kDwLanes;
+#pragma omp simd
+          for (int j = 0; j < kDwLanes; ++j) acc[j] += wv[j] * src[j];
+        }
+      }
+      float* dst = y + c0 * ohw + static_cast<std::int64_t>(yo) * ow + xo;
+      for (int j = 0; j < lanes; ++j) dst[j * ohw] = acc[j];
+    }
+  }
+}
+
+/// Partitions the channel blocks over the pool. The chunk starting at block
+/// b0 owns scratch region b0 / grain and output channels
+/// [b0 * kDwLanes, b1 * kDwLanes), so the split is race-free and each
+/// output's arithmetic is independent of it.
+void depthwise_simd(const float* x, const float* w, const float* bias, float* y,
+                    const ConvGeometry& g, float* scratch) {
+  const std::int64_t blocks = (g.in_c + kDwLanes - 1) / kDwLanes;
+  const std::int64_t grain = depthwise_grain(g);
+  const std::size_t region_floats = depthwise_region_floats(g);
+  util::parallel_for(0, blocks, grain, [&](std::int64_t b0, std::int64_t b1) {
+    float* region = scratch + static_cast<std::size_t>(b0 / grain) * region_floats;
+    for (std::int64_t b = b0; b < b1; ++b)
+      depthwise_block(x, w, bias, y, g, static_cast<int>(b) * kDwLanes, region);
+  });
+}
+
 }  // namespace
+
+std::size_t depthwise_scratch_floats(const ConvGeometry& g) {
+  const std::int64_t blocks = (g.in_c + kDwLanes - 1) / kDwLanes;
+  const std::int64_t grain = depthwise_grain(g);
+  return static_cast<std::size_t>((blocks + grain - 1) / grain) * depthwise_region_floats(g);
+}
 
 const char* simd_isa() { return kUseAvx2 ? "avx2" : "portable"; }
 
 const KernelBackend& simd_backend() {
   static const KernelBackend backend{"simd", gemm_simd, gemv_simd, gemv_t_simd,
-                                     gemm_s8u8_simd};
+                                     gemm_s8u8_simd, depthwise_simd};
   return backend;
 }
 

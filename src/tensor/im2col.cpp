@@ -1,5 +1,6 @@
 #include "tensor/im2col.hpp"
 
+#include "tensor/backend.hpp"
 #include "util/thread_pool.hpp"
 
 namespace netcut::tensor {
@@ -133,6 +134,11 @@ void col2im(const float* cols, const ConvGeometry& g, float* img) {
   util::parallel_for(0, g.in_c, channel_grain(g), [&](std::int64_t c0, std::int64_t c1) {
     col2im_channels(cols, g, img, c0, c1);
   });
+}
+
+void depthwise_conv(const float* img, const float* w, const float* bias, float* out,
+                    const ConvGeometry& g, float* scratch) {
+  active_backend().depthwise(img, w, bias, out, g, scratch);
 }
 
 }  // namespace netcut::tensor

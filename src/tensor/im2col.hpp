@@ -34,4 +34,18 @@ void col2im(const float* cols, const ConvGeometry& g, float* img);
 void im2col_u8(const std::uint8_t* img, const ConvGeometry& g, std::uint8_t* cols,
                std::uint8_t zero_point);
 
+/// Depthwise convolution of a CHW image: output channel c is input channel c
+/// convolved with w[c, kh, kw] (g.in_c channels, square g.kernel_h kernel,
+/// g.pad_h padding) plus bias[c] (no bias when bias is nullptr). Each output
+/// is the bias, then its in-bounds taps in (kh, kw) order; taps in the
+/// padding are skipped. Dispatches through the active KernelBackend, and the
+/// backends agree bit for bit. `scratch` holds depthwise_scratch_floats(g)
+/// floats; the scalar backend ignores it.
+void depthwise_conv(const float* img, const float* w, const float* bias, float* out,
+                    const ConvGeometry& g, float* scratch);
+
+/// Scratch floats depthwise_conv needs for geometry g under either backend
+/// (the simd backend's channel-block regions; tensor/backend_simd.cpp).
+std::size_t depthwise_scratch_floats(const ConvGeometry& g);
+
 }  // namespace netcut::tensor

@@ -240,6 +240,42 @@ TEST(Int8Kernels, ConvMatchesFloatReferenceOnQuantizedWeights) {
   EXPECT_LE(int8_gap_in_steps(std::move(conv), x), 1.0f);
 }
 
+TEST(Int8Kernels, DepthwiseMatchesFloatReference) {
+  // A strided, padded 3x3 depthwise with bias over 19 channels (one full
+  // channel block and a 3-channel tail): the zero-point-padded integer tile,
+  // per-channel weights and rowsums, and the shared requantization.
+  util::Rng rng(9);
+  auto dw = std::make_unique<nn::DepthwiseConv2D>(19, 3, 2);
+  nn::he_init_conv(dw->weight(), rng);
+  for (int c = 0; c < 19; ++c) dw->bias()[c] = static_cast<float>(rng.normal(0.0, 0.1));
+  const Tensor x = Tensor::uniform(Shape::chw(19, 9, 9), rng, -1.0f, 1.0f);
+  EXPECT_LE(int8_gap_in_steps(std::move(dw), x), 1.0f);
+}
+
+TEST(Int8Kernels, DepthwiseSteadyStateAcquiresOnlyTheOutput) {
+  // conv -> depthwise -> ReLU6 runs on integer kernels end to end, so once
+  // the arena is laid out a pass acquires tensor storage for its returned
+  // output alone.
+  util::Rng rng(10);
+  nn::Graph g;
+  const int in = g.add_input(Shape::chw(3, 12, 12));
+  auto conv = std::make_unique<nn::Conv2D>(3, 24, 3, 1);
+  nn::he_init_conv(conv->weight(), rng);
+  const int c = g.add(std::move(conv), {in}, "conv");
+  auto dw = std::make_unique<nn::DepthwiseConv2D>(24, 3, 1);
+  nn::he_init_conv(dw->weight(), rng);
+  const int d = g.add(std::move(dw), {c}, "dw");
+  g.add(std::make_unique<nn::ReLU>(true), {d}, "relu6");
+  QuantizedNetwork qnet(std::move(g));
+  const Tensor x = Tensor::randn(Shape::chw(3, 12, 12), rng);
+  qnet.calibrate({&x});
+  const Tensor first = qnet.forward_int8(x);
+  const std::uint64_t before = tensor::tensor_alloc_count();
+  const Tensor again = qnet.forward_int8(x);
+  EXPECT_EQ(tensor::tensor_alloc_count() - before, 1u);
+  EXPECT_EQ(tensor::max_abs_diff(first, again), 0.0f);
+}
+
 TEST(Int8Kernels, DenseMatchesFloatReference) {
   util::Rng rng(8);
   auto dense = std::make_unique<nn::Dense>(10, 4);
@@ -366,13 +402,15 @@ TEST(QuantizedNetwork, IntegerAddMatchesSimulatedForwardBitwise) {
 /// paper proposes: BN-folded ResNet50/58 and MobileNetV2-1.40/138 at 32 px.
 /// Between them they hold 1x1 direct convolutions, strided and padded ones,
 /// an odd K (the 3-channel stem) and the Dense head, so every GEMM shape the
-/// pre-packed weight panels serve is covered.
+/// pre-packed weight panels serve is covered, and the MobileNetV2 TRN's
+/// depthwise nodes run the integer depthwise kernel.
 TEST(QuantizedNetwork, ForwardInt8BitIdenticalAcrossBackends) {
   struct Restore {
     tensor::BackendKind kind = tensor::active_backend_kind();
     ~Restore() { tensor::set_backend(kind); }
   } restore;
-  bool direct = false, strided = false, padded = false, odd_k = false, dense = false;
+  bool direct = false, strided = false, padded = false, odd_k = false, dense = false,
+       depthwise = false;
   for (const auto& [net, cut] : {std::pair{zoo::NetId::kResNet50, 58},
                                  std::pair{zoo::NetId::kMobileNetV2_140, 138}}) {
     util::Rng rng(25);
@@ -383,6 +421,7 @@ TEST(QuantizedNetwork, ForwardInt8BitIdenticalAcrossBackends) {
     for (int id = 1; id < g.node_count(); ++id) {
       const nn::Layer& layer = *g.node(id).layer;
       if (layer.kind() == nn::LayerKind::kDense) dense = true;
+      if (layer.kind() == nn::LayerKind::kDepthwiseConv2D) depthwise = true;
       if (layer.kind() != nn::LayerKind::kConv2D) continue;
       const auto& conv = static_cast<const nn::Conv2D&>(layer);
       direct |= conv.im2col_is_identity();
@@ -405,7 +444,7 @@ TEST(QuantizedNetwork, ForwardInt8BitIdenticalAcrossBackends) {
           << zoo::net_name(net) << "/" << cut;
     }
   }
-  EXPECT_TRUE(direct && strided && padded && odd_k && dense);
+  EXPECT_TRUE(direct && strided && padded && odd_k && dense && depthwise);
 }
 
 TEST(QuantizedNetwork, Int8SpeedupReportedAgainstDeviceModel) {

@@ -1,7 +1,8 @@
 // Scalar-vs-simd kernel backend agreement. The scalar backend is the
-// correctness oracle: fp32 kernels must agree to ULP-level tolerance (FMA
-// and lane reductions legally change bits), the int8 kernel must agree
-// bit-for-bit (integer sums are associative, so any difference is a bug).
+// correctness oracle: fp32 GEMM kernels must agree to ULP-level tolerance
+// (FMA and lane reductions legally change bits); the depthwise kernel, which
+// keeps the scalar loop's per-output arithmetic, and the int8 kernel (integer
+// sums are associative) must agree bit-for-bit.
 // Shapes deliberately cover register-tile edges: M not a multiple of the
 // row tile, N not a multiple of the panel width, K not a multiple of the
 // vector width, and degenerate single-row/column cases.
@@ -15,6 +16,7 @@
 
 #include "tensor/backend.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -225,6 +227,45 @@ TEST(Backends, Int8GemmBitExactAcrossBackendsAndMatchesNaive) {
       }
     }
   }
+}
+
+/// The channel-blocked simd depthwise against the scalar loop over a
+/// product of geometries: channel counts below, at and past one block (65
+/// leaves a one-channel tail block), planes down to 1x1 where most taps lie
+/// in the padding, odd planes, both strides, both kernels, with and without
+/// padding and bias. The scratch is poisoned, so a read of scratch the
+/// kernel never wrote shows up as a NaN.
+TEST(Backends, DepthwiseSimdBitEqualToScalar) {
+  util::Rng rng(108);
+  int cases = 0;
+  for (const int channels : {1, 7, 48, 65})
+    for (const int plane : {1, 2, 4, 8, 16, 17})
+      for (const int stride : {1, 2})
+        for (const int pad : {0, 1})
+          for (const int kernel : {3, 5})
+            for (const bool with_bias : {true, false}) {
+              ConvGeometry g;
+              g.in_c = channels;
+              g.in_h = g.in_w = plane;
+              g.kernel_h = g.kernel_w = kernel;
+              g.stride = stride;
+              g.pad_h = g.pad_w = pad;
+              if (g.out_h() < 1) continue;
+              const auto x = Tensor::randn(Shape::chw(channels, plane, plane), rng);
+              const auto w = Tensor::randn(Shape{channels, 1, kernel, kernel}, rng);
+              const auto bias = Tensor::randn(Shape{channels}, rng);
+              const float* b = with_bias ? bias.data() : nullptr;
+              const std::size_t count = static_cast<std::size_t>(channels) * g.out_h() * g.out_w();
+              std::vector<float> ref(count, std::nanf("")), got(count, std::nanf(""));
+              std::vector<float> scratch(depthwise_scratch_floats(g), std::nanf(""));
+              scalar_backend().depthwise(x.data(), w.data(), b, ref.data(), g, nullptr);
+              simd_backend().depthwise(x.data(), w.data(), b, got.data(), g, scratch.data());
+              ASSERT_EQ(std::memcmp(ref.data(), got.data(), count * sizeof(float)), 0)
+                  << "c " << channels << " plane " << plane << " stride " << stride << " pad "
+                  << pad << " kernel " << kernel << " bias " << with_bias;
+              ++cases;
+            }
+  EXPECT_GT(cases, 250);  // the geometries whose output is at least 1x1
 }
 
 TEST(Backends, PublicEntryPointsDispatchThroughActiveBackend) {

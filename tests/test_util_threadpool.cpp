@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -216,6 +217,24 @@ TEST(ThreadDeterminism, DepthwiseConvBitIdentical) {
     out.insert(out.end(), gx[0].data(), gx[0].data() + gx[0].numel());
     return out;
   }));
+
+  // Stride 2 (its forward splits into three channel-block chunks) and a
+  // TRN's 2x2 plane at 528 channels (33 channel blocks; its backward splits
+  // the channel range).
+  for (const auto& [channels, plane, stride] : {std::tuple{37, 31, 2}, std::tuple{528, 2, 1}}) {
+    const auto xs = tensor::Tensor::randn(tensor::Shape::chw(channels, plane, plane), rng);
+    nn::DepthwiseConv2D proto_s(channels, 3, stride);
+    nn::he_init_conv(proto_s.weight(), rng);
+    const auto gys = tensor::Tensor::randn(proto_s.output_shape({xs.shape()}), rng);
+    expect_bit_identical(run_at_thread_counts([&] {
+      nn::DepthwiseConv2D conv = proto_s;
+      const tensor::Tensor y = conv.forward({&xs}, /*train=*/true);
+      const std::vector<tensor::Tensor> gx = conv.backward(gys);
+      std::vector<float> out(y.data(), y.data() + y.numel());
+      out.insert(out.end(), gx[0].data(), gx[0].data() + gx[0].numel());
+      return out;
+    }));
+  }
 }
 
 TEST(ThreadDeterminismHeavy, EvaluatorBitIdenticalAcrossThreadCounts) {
