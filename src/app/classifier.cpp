@@ -1,5 +1,6 @@
 #include "app/classifier.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -14,6 +15,31 @@
 #include "nn/optimizer.hpp"
 
 namespace netcut::app {
+
+namespace {
+
+constexpr int kReliabilityDrawsPerClass = 20;
+
+/// Chance-corrected top-1 of `predict` over class-balanced held-out inputs
+/// `draw(intent, rng)`: max(0, (top1 - 1/K) / (1 - 1/K)).
+template <class Draw, class Predict>
+double measure_reliability(std::uint64_t seed, Draw draw, Predict predict) {
+  util::Rng rng(seed);
+  const int draws = kReliabilityDrawsPerClass * data::kGraspCount;
+  int correct = 0;
+  for (int i = 0; i < draws; ++i) {
+    const int intent = i % data::kGraspCount;
+    const tensor::Tensor p = predict(draw(static_cast<data::GraspType>(intent), rng));
+    int top1 = 0;
+    for (int c = 1; c < data::kGraspCount; ++c)
+      if (p[c] > p[top1]) top1 = c;
+    if (top1 == intent) ++correct;
+  }
+  const double chance = 1.0 / data::kGraspCount;
+  return std::max(0.0, (static_cast<double>(correct) / draws - chance) / (1.0 - chance));
+}
+
+}  // namespace
 
 SoftClassifier::SoftClassifier(int features, MlpConfig config)
     : features_(features), config_(config) {
@@ -95,6 +121,10 @@ EmgClassifier::EmgClassifier(const data::EmgGenerator& generator, int train_samp
     y.push_back(s.label);
   }
   mlp_.fit(x, y);
+  reliability_ = measure_reliability(
+      util::derive_seed(config.seed, "emg-classifier/reliability"),
+      [&](data::GraspType intent, util::Rng& rng) { return generator.sample(intent, rng); },
+      [&](const tensor::Tensor& f) { return predict(f); });
 }
 
 double EmgClassifier::test_accuracy(const data::EmgGenerator& generator, int samples,
@@ -130,6 +160,14 @@ VisualClassifier::VisualClassifier(zoo::NetId base, int cut_node,
     y.push_back(s.label);
   }
   head_->fit(x, y);
+
+  const data::HandsConfig& dc = dataset.config();
+  reliability_ = measure_reliability(
+      util::derive_seed(head_config.seed, "visual-classifier/reliability"),
+      [&](data::GraspType intent, util::Rng& rng) {
+        return data::render_object(intent, dc.resolution, rng, dc.background_noise);
+      },
+      [&](const tensor::Tensor& image) { return predict(image); });
 }
 
 tensor::Tensor VisualClassifier::features(const tensor::Tensor& image) const {

@@ -145,12 +145,12 @@ ControlLoopReport ControlLoop::run(const data::HandsDataset& dataset) {
         ++er.frames_missed;
         ++total_missed;
       } else {
-        if (opt.cascade.enabled)
-          acc.observe(escalated ? opt.cascade.escalate_vision->predict(frame.image)
-                                : stage1,
-                      config_.vision_weight);
+        if (escalated)
+          acc.observe(opt.cascade.escalate_vision->predict(frame.image),
+                      opt.cascade.escalate_vision->reliability());
         else
-          acc.observe(opt.vision->predict(frame.image), config_.vision_weight);
+          acc.observe(opt.cascade.enabled ? stage1 : opt.vision->predict(frame.image),
+                      opt.vision->reliability());
         ++er.frames_used;
       }
       if (fell_back) {
@@ -162,7 +162,7 @@ ControlLoopReport ControlLoop::run(const data::HandsDataset& dataset) {
       }
 
       // EMG window for the same intent arrives every frame.
-      acc.observe(emg_.predict(emg_gen_.sample(er.intent, rng)), config_.emg_weight);
+      acc.observe(emg_.predict(emg_gen_.sample(er.intent, rng)), emg_.reliability());
 
       if (adaptive) {
         // The watchdog owns the window/hysteresis policy; the loop supplies

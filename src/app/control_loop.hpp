@@ -2,6 +2,10 @@
 // III): during a reach, palm-camera frames and EMG windows stream in; each
 // classifier emits a grasp distribution; fusion accumulates evidence; the
 // final decision must be ready before contact minus the actuation time.
+// Each source is fused at its classifier's measured held-out reliability
+// (VisualClassifier::reliability, EmgClassifier::reliability), not at a
+// fixed weight: a camera classifier at chance level adds nothing to the
+// decision, however many frames it sees, and cannot outvote EMG.
 // The visual classifier's per-frame compute budget is the paper's 0.9 ms —
 // frames whose (simulated) inference latency exceeds it miss the fusion
 // window and are dropped.
@@ -28,13 +32,14 @@
 
 namespace netcut::app {
 
+/// Reach timing, deadline and episode count. Fusion weights are not
+/// configured: each source is fused at its classifier's reliability(),
+/// measured on held-out data, with no prior that one sensor is noisier.
 struct ControlLoopConfig {
   double reach_duration_ms = 1500.0;  // hand leaves rest -> contact
   double frame_period_ms = 50.0;      // palm camera at 20 fps
   double actuation_time_ms = 300.0;   // hand needs this long to form a grasp
   double classifier_deadline_ms = 0.9;
-  double emg_weight = 0.6;            // EMG is noisier: weight it below vision
-  double vision_weight = 1.0;
   int episodes = 50;
   std::uint64_t seed = 2025;
 };
@@ -46,7 +51,8 @@ struct ControlLoopConfig {
 /// step escalates fewer frames and costs less.
 struct TrnCascade {
   bool enabled = false;
-  /// Deep-stage classifier answering escalated frames.
+  /// Deep-stage classifier answering escalated frames; its answers are
+  /// fused at its own reliability.
   const VisualClassifier* escalate_vision = nullptr;
   /// Nominal extra latency of an escalation (the delta layers + deep head).
   double escalate_delta_ms = 0.0;
