@@ -402,7 +402,7 @@ int run_json_sweep(const std::string& path) {
   }
   out << "{\n  \"host\": {\"cpu\": \"" << cpu_model() << "\", \"nproc\": "
       << sysconf(_SC_NPROCESSORS_ONLN) << ", \"simd_isa\": \"" << tensor::simd_isa()
-      << "\", \"backend\": \"" << tensor::backend_name(tensor::active_backend_kind())
+      << "\", \"int8_isa\": \"" << tensor::int8_isa() << "\", \"backend\": \"" << tensor::backend_name(tensor::active_backend_kind())
       << "\", \"threads\": " << util::num_threads() << ", \"git\": \"" << git_revision()
       << "\"},\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {

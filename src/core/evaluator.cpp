@@ -19,6 +19,7 @@
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
+#include "tensor/backend.hpp"
 
 namespace netcut::core {
 
@@ -131,9 +132,13 @@ const std::vector<int>& TrnEvaluator::cutpoints(zoo::NetId base) {
 
 int TrnEvaluator::full_cut(zoo::NetId base) { return cutpoints(base).back(); }
 
-std::string TrnEvaluator::cache_key(zoo::NetId base, int cut_node) const {
+std::string TrnEvaluator::seed_key(zoo::NetId base, int cut_node) const {
   return zoo::net_name(base) + "|" + std::to_string(cut_node) + "|" +
          std::to_string(config_hash_);
+}
+
+std::string TrnEvaluator::cache_key(zoo::NetId base, int cut_node) const {
+  return seed_key(base, cut_node) + "|" + tensor::backend_name(tensor::active_backend_kind());
 }
 
 namespace {
@@ -252,8 +257,7 @@ AccuracyResult TrnEvaluator::accuracy(zoo::NetId base, int cut_node) {
   test_y.reserve(dataset_.test().size());
   for (const data::Sample& s : dataset_.test()) test_y.push_back(s.label);
 
-  const std::uint64_t seed =
-      util::derive_seed(config_.seed, key);
+  const std::uint64_t seed = util::derive_seed(config_.seed, seed_key(base, cut_node));
   const AccuracyResult r = train_head_on_features(train_x, train_y, test_x, test_y, seed);
   {
     util::MutexLock lock(cache_mutex_);
@@ -373,7 +377,7 @@ const PerImageEval& TrnEvaluator::per_image(zoo::NetId base, int cut_node) {
   for (const data::Sample& s : dataset_.train()) train_y.push_back(s.label);
 
   // Same seed derivation as accuracy(): the retrained head is the same head.
-  const std::uint64_t seed = util::derive_seed(config_.seed, cache_key(base, cut_node));
+  const std::uint64_t seed = util::derive_seed(config_.seed, seed_key(base, cut_node));
   const std::vector<tensor::Tensor> predictions =
       head_predictions(train_x, train_y, test_x, seed);
 

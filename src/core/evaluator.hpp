@@ -122,6 +122,11 @@ class TrnEvaluator {
   };
 
   NetState& state(zoo::NetId base);
+  /// "net|cut|config hash": seeds the head trained at this cut, the same
+  /// under either kernel backend.
+  std::string seed_key(zoo::NetId base, int cut_node) const;
+  /// seed_key plus the active kernel backend, the accuracy memo's key: the
+  /// backends round the trunk's features differently, and so its accuracy.
   std::string cache_key(zoo::NetId base, int cut_node) const;
   /// Standardize + train the head + softmax-predict the test set — the body
   /// shared by train_head_on_features and per_image (identical op order).

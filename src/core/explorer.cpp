@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "tensor/backend.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -74,12 +75,13 @@ BlockwiseExplorer::BlockwiseExplorer(LatencyLab& lab, TrnEvaluator& evaluator)
 
 std::uint64_t BlockwiseExplorer::journal_key() const {
   // Everything the journalled accuracies depend on: the evaluator identity
-  // (dataset + head + pretraining config) plus the lab settings that select
-  // which TRN is being explored under which deployment mode.
+  // (dataset + head + pretraining config), the kernel backend the features
+  // are computed on, plus the lab settings that select which TRN is being
+  // explored under which deployment mode.
   const LabConfig& lc = lab_.config();
   std::ostringstream os;
   os << lc.device.name << '|' << hw::to_string(lc.precision) << '|' << lc.fuse << '|'
-     << lc.measure.seed;
+     << lc.measure.seed << '|' << tensor::backend_name(tensor::active_backend_kind());
   return util::derive_seed(evaluator_.config_hash(), os.str());
 }
 

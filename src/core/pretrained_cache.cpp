@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "nn/serialize.hpp"
+#include "tensor/backend.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 
@@ -28,10 +29,15 @@ constexpr int kPretrainResolution = 24;
 constexpr std::uint32_t kContainerMagic = 0x3243574Eu;  // "NCW2"
 constexpr std::uint32_t kContainerVersion = 1;
 
+/// The file name carries the active kernel backend: the scalar and simd
+/// GEMMs round differently, so pretraining under each gives different
+/// weights. It is not folded into pretrained_config_hash, which also seeds
+/// the evaluator's heads (core/evaluator.cpp) and so must not move.
 std::string cache_file(zoo::NetId net, const data::PretrainedConfig& config,
                        const std::string& cache_dir) {
   std::ostringstream name;
-  name << zoo::net_name(net) << "_p" << kPretrainResolution << "_" << std::hex
+  name << zoo::net_name(net) << "_p" << kPretrainResolution << "_"
+       << tensor::backend_name(tensor::active_backend_kind()) << "_" << std::hex
        << pretrained_config_hash(config) << ".weights";
   return (std::filesystem::path(cache_dir) / name.str()).string();
 }

@@ -1,7 +1,8 @@
 // Disk-cached pseudo-pretrained trunks. Pretraining a deep trunk costs
 // minutes of CPU; the resulting weights depend only on (network, input
-// resolution, PretrainedConfig), so they are serialized once per
-// configuration and reloaded by every later evaluator / example / bench.
+// resolution, PretrainedConfig, kernel backend), so they are serialized
+// once per configuration and reloaded by every later evaluator / example /
+// bench.
 //
 // Concurrency contract: these are stateless free functions — no globals,
 // no caches in memory — so there is nothing to annotate (see DESIGN.md
@@ -25,9 +26,10 @@ std::uint64_t pretrained_config_hash(const data::PretrainedConfig& config);
 bool pretrained_available(zoo::NetId net, const data::PretrainedConfig& config,
                           const std::string& cache_dir);
 
-/// Path of the weight-cache file for this (network, config) under
-/// `cache_dir` (empty when caching is disabled). Exposed so chaos tests
-/// can corrupt the exact file the cache will read back.
+/// Path of the weight-cache file for this (network, config) and the active
+/// kernel backend under `cache_dir` (empty when caching is disabled).
+/// Exposed so chaos tests can corrupt the exact file the cache will read
+/// back.
 std::string pretrained_cache_file(zoo::NetId net, const data::PretrainedConfig& config,
                                   const std::string& cache_dir);
 

@@ -231,6 +231,32 @@ QuantizedNetwork::QuantizedNetwork(nn::Graph fused_graph) : net_(std::move(fused
 void QuantizedNetwork::calibrate(const std::vector<const tensor::Tensor*>& images,
                                  const CalibrationConfig& config) {
   scales_ = calibrate_activations(net_, images, config);
+  const nn::Graph& g = net_.graph();
+  tables_.assign(static_cast<std::size_t>(g.node_count()), NodeTables{});
+  for (int id = 1; id < g.node_count(); ++id) {
+    const nn::Node& nd = g.node(id);
+    NodeTables& t = tables_[static_cast<std::size_t>(id)];
+    const QuantParams& out_p = scales_.at(id);
+    switch (nd.layer->kind()) {
+      case nn::LayerKind::kReLU:
+      case nn::LayerKind::kReLU6: {
+        const bool clip6 = nd.layer->kind() == nn::LayerKind::kReLU6;
+        t.requant = requant_lut(scales_.at(nd.inputs[0]), out_p, [clip6](float v) {
+          v = std::max(v, 0.0f);
+          return clip6 ? std::min(v, 6.0f) : v;
+        });
+        break;
+      }
+      case nn::LayerKind::kFlatten:
+      case nn::LayerKind::kMaxPool:
+        t.requant = requant_lut(scales_.at(nd.inputs[0]), out_p, [](float v) { return v; });
+        break;
+      case nn::LayerKind::kAdd:
+        for (int src : nd.inputs) t.dequant.push_back(dequant_lut(scales_.at(src)));
+        break;
+      default: break;
+    }
+  }
 }
 
 void QuantizedNetwork::plan_int8(const tensor::Shape& in_shape) {
@@ -325,6 +351,7 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
     const QuantParams& in_p = scales_.at(src0);
     const QuantParams& out_p = scales_.at(id);
     const tensor::Shape& in_shape = plan.shapes[static_cast<std::size_t>(src0)];
+    const NodeTables& tables = tables_[static_cast<std::size_t>(id)];
 
     switch (nd.layer->kind()) {
       case nn::LayerKind::kConv2D: {
@@ -366,11 +393,7 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
       }
       case nn::LayerKind::kReLU:
       case nn::LayerKind::kReLU6: {
-        const bool clip6 = nd.layer->kind() == nn::LayerKind::kReLU6;
-        const auto lut = requant_lut(in_p, out_p, [clip6](float v) {
-          v = std::max(v, 0.0f);
-          return clip6 ? std::min(v, 6.0f) : v;
-        });
+        const std::array<std::uint8_t, 256>& lut = tables.requant;
         const std::uint8_t* x = act(src0);
         std::uint8_t* y = act(id);
         const std::size_t count = numel(id);
@@ -384,7 +407,7 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         float* sum = reinterpret_cast<float*>(base + plan.acc_offset);
         const std::size_t count = numel(id);
         for (std::size_t t = 0; t < nd.inputs.size(); ++t) {
-          const std::array<float, 256> lut = dequant_lut(scales_.at(nd.inputs[t]));
+          const std::array<float, 256>& lut = tables.dequant[t];
           const std::uint8_t* x = act(nd.inputs[t]);
           for (std::size_t i = 0; i < count; ++i)
             sum[i] = t == 0 ? lut[x[i]] : sum[i] + lut[x[i]];
@@ -395,7 +418,7 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
       case nn::LayerKind::kFlatten: {
         // Pure relabeling of the same elements; only the calibrated scale
         // changes between the two node outputs.
-        const auto lut = requant_lut(in_p, out_p, [](float v) { return v; });
+        const std::array<std::uint8_t, 256>& lut = tables.requant;
         const std::uint8_t* x = act(src0);
         std::uint8_t* y = act(id);
         const std::size_t count = numel(id);
@@ -407,7 +430,7 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         // monotonic), so pool in the quantized domain and requantize the
         // winners. Window clamping mirrors Pool2D::forward_into.
         const auto& pool = static_cast<const nn::Pool2D&>(*nd.layer);
-        const auto lut = requant_lut(in_p, out_p, [](float v) { return v; });
+        const std::array<std::uint8_t, 256>& lut = tables.requant;
         const tensor::Shape& os = plan.shapes[static_cast<std::size_t>(id)];
         const int C = in_shape[0], ih = in_shape[1], iw = in_shape[2];
         const int oh = os[1], ow = os[2];

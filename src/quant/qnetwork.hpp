@@ -2,7 +2,8 @@
 // graph as genuine integer execution, uint8 activations end to end.
 //
 // Conv2D lowers to im2col over uint8 activations plus the backend s8u8 GEMM
-// (tensor::gemm_s8u8) on weights packed once at construction; a 1x1,
+// (tensor::gemm_s8u8) on weights packed once at construction, in the
+// GEMM's k-quad panel layout (one byte per weight); a 1x1,
 // stride-1, unpadded Conv2D passes its input activation to the GEMM
 // directly. Dense uses the same GEMM with N = 1. DepthwiseConv2D runs a
 // channel-blocked integer kernel over a zero-point-padded tile and shares
@@ -10,17 +11,21 @@
 // / MaxPool / Flatten) runs through 256-entry lookup tables; Add
 // dequantizes through tables, sums in the float layer's order and
 // requantizes; the remaining layer kinds (GlobalAvgPool, AvgPool, Concat,
-// Softmax) dequantize, run the float layer, and requantize. Activations and
-// kernel scratch live in one reused tensor::Arena laid out once per input
-// shape, so steady-state passes allocate nothing on the integer path.
+// Softmax) dequantize, run the float layer, and requantize. The tables
+// depend only on the calibrated scales and are built once by calibrate().
+// Activations and kernel scratch live in one reused tensor::Arena laid out
+// once per input shape, so steady-state passes allocate nothing on the
+// integer path.
 //
 // The simulated-quantization reference the tests compare against (fp32
 // layers with a uint8 round trip after every node) lives in
 // tests/quant_oracle.hpp.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "nn/network.hpp"
 #include "quant/calibrate.hpp"
@@ -82,6 +87,15 @@ class QuantizedNetwork {
     std::size_t total_floats = 0;
   };
 
+  /// The 256-entry tables one node's integer kernel reads, built once by
+  /// calibrate() from the scales: ReLU / ReLU6 / Flatten / MaxPool map an
+  /// input byte to an output byte through `requant`; Add dequantizes its
+  /// input t through dequant[t].
+  struct NodeTables {
+    std::array<std::uint8_t, 256> requant{};
+    std::vector<std::array<float, 256>> dequant;
+  };
+
   void plan_int8(const tensor::Shape& in_shape);
 
   nn::Network net_;  // weights already round-tripped through int8
@@ -89,6 +103,7 @@ class QuantizedNetwork {
   float max_weight_error_ = 0.0f;
 
   std::map<int, NodeWeights> node_weights_;  // conv/depthwise/dense node id -> int8 form
+  std::vector<NodeTables> tables_;           // by node id; built with scales_
   Int8Plan int8_plan_;
   tensor::Arena int8_arena_;
 };

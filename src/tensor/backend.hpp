@@ -11,7 +11,8 @@
 //  * simd   — register-tiled microkernels: AVX2/FMA intrinsics when the CPU
 //    reports avx2+fma at runtime (function-multiversioned, no global ISA
 //    flags), a portable `#pragma omp simd` register-tile otherwise. fp32
-//    reads A in place and packs only B; int8 takes A pre-packed (below).
+//    reads A in place and packs only B; int8 takes A pre-packed (below) and
+//    runs on the CPU's VNNI dot-product instruction where it has one.
 //    Depthwise vectorises across a block of channels instead of across the
 //    output width (TRN planes shrink to 2x2 and 1x1).
 //
@@ -23,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace netcut::tensor {
 
@@ -30,14 +32,14 @@ struct ConvGeometry;  // tensor/im2col.hpp
 
 enum class BackendKind { kScalar, kSimd };
 
-/// Rows per tile of the int8 weight panel layout, which both backends'
-/// integer GEMM read. pack_s8_panels (tensor/gemm.hpp) lays A[s8, MxK] out
-/// as ceil(M / kS8PanelRows) tiles of ceil(K / 2) k-pairs; tile t, k-pair
-/// kp, row r holds one i32 word at (t * kpairs + kp) * kS8PanelRows + r:
-/// low i16 = a[t*R + r][2kp], high i16 = a[t*R + r][2kp + 1], zero past the
-/// K tail and past row M. One word is the operand one madd_epi16 lane
-/// contracts against a (b[2kp][j], b[2kp+1][j]) pair.
-inline constexpr int kS8PanelRows = 4;
+/// Rows per tile of the int8 weight panel layout, which every int8 GEMM
+/// kernel reads. pack_s8_panels (tensor/gemm.hpp) lays A[s8, MxK] out as
+/// ceil(M / kS8PanelRows) tiles of ceil(K / 4) k-quads; tile t, k-quad kq,
+/// row r holds one i32 word at (t * kquads + kq) * kS8PanelRows + r whose
+/// bytes, lowest first, are a[t*R + r][4kq .. 4kq + 3]: one byte per weight,
+/// zero past the K tail and past row M. One word is the s8 operand of one
+/// vpdpbusd lane, and the eight rows of a tile at one k-quad are one vector.
+inline constexpr int kS8PanelRows = 8;
 
 /// Function table for the hot kernels. fp32 entries match the free-function
 /// contracts in gemm.hpp; the int8 entry computes raw products
@@ -78,8 +80,26 @@ BackendKind parse_backend(const char* s);
 
 const char* backend_name(BackendKind kind);
 
-/// Which implementation the simd backend dispatches to on this machine:
-/// "avx2" (CPU reports avx2+fma) or "portable".
+/// Which implementation the simd backend's fp32 kernels dispatch to on this
+/// machine: "avx2" (CPU reports avx2+fma) or "portable".
 const char* simd_isa();
+
+/// Which microkernel the simd backend's int8 GEMM dispatches to: "vnni"
+/// (CPU reports avx_vnni, or avx512_vnni + avx512vl), "avx2" (avx2+fma) or
+/// "portable", chosen once at startup in that order.
+const char* int8_isa();
+
+/// One int8 GEMM implementation of the simd backend, with the contract of
+/// KernelBackend::gemm_s8u8.
+struct Int8Kernel {
+  const char* isa;
+  void (*gemm_s8u8)(const std::int32_t* a_panels, const std::uint8_t* b, std::int32_t* c,
+                    int m, int k, int n);
+};
+
+/// Every int8 GEMM implementation this CPU can run, the dispatched one
+/// first. The simd backend only ever calls the first; the list lets tests
+/// check the fallbacks on a host that would never dispatch to them.
+std::vector<Int8Kernel> simd_int8_kernels();
 
 }  // namespace netcut::tensor

@@ -113,28 +113,29 @@ void gemv_t_scalar(const float* a, const float* x, float* y, int m, int n) {
   }
 }
 
-/// a[i][kk] of a weight matrix in the int8 panel layout (tensor/backend.hpp).
-std::int32_t panel_weight(const std::int32_t* panels, int kpairs, int i, int kk) {
-  const std::int64_t word = (static_cast<std::int64_t>(i / kS8PanelRows) * kpairs + kk / 2) *
+/// a[i][kk] of a weight matrix in the int8 k-quad panel layout
+/// (tensor/backend.hpp): byte kk % 4 of row i's word at k-quad kk / 4.
+std::int32_t panel_weight(const std::int32_t* panels, int kquads, int i, int kk) {
+  const std::int64_t word = (static_cast<std::int64_t>(i / kS8PanelRows) * kquads + kk / 4) *
                                 kS8PanelRows +
                             i % kS8PanelRows;
   const auto w = static_cast<std::uint32_t>(panels[word]);
-  return static_cast<std::int16_t>(kk % 2 == 0 ? w & 0xFFFFu : w >> 16);
+  return static_cast<std::int8_t>(static_cast<std::uint8_t>(w >> (8 * (kk % 4))));
 }
 
 /// Raw-product int8 GEMM reference. It reads A one weight at a time through
-/// panel_weight, sharing the panel layout with the simd kernel but none of
-/// its tiling. Row partition is race-free, and integer addition is
+/// panel_weight, sharing the panel layout with the simd kernels but none of
+/// their tiling. Row partition is race-free, and integer addition is
 /// associative, so any split is bit-exact.
 void gemm_s8u8_scalar(const std::int32_t* a_panels, const std::uint8_t* b, std::int32_t* c,
                       int m, int k, int n) {
-  const int kpairs = (k + 1) / 2;
+  const int kquads = (k + 3) / 4;
   const auto rows = [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       std::int32_t* crow = c + i * n;
       std::memset(crow, 0, sizeof(std::int32_t) * static_cast<std::size_t>(n));
       for (int kk = 0; kk < k; ++kk) {
-        const std::int32_t av = panel_weight(a_panels, kpairs, static_cast<int>(i), kk);
+        const std::int32_t av = panel_weight(a_panels, kquads, static_cast<int>(i), kk);
         if (av == 0) continue;
         const std::uint8_t* brow = b + static_cast<std::int64_t>(kk) * n;
         for (int j = 0; j < n; ++j) crow[j] += av * static_cast<std::int32_t>(brow[j]);

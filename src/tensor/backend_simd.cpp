@@ -8,18 +8,19 @@
 // one column panel) a per-call copy of A would cost as much as the product.
 // The microkernel keeps the full kMr x kNr accumulator block in registers
 // across the whole K loop — the scalar kernel's bottleneck is exactly the
-// per-k C load/modify/store traffic this removes. The int8 kernel takes A
-// already in the k-pair panel layout (tensor/backend.hpp; pack_s8_panels
-// runs once per weight matrix) and packs activation columns
-// k-pair-interleaved, so one madd(u8->i16, s8->i16) instruction accumulates
-// two K steps into exact i32 lanes (no i16 saturation: |u8 x s8| <= 255*127
-// and the pair sum fits i32).
+// per-k C load/modify/store traffic this removes. The int8 GEMM takes A
+// already in the k-quad panel layout (tensor/backend.hpp; pack_s8_panels
+// runs once per weight matrix, one byte per weight) and packs activation
+// columns per call for its microkernel: k-quads for VNNI's vpdpbusd, which
+// accumulates four K steps per instruction into exact i32 lanes, k-pairs
+// for the AVX2 madd fallback.
 //
-// Two implementations live in this TU and are chosen at runtime via cpuid:
-// AVX2/FMA function-multiversioned kernels (target attributes, so no global
-// ISA flags are needed), and a portable register-tile relying on
-// `#pragma omp simd` (-fopenmp-simd is applied to this file only; the
-// pragma is advisory and compiles to correct scalar code anywhere).
+// Each kernel family lives in this TU and is chosen once at runtime via
+// cpuid: VNNI (int8 only), AVX2/FMA function-multiversioned kernels (target
+// attributes, so no global ISA flags are needed), and a portable
+// register-tile relying on `#pragma omp simd` (-fopenmp-simd is applied to
+// this file only; the pragma is advisory and compiles to correct scalar
+// code anywhere).
 //
 // Determinism: row-panel partitioning mirrors the scalar backend — panel
 // boundaries are multiples of the register tile, so every output element
@@ -56,8 +57,8 @@ namespace {
 
 constexpr int kMr = 6;   // fp32 rows per register tile
 constexpr int kNr = 16;  // fp32 cols per register tile (two 8-float lanes)
-constexpr int kMrI8 = kS8PanelRows;
-constexpr int kNrI8 = 16;
+constexpr int kMrI8 = 4;   // int8 rows per register tile, half a panel tile
+constexpr int kNrI8 = 16;  // int8 cols per register tile
 constexpr std::int64_t kParallelFlopCutoff = 1 << 16;
 
 /// Pack buffers are handed out 64-byte aligned so panel rows (64 bytes for
@@ -362,54 +363,228 @@ void gemv_t_simd(const float* a, const float* x, float* y, int m, int n) {
 // int8: C[i32, MxN] = A[s8, MxK] * B[u8, KxN], raw products
 // ---------------------------------------------------------------------------
 
-/// B -> panels of kNrI8 columns with K-pair interleaving, zero-padded both
-/// ways: dst[p * kpairs * 32 + kp * 32 + jj * 2 + parity] = b[2*kp+parity][j0+jj].
-/// Adjacent i16 lanes after cvtepu8_epi16 then hold (b[k][j], b[k+1][j]) —
-/// exactly the operand layout one madd_epi16 contracts.
-void pack_b_s8u8(const std::uint8_t* b, int k, int n, std::uint8_t* dst) {
+/// The int8 GEMM's microkernel families, in dispatch order. The two VNNI
+/// entries are one kernel in the VEX (avx_vnni) and EVEX (avx512_vnni +
+/// avx512vl) encodings of the same instruction.
+enum class Int8Isa { kAvxVnni, kAvx512Vnni, kAvx2, kPortable };
+
+bool cpu_runs(Int8Isa isa) {
+  switch (isa) {
+#if NETCUT_SIMD_X86
+    case Int8Isa::kAvxVnni: return kUseAvx2 && __builtin_cpu_supports("avxvnni");
+    case Int8Isa::kAvx512Vnni:
+      return kUseAvx2 && __builtin_cpu_supports("avx512vnni") &&
+             __builtin_cpu_supports("avx512vl");
+#else
+    case Int8Isa::kAvxVnni:
+    case Int8Isa::kAvx512Vnni: return false;
+#endif
+    case Int8Isa::kAvx2: return kUseAvx2;
+    case Int8Isa::kPortable: return true;
+  }
+  return false;
+}
+
+constexpr Int8Isa kInt8Isas[] = {Int8Isa::kAvxVnni, Int8Isa::kAvx512Vnni, Int8Isa::kAvx2,
+                                 Int8Isa::kPortable};
+
+Int8Isa best_int8_isa() {
+  for (const Int8Isa isa : kInt8Isas)
+    if (cpu_runs(isa)) return isa;
+  return Int8Isa::kPortable;
+}
+
+const Int8Isa kInt8Isa = best_int8_isa();
+
+/// Bytes of one packed B panel: kNrI8 columns x 4 bytes per k-quad, in
+/// either packing below.
+std::int64_t b_panel_bytes(int kquads) { return static_cast<std::int64_t>(kquads) * 4 * kNrI8; }
+
+#if NETCUT_SIMD_X86
+/// Four B rows from `b` (row stride n) x 16 columns -> one k-quad row of a
+/// panel, as a 4 x 16 byte transpose (SSE2, which every x86-64 CPU has).
+inline void interleave_quad(const std::uint8_t* b, std::int64_t n, std::uint8_t* out) {
+  const auto row = [&](int t) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + t * n));
+  };
+  const __m128i b0 = row(0), b1 = row(1), b2 = row(2), b3 = row(3);
+  const __m128i lo01 = _mm_unpacklo_epi8(b0, b1), hi01 = _mm_unpackhi_epi8(b0, b1);
+  const __m128i lo23 = _mm_unpacklo_epi8(b2, b3), hi23 = _mm_unpackhi_epi8(b2, b3);
+  auto* dst = reinterpret_cast<__m128i*>(out);
+  _mm_store_si128(dst + 0, _mm_unpacklo_epi16(lo01, lo23));  // columns 0-3
+  _mm_store_si128(dst + 1, _mm_unpackhi_epi16(lo01, lo23));  // 4-7
+  _mm_store_si128(dst + 2, _mm_unpacklo_epi16(hi01, hi23));  // 8-11
+  _mm_store_si128(dst + 3, _mm_unpackhi_epi16(hi01, hi23));  // 12-15
+}
+#endif
+
+/// B -> panels of kNrI8 columns in k-quads, zero-padded both ways:
+/// dst[(p * kquads + kq) * 64 + jj * 4 + t] = b[4kq + t][p * kNrI8 + jj].
+/// One column's quad is the u8 word vpdpbusd contracts against a weight
+/// word of the k-quad panel layout.
+void pack_b_quads(const std::uint8_t* b, int k, int n, std::uint8_t* dst) {
   const int panels = (n + kNrI8 - 1) / kNrI8;
-  const int kpairs = (k + 1) / 2;
+  const int kquads = (k + 3) / 4;
   for (int p = 0; p < panels; ++p) {
     const int j0 = p * kNrI8;
-    const int jw = (j0 + kNrI8 <= n) ? kNrI8 : n - j0;
-    std::uint8_t* panel = dst + static_cast<std::int64_t>(p) * kpairs * 2 * kNrI8;
-    for (int kp = 0; kp < kpairs; ++kp) {
-      std::uint8_t* out = panel + static_cast<std::int64_t>(kp) * 2 * kNrI8;
-      const std::uint8_t* b0 = b + static_cast<std::int64_t>(2 * kp) * n + j0;
-      const bool has_hi = 2 * kp + 1 < k;
-      const std::uint8_t* b1 = has_hi ? b0 + n : nullptr;
-      for (int jj = 0; jj < jw; ++jj) {
-        out[jj * 2 + 0] = b0[jj];
-        out[jj * 2 + 1] = has_hi ? b1[jj] : 0;
+    const int jw = std::min(kNrI8, n - j0);
+    std::uint8_t* panel = dst + p * b_panel_bytes(kquads);
+    for (int kq = 0; kq < kquads; ++kq) {
+      std::uint8_t* out = panel + static_cast<std::int64_t>(kq) * 4 * kNrI8;
+#if NETCUT_SIMD_X86
+      if (jw == kNrI8 && 4 * kq + 4 <= k) {
+        interleave_quad(b + static_cast<std::int64_t>(4 * kq) * n + j0, n, out);
+        continue;
       }
-      for (int jj = jw; jj < kNrI8; ++jj) {
-        out[jj * 2 + 0] = 0;
-        out[jj * 2 + 1] = 0;
+#endif
+      std::memset(out, 0, 4 * kNrI8);
+      for (int t = 0; t < 4 && 4 * kq + t < k; ++t) {
+        const std::uint8_t* src = b + static_cast<std::int64_t>(4 * kq + t) * n + j0;
+        for (int jj = 0; jj < jw; ++jj) out[jj * 4 + t] = src[jj];
       }
     }
   }
 }
 
-#if NETCUT_SIMD_X86
-NETCUT_TARGET_AVX2 void micro_s8u8_avx2(const std::int32_t* ap, const std::uint8_t* bp,
-                                        int kpairs, std::int32_t* c, int ldc) {
-  __m256i acc[kMrI8][2];
-  for (int r = 0; r < kMrI8; ++r) {
-    acc[r][0] = _mm256_setzero_si256();
-    acc[r][1] = _mm256_setzero_si256();
+/// B -> panels of kNrI8 columns in k-pairs, for the madd kernel:
+/// dst[(p * kpairs + kp) * 32 + jj * 2 + parity] = b[2kp + parity][p * kNrI8 + jj],
+/// kpairs = 2 * kquads (every quad's two pairs, zero past K). Adjacent i16
+/// lanes after cvtepu8_epi16 then hold (b[k][j], b[k+1][j]), exactly the
+/// operand one madd_epi16 contracts against a weight pair.
+void pack_b_pairs(const std::uint8_t* b, int k, int n, std::uint8_t* dst) {
+  const int panels = (n + kNrI8 - 1) / kNrI8;
+  const int kpairs = 2 * ((k + 3) / 4);
+  for (int p = 0; p < panels; ++p) {
+    const int j0 = p * kNrI8;
+    const int jw = std::min(kNrI8, n - j0);
+    std::uint8_t* panel = dst + p * b_panel_bytes(kpairs / 2);
+    for (int kp = 0; kp < kpairs; ++kp) {
+      std::uint8_t* out = panel + static_cast<std::int64_t>(kp) * 2 * kNrI8;
+      std::memset(out, 0, 2 * kNrI8);
+      for (int parity = 0; parity < 2 && 2 * kp + parity < k; ++parity) {
+        const std::uint8_t* src = b + static_cast<std::int64_t>(2 * kp + parity) * n + j0;
+        for (int jj = 0; jj < jw; ++jj) out[jj * 2 + parity] = src[jj];
+      }
+    }
   }
-  for (int kp = 0; kp < kpairs; ++kp) {
-    const std::uint8_t* brow = bp + static_cast<std::int64_t>(kp) * 2 * kNrI8;
-    // 16 interleaved bytes -> 16 i16 lanes: pairs (b[k][j], b[k+1][j]).
-    const __m256i b0 = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow)));
-    const __m256i b1 = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(brow + kNrI8)));
-    const std::int32_t* arow = ap + static_cast<std::int64_t>(kp) * kMrI8;
+}
+
+/// The microkernels below compute c[kMrI8 x kNrI8] = the kMrI8 weight rows
+/// at `ap` (k-quad words kS8PanelRows apart) times one packed B panel.
+using MicroS8u8 = void (*)(const std::int32_t* ap, const std::uint8_t* bp, int kquads,
+                           std::int32_t* c, int ldc);
+
+#if NETCUT_SIMD_X86
+/// acc += the four u8 x s8 products of each i32 lane, summed in i32 without
+/// saturation (vpdpbusd; the saturating vpdpbusds and the i16 pair sums of
+/// pmaddubsw would not be exact). kVex picks the VEX (avx_vnni) or the
+/// EVEX (avx512_vnni + avx512vl) encoding. Emitted directly so that one
+/// kernel body, compiled for avx2 alone, serves both: each intrinsic is
+/// tied to a target the other CPU lacks.
+template <bool kVex>
+NETCUT_TARGET_AVX2 inline __m256i dpbusd(__m256i acc, __m256i u8, __m256i s8) {
+  if constexpr (kVex)
+    asm("%{vex%} vpdpbusd %2, %1, %0" : "+x"(acc) : "x"(u8), "x"(s8));
+  else
+    asm("%{evex%} vpdpbusd %2, %1, %0" : "+x"(acc) : "x"(u8), "x"(s8));
+  return acc;
+}
+
+/// kMrI8 x kNrI8 tile: per k-quad, two B loads (16 columns x 4 bytes) and
+/// one broadcast weight word per row.
+template <bool kVex>
+NETCUT_TARGET_AVX2 void micro_s8u8_vnni(const std::int32_t* ap, const std::uint8_t* bp,
+                                        int kquads, std::int32_t* c, int ldc) {
+  __m256i acc[kMrI8][2];
+  for (int r = 0; r < kMrI8; ++r) acc[r][0] = acc[r][1] = _mm256_setzero_si256();
+  for (int kq = 0; kq < kquads; ++kq) {
+    const std::uint8_t* bq = bp + static_cast<std::int64_t>(kq) * 4 * kNrI8;
+    const __m256i b0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(bq));
+    const __m256i b1 = _mm256_load_si256(reinterpret_cast<const __m256i*>(bq + 32));
+    const std::int32_t* arow = ap + static_cast<std::int64_t>(kq) * kS8PanelRows;
     for (int r = 0; r < kMrI8; ++r) {
       const __m256i wv = _mm256_set1_epi32(arow[r]);
-      acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(b0, wv));
-      acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(b1, wv));
+      acc[r][0] = dpbusd<kVex>(acc[r][0], b0, wv);
+      acc[r][1] = dpbusd<kVex>(acc[r][1], b1, wv);
+    }
+  }
+  for (int r = 0; r < kMrI8; ++r) {
+    std::int32_t* crow = c + static_cast<std::int64_t>(r) * ldc;
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow), acc[r][0]);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + 8), acc[r][1]);
+  }
+}
+
+/// The column tail (fewer than kNrI8 columns, all of a TRN's 1x1 and 2x2
+/// outputs): kTiles whole panel tiles x kCols columns with the operands
+/// swapped, so no lane computes a padding column. A tile's eight rows at
+/// one k-quad are one vector, and each column's quad is broadcast. Stores
+/// the first `rows` rows of c.
+template <bool kVex, int kTiles, int kCols>
+NETCUT_TARGET_AVX2 void micro_s8u8_vnni_cols(const std::int32_t* ap, std::int64_t tile_words,
+                                             const std::uint8_t* bq, int kquads, std::int32_t* c,
+                                             int ldc, int rows) {
+  static_assert(kS8PanelRows == 8, "one tile row-vector is eight i32 lanes");
+  __m256i acc[kTiles][kCols];
+  for (int t = 0; t < kTiles; ++t)
+    for (int j = 0; j < kCols; ++j) acc[t][j] = _mm256_setzero_si256();
+  for (int kq = 0; kq < kquads; ++kq) {
+    __m256i w[kTiles];
+    for (int t = 0; t < kTiles; ++t)
+      w[t] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(ap + t * tile_words + kq * kS8PanelRows));
+    const std::uint8_t* bk = bq + static_cast<std::int64_t>(kq) * 4 * kNrI8;
+    for (int j = 0; j < kCols; ++j) {
+      const __m256i bv = _mm256_broadcastd_epi32(_mm_loadu_si32(bk + 4 * j));
+      for (int t = 0; t < kTiles; ++t) acc[t][j] = dpbusd<kVex>(acc[t][j], bv, w[t]);
+    }
+  }
+  alignas(32) std::int32_t lanes[kS8PanelRows];
+  for (int t = 0; t < kTiles; ++t)
+    for (int j = 0; j < kCols; ++j) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc[t][j]);
+      const int live = std::min(kS8PanelRows, rows - t * kS8PanelRows);
+      for (int r = 0; r < live; ++r)
+        c[static_cast<std::int64_t>(t * kS8PanelRows + r) * ldc + j] = lanes[r];
+    }
+}
+
+template <bool kVex, int kTiles>
+void vnni_cols(const std::int32_t* ap, std::int64_t tile_words, const std::uint8_t* bq,
+               int kquads, std::int32_t* c, int ldc, int rows, int cols) {
+  switch (cols) {
+    case 1: micro_s8u8_vnni_cols<kVex, kTiles, 1>(ap, tile_words, bq, kquads, c, ldc, rows); break;
+    case 2: micro_s8u8_vnni_cols<kVex, kTiles, 2>(ap, tile_words, bq, kquads, c, ldc, rows); break;
+    case 3: micro_s8u8_vnni_cols<kVex, kTiles, 3>(ap, tile_words, bq, kquads, c, ldc, rows); break;
+    default: micro_s8u8_vnni_cols<kVex, kTiles, 4>(ap, tile_words, bq, kquads, c, ldc, rows);
+  }
+}
+
+/// The madd fallback for CPUs without VNNI: each weight word splits in
+/// registers into its two k-pairs, sign-extended to i16, and each pair
+/// meets its B pair in one madd_epi16 (|u8 x s8| <= 255 * 128, so the pair
+/// sum fits i32 exactly).
+NETCUT_TARGET_AVX2 void micro_s8u8_avx2(const std::int32_t* ap, const std::uint8_t* bp,
+                                        int kquads, std::int32_t* c, int ldc) {
+  __m256i acc[kMrI8][2];
+  for (int r = 0; r < kMrI8; ++r) acc[r][0] = acc[r][1] = _mm256_setzero_si256();
+  for (int kq = 0; kq < kquads; ++kq) {
+    // 16 interleaved bytes -> 16 i16 lanes: pairs (b[k][j], b[k+1][j]).
+    const auto* bq =
+        reinterpret_cast<const __m128i*>(bp + static_cast<std::int64_t>(kq) * 4 * kNrI8);
+    const __m256i b00 = _mm256_cvtepu8_epi16(_mm_loadu_si128(bq));      // pair 2kq
+    const __m256i b01 = _mm256_cvtepu8_epi16(_mm_loadu_si128(bq + 1));
+    const __m256i b10 = _mm256_cvtepu8_epi16(_mm_loadu_si128(bq + 2));  // pair 2kq + 1
+    const __m256i b11 = _mm256_cvtepu8_epi16(_mm_loadu_si128(bq + 3));
+    const std::int32_t* arow = ap + static_cast<std::int64_t>(kq) * kS8PanelRows;
+    for (int r = 0; r < kMrI8; ++r) {
+      const __m128i w16 = _mm_cvtepi8_epi16(_mm_cvtsi32_si128(arow[r]));
+      const __m256i w0 = _mm256_broadcastd_epi32(w16);
+      const __m256i w1 = _mm256_broadcastd_epi32(_mm_srli_si128(w16, 4));
+      acc[r][0] = _mm256_add_epi32(
+          acc[r][0], _mm256_add_epi32(_mm256_madd_epi16(b00, w0), _mm256_madd_epi16(b10, w1)));
+      acc[r][1] = _mm256_add_epi32(
+          acc[r][1], _mm256_add_epi32(_mm256_madd_epi16(b01, w0), _mm256_madd_epi16(b11, w1)));
     }
   }
   for (int r = 0; r < kMrI8; ++r) {
@@ -420,19 +595,21 @@ NETCUT_TARGET_AVX2 void micro_s8u8_avx2(const std::int32_t* ap, const std::uint8
 }
 #endif  // NETCUT_SIMD_X86
 
-void micro_s8u8_portable(const std::int32_t* ap, const std::uint8_t* bp, int kpairs,
+void micro_s8u8_portable(const std::int32_t* ap, const std::uint8_t* bp, int kquads,
                          std::int32_t* c, int ldc) {
   std::int32_t acc[kMrI8][kNrI8] = {};
-  for (int kp = 0; kp < kpairs; ++kp) {
-    const std::uint8_t* brow = bp + static_cast<std::int64_t>(kp) * 2 * kNrI8;
-    const std::int32_t* arow = ap + static_cast<std::int64_t>(kp) * kMrI8;
+  for (int kq = 0; kq < kquads; ++kq) {
+    const std::uint8_t* bq = bp + static_cast<std::int64_t>(kq) * 4 * kNrI8;
+    const std::int32_t* arow = ap + static_cast<std::int64_t>(kq) * kS8PanelRows;
     for (int r = 0; r < kMrI8; ++r) {
-      const std::int32_t lo = static_cast<std::int16_t>(arow[r] & 0xFFFF);
-      const std::int32_t hi = static_cast<std::int16_t>(
-          static_cast<std::uint32_t>(arow[r]) >> 16);
+      const auto w = static_cast<std::uint32_t>(arow[r]);
+      std::int32_t a[4];
+      for (int t = 0; t < 4; ++t)
+        a[t] = static_cast<std::int8_t>(static_cast<std::uint8_t>(w >> (8 * t)));
 #pragma omp simd
       for (int jj = 0; jj < kNrI8; ++jj)
-        acc[r][jj] += lo * brow[jj * 2] + hi * brow[jj * 2 + 1];
+        acc[r][jj] += a[0] * bq[jj * 4] + a[1] * bq[jj * 4 + 1] + a[2] * bq[jj * 4 + 2] +
+                      a[3] * bq[jj * 4 + 3];
     }
   }
   for (int r = 0; r < kMrI8; ++r) {
@@ -441,49 +618,79 @@ void micro_s8u8_portable(const std::int32_t* ap, const std::uint8_t* bp, int kpa
   }
 }
 
-void micro_s8u8(const std::int32_t* ap, const std::uint8_t* bp, int kpairs, std::int32_t* c,
-                int ldc) {
-#if NETCUT_SIMD_X86
-  if (kUseAvx2) {
-    micro_s8u8_avx2(ap, bp, kpairs, c, ldc);
-    return;
-  }
-#endif
-  micro_s8u8_portable(ap, bp, kpairs, c, ldc);
-}
-
-/// Row tiles [i0, i1) of the product; A is the pre-packed panel layout
-/// (tensor/backend.hpp), tile t at offset t * kpairs * kMrI8.
-void gemm_s8u8_rows(const std::int32_t* apanels, const std::uint8_t* bpack, std::int32_t* c,
-                    int i0, int i1, int k, int n) {
-  const int kpairs = (k + 1) / 2;
-  const int panels = (n + kNrI8 - 1) / kNrI8;
+/// Rows [i0, i1) (i0 a tile multiple) against B panels [0, panels), one
+/// kMrI8 x kNrI8 tile at a time. A tile past row M or past column N goes
+/// through a buffer.
+void s8u8_tiles(MicroS8u8 micro, const std::int32_t* apanels, const std::uint8_t* bpack,
+                std::int32_t* c, int i0, int i1, int k, int n, int panels) {
+  const int kquads = (k + 3) / 4;
   std::int32_t buf[kMrI8 * kNrI8];
   for (int i = i0; i < i1; i += kMrI8) {
-    const int mi = (i + kMrI8 <= i1) ? kMrI8 : i1 - i;
-    const std::int32_t* apack = apanels + static_cast<std::int64_t>(i / kMrI8) * kpairs * kMrI8;
+    const int mi = std::min(kMrI8, i1 - i);
+    const std::int32_t* ap = apanels +
+                             static_cast<std::int64_t>(i / kS8PanelRows) * kquads * kS8PanelRows +
+                             i % kS8PanelRows;
     for (int p = 0; p < panels; ++p) {
       const int j0 = p * kNrI8;
-      const int jw = (j0 + kNrI8 <= n) ? kNrI8 : n - j0;
-      const std::uint8_t* bpanel =
-          bpack + static_cast<std::int64_t>(p) * kpairs * 2 * kNrI8;
+      const int jw = std::min(kNrI8, n - j0);
+      const std::uint8_t* bpanel = bpack + p * b_panel_bytes(kquads);
       std::int32_t* ctile = c + static_cast<std::int64_t>(i) * n + j0;
       if (mi == kMrI8 && jw == kNrI8) {
-        micro_s8u8(apack, bpanel, kpairs, ctile, n);
+        micro(ap, bpanel, kquads, ctile, n);
         continue;
       }
-      micro_s8u8(apack, bpanel, kpairs, buf, kNrI8);
-      for (int r = 0; r < mi; ++r) {
-        std::int32_t* crow = ctile + static_cast<std::int64_t>(r) * n;
-        const std::int32_t* brow = buf + static_cast<std::int64_t>(r) * kNrI8;
-        for (int jj = 0; jj < jw; ++jj) crow[jj] = brow[jj];
-      }
+      micro(ap, bpanel, kquads, buf, kNrI8);
+      for (int r = 0; r < mi; ++r)
+        std::memcpy(ctile + static_cast<std::int64_t>(r) * n, buf + r * kNrI8,
+                    sizeof(std::int32_t) * static_cast<std::size_t>(jw));
     }
   }
 }
 
-void gemm_s8u8_simd(const std::int32_t* apanels, const std::uint8_t* b, std::int32_t* c,
-                    int m, int k, int n) {
+/// Rows [i0, i1) of the product on microkernel family kIsa, B packed for it.
+template <Int8Isa kIsa>
+void s8u8_rows(const std::int32_t* apanels, const std::uint8_t* bpack, std::int32_t* c, int i0,
+               int i1, int k, int n) {
+  const int panels = (n + kNrI8 - 1) / kNrI8;
+#if NETCUT_SIMD_X86
+  if constexpr (kIsa == Int8Isa::kAvxVnni || kIsa == Int8Isa::kAvx512Vnni) {
+    constexpr bool kVex = kIsa == Int8Isa::kAvxVnni;
+    // Whole 16-column panels on the wide tile, the column tail on the
+    // swapped one, two panel tiles at a time.
+    const int full = n / kNrI8;
+    s8u8_tiles(micro_s8u8_vnni<kVex>, apanels, bpack, c, i0, i1, k, n, full);
+    if (full == panels) return;
+    const int kquads = (k + 3) / 4;
+    const std::int64_t tile_words = static_cast<std::int64_t>(kquads) * kS8PanelRows;
+    const std::uint8_t* btail = bpack + full * b_panel_bytes(kquads);
+    for (int i = i0; i < i1; i += 2 * kS8PanelRows) {
+      const int rows = std::min(2 * kS8PanelRows, i1 - i);
+      const std::int32_t* ap = apanels + (i / kS8PanelRows) * tile_words;
+      for (int j = full * kNrI8; j < n; j += 4) {
+        const int cols = std::min(4, n - j);
+        const std::uint8_t* bq = btail + 4 * (j - full * kNrI8);
+        std::int32_t* ctile = c + static_cast<std::int64_t>(i) * n + j;
+        if (rows > kS8PanelRows)
+          vnni_cols<kVex, 2>(ap, tile_words, bq, kquads, ctile, n, rows, cols);
+        else
+          vnni_cols<kVex, 1>(ap, tile_words, bq, kquads, ctile, n, rows, cols);
+      }
+    }
+    return;
+  }
+  if constexpr (kIsa == Int8Isa::kAvx2) {
+    s8u8_tiles(micro_s8u8_avx2, apanels, bpack, c, i0, i1, k, n, panels);
+    return;
+  }
+#endif
+  s8u8_tiles(micro_s8u8_portable, apanels, bpack, c, i0, i1, k, n, panels);
+}
+
+/// The int8 GEMM on microkernel family kIsa: packs B once on the calling
+/// thread (deterministic), shared read-only by the row-tile workers.
+template <Int8Isa kIsa>
+void gemm_s8u8_simd(const std::int32_t* apanels, const std::uint8_t* b, std::int32_t* c, int m,
+                    int k, int n) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     std::memset(c, 0,
@@ -492,28 +699,37 @@ void gemm_s8u8_simd(const std::int32_t* apanels, const std::uint8_t* b, std::int
   }
   static thread_local std::vector<std::uint8_t> bpack_store;
   const int panels = (n + kNrI8 - 1) / kNrI8;
-  const int kpairs = (k + 1) / 2;
   std::uint8_t* bpack = aligned_slot(
-      bpack_store,
-      static_cast<std::size_t>(panels) * static_cast<std::size_t>(kpairs) * 2 * kNrI8);
-  pack_b_s8u8(b, k, n, bpack);
+      bpack_store, static_cast<std::size_t>(panels * b_panel_bytes((k + 3) / 4)));
+  if constexpr (kIsa == Int8Isa::kAvx2)
+    pack_b_pairs(b, k, n, bpack);
+  else
+    pack_b_quads(b, k, n, bpack);
 
   const std::int64_t macs = 1LL * m * k * n;
   if (macs < kParallelFlopCutoff) {
-    gemm_s8u8_rows(apanels, bpack, c, 0, m, k, n);
+    s8u8_rows<kIsa>(apanels, bpack, c, 0, m, k, n);
     return;
   }
-  const std::int64_t tiles = (m + kMrI8 - 1) / kMrI8;
-  const std::int64_t tile_macs = 1LL * kMrI8 * k * n;
-  const std::int64_t grain =
-      tile_macs > 0 ? (kParallelFlopCutoff + tile_macs - 1) / tile_macs : 1;
+  const std::int64_t tiles = (m + kS8PanelRows - 1) / kS8PanelRows;
+  const std::int64_t tile_macs = 1LL * kS8PanelRows * k * n;
+  const std::int64_t grain = (kParallelFlopCutoff + tile_macs - 1) / tile_macs;
   const std::uint8_t* bp = bpack;
   util::parallel_for(0, tiles, grain, [&](std::int64_t t0, std::int64_t t1) {
-    const int i0 = static_cast<int>(t0) * kMrI8;
-    int i1 = static_cast<int>(t1) * kMrI8;
-    if (i1 > m) i1 = m;
-    gemm_s8u8_rows(apanels, bp, c, i0, i1, k, n);
+    const int i0 = static_cast<int>(t0) * kS8PanelRows;
+    const int i1 = std::min(m, static_cast<int>(t1) * kS8PanelRows);
+    s8u8_rows<kIsa>(apanels, bp, c, i0, i1, k, n);
   });
+}
+
+Int8Kernel int8_kernel(Int8Isa isa) {
+  switch (isa) {
+    case Int8Isa::kAvxVnni: return {"avx_vnni", gemm_s8u8_simd<Int8Isa::kAvxVnni>};
+    case Int8Isa::kAvx512Vnni: return {"avx512_vnni", gemm_s8u8_simd<Int8Isa::kAvx512Vnni>};
+    case Int8Isa::kAvx2: return {"avx2", gemm_s8u8_simd<Int8Isa::kAvx2>};
+    case Int8Isa::kPortable: break;
+  }
+  return {"portable", gemm_s8u8_simd<Int8Isa::kPortable>};
 }
 
 // ---------------------------------------------------------------------------
@@ -627,9 +843,26 @@ std::size_t depthwise_scratch_floats(const ConvGeometry& g) {
 
 const char* simd_isa() { return kUseAvx2 ? "avx2" : "portable"; }
 
+const char* int8_isa() {
+  switch (kInt8Isa) {
+    case Int8Isa::kAvxVnni:
+    case Int8Isa::kAvx512Vnni: return "vnni";
+    case Int8Isa::kAvx2: return "avx2";
+    case Int8Isa::kPortable: break;
+  }
+  return "portable";
+}
+
+std::vector<Int8Kernel> simd_int8_kernels() {
+  std::vector<Int8Kernel> out;
+  for (const Int8Isa isa : kInt8Isas)
+    if (cpu_runs(isa)) out.push_back(int8_kernel(isa));
+  return out;
+}
+
 const KernelBackend& simd_backend() {
   static const KernelBackend backend{"simd", gemm_simd, gemv_simd, gemv_t_simd,
-                                     gemm_s8u8_simd, depthwise_simd};
+                                     int8_kernel(kInt8Isa).gemm_s8u8, depthwise_simd};
   return backend;
 }
 

@@ -54,8 +54,8 @@ void gemv_t(const float* a, const float* x, float* y, int m, int n) {
 
 namespace {
 
-/// Lays A out in the panel layout (tensor/backend.hpp), reusing `p`'s
-/// storage; every word is written, padding included.
+/// Lays A out in the k-quad panel layout (tensor/backend.hpp), reusing
+/// `p`'s storage; padding words are zero.
 void pack_into(const std::int8_t* a, int m, int k, S8Panels& p) {
   constexpr int kRows = kS8PanelRows;
   p.m = m;
@@ -65,22 +65,26 @@ void pack_into(const std::int8_t* a, int m, int k, S8Panels& p) {
     return;
   }
   const int tiles = (m + kRows - 1) / kRows;
-  const int kpairs = (k + 1) / 2;
-  p.words.resize(static_cast<std::size_t>(tiles) * static_cast<std::size_t>(kpairs) * kRows);
-  std::int32_t* out = p.words.data();
-  for (int t = 0; t < tiles; ++t)
-    for (int kp = 0; kp < kpairs; ++kp)
-      for (int r = 0; r < kRows; ++r, ++out) {
-        const int i = t * kRows + r;
-        std::int32_t lo = 0, hi = 0;  // zero rows past M, zero past the K tail
-        if (i < m) {
-          const std::int8_t* arow = a + static_cast<std::int64_t>(i) * k;
-          lo = arow[2 * kp];
-          hi = (2 * kp + 1 < k) ? arow[2 * kp + 1] : 0;
-        }
-        *out = static_cast<std::int32_t>((static_cast<std::uint32_t>(lo) & 0xFFFFu) |
-                                         (static_cast<std::uint32_t>(hi) << 16));
-      }
+  const int kquads = (k + 3) / 4;
+  p.words.assign(static_cast<std::size_t>(tiles) * static_cast<std::size_t>(kquads) * kRows, 0);
+  const auto byte = [](std::int8_t v, int shift) {
+    return static_cast<std::uint32_t>(static_cast<std::uint8_t>(v)) << shift;
+  };
+  for (int i = 0; i < m; ++i) {
+    // Row i's words, kRows apart; words past the K tail stay zero.
+    std::int32_t* out =
+        p.words.data() + static_cast<std::size_t>(i / kRows) * kquads * kRows + i % kRows;
+    const std::int8_t* arow = a + static_cast<std::int64_t>(i) * k;
+    int kk = 0;
+    for (; kk + 4 <= k; kk += 4, out += kRows)
+      *out = static_cast<std::int32_t>(byte(arow[kk], 0) | byte(arow[kk + 1], 8) |
+                                       byte(arow[kk + 2], 16) | byte(arow[kk + 3], 24));
+    if (kk < k) {
+      std::uint32_t word = 0;
+      for (int b = 0; kk + b < k; ++b) word |= byte(arow[kk + b], 8 * b);
+      *out = static_cast<std::int32_t>(word);
+    }
+  }
 }
 
 }  // namespace

@@ -30,9 +30,10 @@ void gemv(const float* a, const float* x, float* y, int m, int n);
 /// y[N] = A^T[MxN] * x[M]
 void gemv_t(const float* a, const float* x, float* y, int m, int n);
 
-/// int8 weights A[s8, MxK] in the integer GEMM's panel layout
-/// (kS8PanelRows in tensor/backend.hpp). Weights are packed once, where
-/// they are quantized; every product then reads the panels as they are.
+/// int8 weights A[s8, MxK] in the integer GEMM's k-quad panel layout
+/// (kS8PanelRows in tensor/backend.hpp), one byte per weight. Weights are
+/// packed once, where they are quantized; every kernel of every backend
+/// then reads the panels as they are.
 struct S8Panels {
   int m = 0, k = 0;
   std::vector<std::int32_t> words;

@@ -25,6 +25,7 @@
 #include "quant_oracle.hpp"
 #include "tensor/backend.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "zoo/zoo.hpp"
 
 namespace netcut::quant {
@@ -461,19 +462,26 @@ TEST(QuantizedNetwork, Int8SpeedupReportedAgainstDeviceModel) {
   const Tensor img = Tensor::randn(Shape::chw(3, 32, 32), rng, 0.5f);
   qnet.calibrate({&img});
 
-  const auto best_ms = [](auto&& fn) {
-    fn();  // warm caches and plans
-    double best = 1e300;
-    for (int i = 0; i < 3; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    return best;
+  // One thread, so the pool's other participants cannot be descheduled
+  // under one pass and not the other, and fp32 and int8 passes alternate,
+  // so a slow stretch of a shared host hits both; best of kPasses each.
+  const int entry_threads = util::num_threads();
+  util::set_num_threads(1);
+  constexpr int kPasses = 9;
+  fp.forward(img);  // warm caches and plans
+  qnet.forward_int8(img);
+  double fp_ms = 1e300, q_ms = 1e300;
+  const auto time_ms = [](auto&& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::milli>(t1 - t0).count();
   };
-  const double fp_ms = best_ms([&] { fp.forward(img); });
-  const double q_ms = best_ms([&] { qnet.forward_int8(img); });
+  for (int i = 0; i < kPasses; ++i) {
+    fp_ms = std::min(fp_ms, time_ms([&] { fp.forward(img); }));
+    q_ms = std::min(q_ms, time_ms([&] { qnet.forward_int8(img); }));
+  }
+  util::set_num_threads(entry_threads);
   const double measured = fp_ms / q_ms;
   const double predicted = hw::DeviceModel().int8_speedup(fp.graph(), /*fuse=*/true);
 

@@ -18,6 +18,7 @@
 #include "core/lab.hpp"
 #include "core/pretrained_cache.hpp"
 #include "nn/serialize.hpp"
+#include "tensor/backend.hpp"
 #include "util/atomic_file.hpp"
 
 namespace netcut {
@@ -119,7 +120,8 @@ TEST(AccuracyCache, MalformedRowsSkippedCountedAndHealed) {
   core::TrnEvaluator probe(dataset, tiny_eval(cache, ""));
   const int cut = probe.full_cut(base);
   const std::string key = zoo::net_name(base) + "|" + std::to_string(cut) + "|" +
-                          std::to_string(probe.config_hash());
+                          std::to_string(probe.config_hash()) + "|" +
+                          tensor::backend_name(tensor::active_backend_kind());
 
   // A valid checksummed row, a torn append, binary garbage, and a
   // pre-checksum 3-field row (no longer read).
@@ -222,6 +224,19 @@ TEST(WeightCache, HeaderlessFileQuarantinedAndRetrained) {
   graph_params(first, a);
   graph_params(healed, b);
   EXPECT_EQ(a, b);
+}
+
+/// The scalar and simd GEMMs round differently and so pretrain different
+/// weights: the cache file depends on the active kernel backend.
+TEST(WeightCache, FileNameDependsOnBackend) {
+  const tensor::BackendKind entry = tensor::active_backend_kind();
+  const data::PretrainedConfig cfg = tiny_pretrain();
+  tensor::set_backend(tensor::BackendKind::kScalar);
+  const std::string scalar = core::pretrained_cache_file(zoo::NetId::kMobileNetV1_025, cfg, "w");
+  tensor::set_backend(tensor::BackendKind::kSimd);
+  const std::string simd = core::pretrained_cache_file(zoo::NetId::kMobileNetV1_025, cfg, "w");
+  tensor::set_backend(entry);
+  EXPECT_NE(scalar, simd);
 }
 
 // --------------------------------------------------------- exploration journal

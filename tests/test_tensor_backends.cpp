@@ -8,6 +8,7 @@
 // vector width, and degenerate single-row/column cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -68,6 +69,8 @@ TEST(Backends, ParseAndNames) {
   EXPECT_STREQ(simd_backend().name, "simd");
   const std::string isa = simd_isa();
   EXPECT_TRUE(isa == "avx2" || isa == "portable") << isa;
+  const std::string isa8 = int8_isa();
+  EXPECT_TRUE(isa8 == "vnni" || isa8 == "avx2" || isa8 == "portable") << isa8;
 }
 
 TEST(Backends, SetBackendSwitchesDispatch) {
@@ -188,31 +191,65 @@ TEST(Backends, SimdFp32GemmEqualsSequentialFmaChain) {
   }
 }
 
+/// Every int8 GEMM kernel the CPU can run (simd_int8_kernels: on a VNNI
+/// host the VNNI kernel in each encoding the CPU reports, the AVX2 madd
+/// fallback and the portable tile), the dispatched simd entry and the raw-A
+/// wrapper on both backends all equal the scalar reference and a naive
+/// oracle on raw A bit for bit. Beyond the edge shapes: K tails of 1, 2 and
+/// 3 mod 4 (the k-quad), N tails of 1-3 columns past whole 16-column panels
+/// and below one panel, M ending one row into a tile or on a tile pair, and
+/// the TRN shapes {256, 2304, 4} and {64, 576, 16}, large enough to split
+/// over the pool.
 TEST(Backends, Int8GemmBitExactAcrossBackendsAndMatchesNaive) {
   BackendGuard guard;
+  const std::vector<Int8Kernel> kernels = simd_int8_kernels();
+  std::vector<std::string> isas;
+  for (const Int8Kernel& kernel : kernels) isas.emplace_back(kernel.isa);
+  const auto has = [&](const char* isa) {
+    return std::find(isas.begin(), isas.end(), isa) != isas.end();
+  };
+  ASSERT_TRUE(has("portable"));
+  if (std::string(simd_isa()) == "avx2") {
+    EXPECT_TRUE(has("avx2"));
+  }
+  if (std::string(int8_isa()) == "vnni") {
+    EXPECT_TRUE(has("avx_vnni") || has("avx512_vnni"));
+    EXPECT_TRUE(isas.front() == "avx_vnni" || isas.front() == "avx512_vnni") << isas.front();
+  } else {
+    EXPECT_EQ(isas.front(), int8_isa());
+  }
+
+  std::vector<ShapeCase> shapes = edge_shapes();
+  shapes.insert(shapes.end(), {{9, 6, 2},   {17, 9, 18},  {16, 10, 35}, {24, 3, 50},
+                               {8, 4, 4},   {25, 14, 17}, {40, 11, 3},  {256, 2304, 4},
+                               {64, 576, 16}});
   util::Rng rng(105);
-  // K values straddle the madd pair width and the panel interleave; N and M
-  // straddle the int8 tile.
-  for (const ShapeCase& s : edge_shapes()) {
+  for (const ShapeCase& s : shapes) {
     std::vector<std::int8_t> a(static_cast<std::size_t>(s.m) * s.k);
     std::vector<std::uint8_t> b(static_cast<std::size_t>(s.k) * s.n);
     for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
     for (auto& v : b) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const std::string shape =
+        std::to_string(s.m) + "x" + std::to_string(s.k) + "x" + std::to_string(s.n);
 
     const S8Panels panels = pack_s8_panels(a.data(), s.m, s.k);
     std::vector<std::int32_t> ref(static_cast<std::size_t>(s.m) * s.n);
-    std::vector<std::int32_t> got(ref.size());
     scalar_backend().gemm_s8u8(panels.words.data(), b.data(), ref.data(), s.m, s.k, s.n);
+    std::vector<std::int32_t> got(ref.size());
     simd_backend().gemm_s8u8(panels.words.data(), b.data(), got.data(), s.m, s.k, s.n);
-    ASSERT_EQ(ref, got) << "shape " << s.m << "x" << s.k << "x" << s.n;
+    ASSERT_EQ(ref, got) << "simd backend, shape " << shape;
+    for (const Int8Kernel& kernel : kernels) {
+      std::vector<std::int32_t> out(ref.size(), -1);
+      kernel.gemm_s8u8(panels.words.data(), b.data(), out.data(), s.m, s.k, s.n);
+      ASSERT_EQ(ref, out) << kernel.isa << " shape " << shape;
+    }
 
     // The raw-A wrapper packs and multiplies on either backend.
     for (const BackendKind kind : {BackendKind::kScalar, BackendKind::kSimd}) {
       set_backend(kind);
       std::vector<std::int32_t> wrapped(ref.size());
       gemm_s8u8(a.data(), b.data(), wrapped.data(), s.m, s.k, s.n);
-      ASSERT_EQ(ref, wrapped) << backend_name(kind) << " shape " << s.m << "x" << s.k << "x"
-                              << s.n;
+      ASSERT_EQ(ref, wrapped) << backend_name(kind) << " shape " << shape;
     }
 
     // Independent naive oracle on raw A, which also checks the packing.
@@ -223,7 +260,7 @@ TEST(Backends, Int8GemmBitExactAcrossBackendsAndMatchesNaive) {
           acc += static_cast<std::int64_t>(a[static_cast<std::size_t>(i) * s.k + kk]) *
                  static_cast<std::int64_t>(b[static_cast<std::size_t>(kk) * s.n + j]);
         ASSERT_EQ(ref[static_cast<std::size_t>(i) * s.n + j], static_cast<std::int32_t>(acc))
-            << "at (" << i << "," << j << ") shape " << s.m << "x" << s.k << "x" << s.n;
+            << "at (" << i << "," << j << ") shape " << shape;
       }
     }
   }
