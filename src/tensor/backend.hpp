@@ -80,8 +80,8 @@ BackendKind parse_backend(const char* s);
 
 const char* backend_name(BackendKind kind);
 
-/// Which implementation the simd backend's fp32 kernels dispatch to on this
-/// machine: "avx2" (CPU reports avx2+fma) or "portable".
+/// Which implementation the simd backend's fp32 kernels dispatch to on the
+/// running CPU: "avx2" (it reports avx2+fma) or "portable".
 const char* simd_isa();
 
 /// Which microkernel the simd backend's int8 GEMM dispatches to: "vnni"
