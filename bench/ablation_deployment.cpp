@@ -22,10 +22,14 @@ int main() {
   core::LatencyLab lab(lab_config());
   const hw::DeviceModel& dev = lab.device();
 
+  // Latency reads shapes only, so the untrained trunk and head price the
+  // same as trained ones.
+  util::Rng head_rng(1);
   util::Table table({"network", "fp32_unfused_ms", "fp32_fused_ms", "int8_fused_ms",
                      "fusion_gain", "int8_gain"});
   for (zoo::NetId net : zoo::all_nets()) {
-    const nn::Graph trn = lab.build_native_trn(net, lab.full_cut(net));
+    const nn::Graph trunk = zoo::build_trunk(net, zoo::native_resolution(net));
+    const nn::Graph trn = core::build_trn(trunk, trunk.output_node(), lab.config().head, head_rng);
     const double a = dev.network_latency_ms(trn, hw::Precision::kFp32, false);
     const double b = dev.network_latency_ms(trn, hw::Precision::kFp32, true);
     const double c = dev.network_latency_ms(trn, hw::Precision::kInt8, true);
@@ -59,10 +63,9 @@ int main() {
 
   std::printf("\nwarm-up ablation (MobileNetV1-0.50, full network):\n");
   {
-    hw::LatencyMeasurer measurer(dev);
-    const nn::Graph trn =
-        lab.build_native_trn(zoo::NetId::kMobileNetV1_050, lab.full_cut(zoo::NetId::kMobileNetV1_050));
-    const double truth = dev.network_latency_ms(trn, hw::Precision::kInt8, true);
+    const hw::LatencyMeasurer measurer;
+    const zoo::NetId net = zoo::NetId::kMobileNetV1_050;
+    const double truth = lab.true_ms(net, lab.full_cut(net));  // int8, fused
     util::Rng rng(77);
     std::vector<double> cold, warm;
     for (int i = 0; i < 50; ++i) cold.push_back(measurer.simulate_run_ms(truth, i, rng));

@@ -4,8 +4,12 @@
 // is shared, and the first bench to need a number pays for it.
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/estimator.hpp"
@@ -14,7 +18,9 @@
 #include "core/lab.hpp"
 #include "core/netcut.hpp"
 #include "core/pareto.hpp"
+#include "tensor/backend.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace netcut::bench {
 
@@ -78,6 +84,51 @@ inline void split_samples(const std::vector<core::LatencySample>& all,
                           std::vector<core::LatencySample>& test) {
   for (std::size_t i = 0; i < all.size(); ++i)
     (i % 5 == 2 ? train : test).push_back(all[i]);
+}
+
+/// "model name" of the first /proc/cpuinfo entry.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) return line.substr(colon + 2);
+    }
+  return "unknown";
+}
+
+/// Short git sha of the source tree this binary was built from, with
+/// "-dirty" when tracked files differ from it; "unknown" outside git.
+inline std::string git_revision() {
+  const auto run = [](const std::string& cmd) {
+    std::string out;
+    if (FILE* p = popen(cmd.c_str(), "r")) {
+      char buf[128];
+      while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+      if (pclose(p) != 0) return std::string();
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) out.pop_back();
+    return out;
+  };
+  const std::string git = "git -C \"" NETCUT_SOURCE_DIR "\" ";
+  const std::string sha = run(git + "rev-parse --short HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  const bool dirty = !run(git + "status --porcelain --untracked-files=no 2>/dev/null").empty();
+  return dirty ? sha + "-dirty" : sha;
+}
+
+/// The `host` object a BENCH_*.json is stamped with: CPU model, nproc,
+/// simd and int8 ISA, kernel backend, pool size and git sha.
+inline std::string host_json() {
+  std::ostringstream out;
+  out << "{\"cpu\": \"" << cpu_model() << "\", \"nproc\": " << sysconf(_SC_NPROCESSORS_ONLN)
+      << ", \"simd_isa\": \"" << tensor::simd_isa() << "\", \"int8_isa\": \""
+      << tensor::int8_isa() << "\", \"backend\": \""
+      << tensor::backend_name(tensor::active_backend_kind())
+      << "\", \"threads\": " << util::num_threads() << ", \"git\": \"" << git_revision()
+      << "\"}";
+  return out.str();
 }
 
 inline void print_header(const std::string& title) {

@@ -1,9 +1,9 @@
 // End-to-end performance snapshot (BENCH_e2e.json): wall-clock for the
 // quickstart pipeline and a fast-mode fig10-style NetCut run, plus
 // per-forward heap-allocation counts, activation-memory footprint (planned
-// peak vs the sum of all activations) and forward latency on zoo trunks.
-// Appends nothing; each run rewrites the JSON so the numbers always
-// describe the current tree.
+// peak vs the sum of all activations) and forward latency on zoo trunks,
+// under the same `host` stamp as BENCH_kernels.json. Appends nothing; each
+// run rewrites the JSON so the numbers always describe the current tree.
 //
 //   ./build/bench/e2e_snapshot [--json BENCH_e2e.json]
 //
@@ -189,6 +189,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << "{\n";
+  out << "  \"host\": " << bench::host_json() << ",\n";
   out << "  \"quickstart\": {\"ms\": " << quickstart_ms << "},\n";
   out << "  \"fig10_fast\": {\"ms\": " << fig10_ms << "},\n";
   out << "  \"forward\": [\n";

@@ -13,8 +13,6 @@
 // (see BENCH_kernels.json).
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -26,6 +24,7 @@
 #include <tuple>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/trn.hpp"
 #include "data/hands.hpp"
 #include "hw/device.hpp"
@@ -220,38 +219,6 @@ double time_best_ms(Fn&& fn, int warmup = 2, int reps = 5) {
   return best;
 }
 
-/// "model name" of the first /proc/cpuinfo entry.
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line))
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) return line.substr(colon + 2);
-    }
-  return "unknown";
-}
-
-/// Short git sha of the source tree this binary was built from, with
-/// "-dirty" when tracked files differ from it; "unknown" outside git.
-std::string git_revision() {
-  const auto run = [](const std::string& cmd) {
-    std::string out;
-    if (FILE* p = popen(cmd.c_str(), "r")) {
-      char buf[128];
-      while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
-      if (pclose(p) != 0) return std::string();
-    }
-    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) out.pop_back();
-    return out;
-  };
-  const std::string git = "git -C \"" NETCUT_SOURCE_DIR "\" ";
-  const std::string sha = run(git + "rev-parse --short HEAD 2>/dev/null");
-  if (sha.empty()) return "unknown";
-  const bool dirty = !run(git + "status --porcelain --untracked-files=no 2>/dev/null").empty();
-  return dirty ? sha + "-dirty" : sha;
-}
-
 int run_json_sweep(const std::string& path) {
   util::Rng rng(42);
   std::vector<KernelRecord> records;
@@ -400,11 +367,7 @@ int run_json_sweep(const std::string& path) {
     std::cerr << "micro_kernels: cannot open " << path << "\n";
     return 1;
   }
-  out << "{\n  \"host\": {\"cpu\": \"" << cpu_model() << "\", \"nproc\": "
-      << sysconf(_SC_NPROCESSORS_ONLN) << ", \"simd_isa\": \"" << tensor::simd_isa()
-      << "\", \"int8_isa\": \"" << tensor::int8_isa() << "\", \"backend\": \"" << tensor::backend_name(tensor::active_backend_kind())
-      << "\", \"threads\": " << util::num_threads() << ", \"git\": \"" << git_revision()
-      << "\"},\n  \"records\": [\n";
+  out << "{\n  \"host\": " << bench::host_json() << ",\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const KernelRecord& r = records[i];
     out << "    {\"kernel\": \"" << r.kernel << "\", \"m\": " << r.m << ", \"k\": " << r.k

@@ -72,7 +72,7 @@ int main() {
     const double latency = lab.measured_ms(s.base, s.cut);
     const app::VisualClassifier vision(s.base, s.cut, dataset, head_cfg,
                                        data::PretrainedConfig{});
-    app::ControlLoop loop(vision, emg, emg_gen, latency, loop_cfg);
+    app::ControlLoop loop({{"", latency, &vision, {}}}, emg, emg_gen, loop_cfg);
     const app::ControlLoopReport r = loop.run(dataset);
     std::printf("%-36s %7.3f ms %8.3f %7.1f%% %8.1f %8.3f %8.4f\n", s.label, latency,
                 vision.reliability(), r.deadline_miss_rate * 100.0, r.mean_frames_used,

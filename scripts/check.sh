@@ -19,7 +19,10 @@
 #    line with per-label pass counts. Before the suites, a fresh
 #    `serve_snapshot --json` run must match the committed BENCH_serve.json
 #    in every field but the wall-clock queue_take row
-# 5. kernel backends: the numerics-sensitive suites (ctest -L
+# 5. kernel backends: the kernel library (netcut_tensor) builds in
+#    build-noisa/ as RelWithDebInfo, with no -march flag, so every SIMD
+#    kernel must carry its own target attribute (runtime dispatch, DESIGN
+#    §11); then the numerics-sensitive suites (ctest -L
 #    "kernels|layers|quant") once under NETCUT_BACKEND=scalar and once
 #    under NETCUT_BACKEND=simd — both dispatch tables must hold the same
 #    contracts on this machine
@@ -126,6 +129,12 @@ build_tree() {
   cmake --build "$dir" -j "$(nproc)" "${targets[@]}"
 }
 
+# build_noisa: the kernel library without the Release -march=native flags.
+build_noisa() {
+  cmake -B build-noisa -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake --build build-noisa -j "$(nproc)" --target netcut_tensor
+}
+
 # serve_snapshot_pinned: the simulated serving rows are a pure function of
 # (config, seed), so a fresh serve_snapshot run reproduces the committed
 # BENCH_serve.json field for field. Only the wall-clock queue_take row may
@@ -190,7 +199,8 @@ step 3 "ctest under fault injection (NETCUT_FAULTS chaos schedule)"
 step 4 "serving layer (serve_snapshot pin, ctest -L serve, clean + chaos + failover chaos)" \
   serve_snapshot_pinned
 label_summary
-step 5 "kernel backends (ctest -L kernels|layers|quant, scalar + simd)"
+step 5 "kernel backends (flag-free netcut_tensor, ctest -L kernels|layers|quant, scalar + simd)" \
+  build_noisa
 step 6 "ASan: thread pool + memory planner + verifier + kernels + layers + quant" \
   build_tree build-asan address test_util_threadpool test_nn_memplan test_nn_verify \
   test_tensor test_tensor_backends test_nn_layers test_quant

@@ -9,11 +9,6 @@
 
 namespace netcut::app {
 
-ControlLoop::ControlLoop(const VisualClassifier& vision, const EmgClassifier& emg,
-                         const data::EmgGenerator& emg_gen, double visual_latency_ms,
-                         ControlLoopConfig config)
-    : ControlLoop({{"", visual_latency_ms, &vision, {}}}, emg, emg_gen, config) {}
-
 ControlLoop::ControlLoop(std::vector<TrnOption> options, const EmgClassifier& emg,
                          const data::EmgGenerator& emg_gen, ControlLoopConfig config,
                          WatchdogConfig watchdog, const hw::FaultModel* faults)

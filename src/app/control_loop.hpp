@@ -114,16 +114,12 @@ struct ControlLoopReport {
 
 class ControlLoop {
  public:
-  /// `visual_latency_ms` is the classifier's measured device latency (from
-  /// the LatencyLab); per-frame jitter is drawn around it.
-  ControlLoop(const VisualClassifier& vision, const EmgClassifier& emg,
-              const data::EmgGenerator& emg_gen, double visual_latency_ms,
-              ControlLoopConfig config);
-
-  /// Deadline-adaptive loop over a Pareto front of TRNs, preferred first.
-  /// `faults` injects device degradation (nullptr falls back to the
-  /// NETCUT_FAULTS global schedule); with no active schedule and a single
-  /// option the loop behaves bit-identically to the legacy constructor.
+  /// Deadline-adaptive loop over a Pareto front of TRNs, preferred first;
+  /// a single option {"", latency_ms, &vision, {}} is the plain loop.
+  /// Each option's latency is its classifier's measured device latency
+  /// (from the LatencyLab); per-frame jitter is drawn around it. `faults`
+  /// injects device degradation (nullptr falls back to the NETCUT_FAULTS
+  /// global schedule).
   ControlLoop(std::vector<TrnOption> options, const EmgClassifier& emg,
               const data::EmgGenerator& emg_gen, ControlLoopConfig config,
               WatchdogConfig watchdog = {}, const hw::FaultModel* faults = nullptr);

@@ -9,21 +9,20 @@
 namespace netcut::core {
 
 TrnFeatures compute_trn_features(LatencyLab& lab, zoo::NetId base, int cut_node) {
-  const nn::Graph trn = lab.build_native_trn(base, cut_node);
+  const TrnDesc trn = lab.describe_trn(base, cut_node);
   TrnFeatures f;
   const nn::LayerCost cost = trn.total_cost();
   f.base_latency_ms = lab.measured_ms(base, lab.full_cut(base));
   f.gflops = static_cast<double>(cost.flops) / 1e9;
   f.mparams = static_cast<double>(cost.params) / 1e6;
-  f.layer_count = static_cast<double>(trn.layer_count());
+  f.layer_count = static_cast<double>(trn.layers.size());
   double filter_sum = 0.0;
-  for (int id = 1; id < trn.node_count(); ++id) {
-    const nn::Layer& layer = *trn.node(id).layer;
-    if (layer.kind() == nn::LayerKind::kConv2D) {
-      const auto& conv = static_cast<const nn::Conv2D&>(layer);
+  for (const nn::Layer* layer : trn.layers) {
+    if (layer->kind() == nn::LayerKind::kConv2D) {
+      const auto& conv = static_cast<const nn::Conv2D&>(*layer);
       filter_sum += conv.kernel_h() * conv.kernel_w();
-    } else if (layer.kind() == nn::LayerKind::kDepthwiseConv2D) {
-      const auto& conv = static_cast<const nn::DepthwiseConv2D&>(layer);
+    } else if (layer->kind() == nn::LayerKind::kDepthwiseConv2D) {
+      const auto& conv = static_cast<const nn::DepthwiseConv2D&>(*layer);
       filter_sum += conv.kernel() * conv.kernel();
     }
   }

@@ -37,7 +37,7 @@ struct TrnFeatures {
   }
 };
 
-/// Features of the TRN at native resolution (uses the lab's graphs).
+/// Features of the TRN at native resolution, read from lab.describe_trn.
 TrnFeatures compute_trn_features(LatencyLab& lab, zoo::NetId base, int cut_node);
 
 class LatencyEstimator {

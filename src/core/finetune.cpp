@@ -52,7 +52,7 @@ FinetuneResult finetune_trn(const nn::Graph& pretrained_trunk, int cut_node,
   HeadConfig head = config.head;
   head.with_softmax = false;  // train on logits; softmax applied in evaluate()
   nn::Graph trn = build_trn(pretrained_trunk, cut_node, head, rng);
-  const int trunk_nodes = pretrained_trunk.prefix(cut_node).node_count();
+  const int trunk_nodes = layers_remaining(pretrained_trunk, cut_node) + 1;  // + the input
   nn::Network net(std::move(trn));
 
   // Fine-tuning regime: BatchNorm statistics frozen (the pretrained stats).

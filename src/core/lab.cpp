@@ -1,12 +1,28 @@
 #include "core/lab.hpp"
 
+#include <algorithm>
+
+#include "nn/verify.hpp"
+
 namespace netcut::core {
+
+nn::LayerCost TrnDesc::total_cost() const {
+  nn::LayerCost total;
+  for (const hw::KernelCost& kc : kernels) {
+    total.flops += kc.cost.flops;
+    total.params += kc.cost.params;
+    total.input_elems += kc.cost.input_elems;
+    total.output_elems += kc.cost.output_elems;
+    total.kernel = std::max(total.kernel, kc.cost.kernel);
+  }
+  return total;
+}
 
 LatencyLab::LatencyLab(LabConfig config)
     : config_(std::move(config)),
       device_(config_.device),
-      measurer_(device_, config_.measure),
-      profiler_(device_, measurer_, config_.profiler),
+      measurer_(config_.measure),
+      profiler_(config_.profiler),
       trainer_(config_.trainer) {}
 
 LatencyLab::NetState& LatencyLab::state(zoo::NetId base) {
@@ -30,20 +46,36 @@ const std::vector<int>& LatencyLab::iterative(zoo::NetId base) {
 
 int LatencyLab::full_cut(zoo::NetId base) { return state(base).trunk->output_node(); }
 
-nn::Graph LatencyLab::build_native_trn(zoo::NetId base, int cut_node) {
-  // Head weight values do not affect analytic latency; a fixed seed keeps
-  // graph construction deterministic.
-  util::Rng rng(util::derive_seed(0xBEEF, "lab/head"));
-  return build_trn(*state(base).trunk, cut_node, config_.head, rng);
+TrnDesc LatencyLab::describe_trn(zoo::NetId base, int cut_node) {
+  const nn::Graph& trunk = *state(base).trunk;
+  nn::check_cut_site(trunk, cut_node, "LatencyLab::describe_trn");
+  const std::vector<bool> kept = trunk.ancestors(cut_node);
+  TrnDesc trn;
+  // Graph::prefix keeps the ancestors in id order, so a node's TRN id is
+  // its rank among them.
+  int id = 0;
+  for (hw::KernelCost& kc : device_.kernel_costs(trunk, config_.precision, config_.fuse)) {
+    if (!kept[static_cast<std::size_t>(kc.node)]) continue;
+    trn.layers.push_back(trunk.node(kc.node).layer.get());
+    kc.node = ++id;
+    trn.kernels.push_back(std::move(kc));
+  }
+  nn::Graph stub;
+  stub.add_input(trunk.infer_shapes()[static_cast<std::size_t>(cut_node)]);
+  trn.head = append_head(std::move(stub), config_.head);
+  for (hw::KernelCost& kc : device_.kernel_costs(trn.head, config_.precision, config_.fuse)) {
+    trn.layers.push_back(trn.head.node(kc.node).layer.get());
+    kc.node += id;
+    trn.kernels.push_back(std::move(kc));
+  }
+  return trn;
 }
 
 double LatencyLab::measured_from(zoo::NetId base, int cut_node, int resume) {
   NetState& st = state(base);
   const auto key = std::make_pair(cut_node, resume);
   if (auto it = st.measured.find(key); it != st.measured.end()) return it->second;
-  const nn::Graph trn = build_native_trn(base, cut_node);
-  const double ms =
-      measurer_.measure_network(trn, config_.precision, config_.fuse, resume).mean_ms;
+  const double ms = measurer_.measure(true_from(base, cut_node, resume)).mean_ms;
   st.measured[key] = ms;
   return ms;
 }
@@ -52,9 +84,7 @@ double LatencyLab::true_from(zoo::NetId base, int cut_node, int resume) {
   NetState& st = state(base);
   const auto key = std::make_pair(cut_node, resume);
   if (auto it = st.true_latency.find(key); it != st.true_latency.end()) return it->second;
-  const nn::Graph trn = build_native_trn(base, cut_node);
-  const double ms =
-      device_.network_latency_ms(trn, config_.precision, config_.fuse, 1, resume);
+  const double ms = hw::sum_latency_ms(describe_trn(base, cut_node).kernels, resume);
   st.true_latency[key] = ms;
   return ms;
 }
@@ -76,9 +106,10 @@ double LatencyLab::true_stage2_ms(zoo::NetId base, int shallow_cut, int deep_cut
 const hw::LatencyTable& LatencyLab::profile(zoo::NetId base) {
   NetState& st = state(base);
   if (!st.table) {
-    const nn::Graph full = build_native_trn(base, full_cut(base));
+    const TrnDesc full = describe_trn(base, full_cut(base));
+    const double end_to_end_ms = measurer_.measure(hw::sum_latency_ms(full.kernels)).mean_ms;
     st.table = std::make_unique<hw::LatencyTable>(
-        profiler_.profile(full, zoo::net_name(base), config_.precision, config_.fuse));
+        profiler_.profile(zoo::net_name(base), end_to_end_ms, full.kernels));
   }
   return *st.table;
 }
@@ -86,8 +117,8 @@ const hw::LatencyTable& LatencyLab::profile(zoo::NetId base) {
 int LatencyLab::trunk_last_node(zoo::NetId base) { return state(base).trunk->output_node(); }
 
 double LatencyLab::training_hours(zoo::NetId base, int cut_node) {
-  const nn::Graph trn = build_native_trn(base, cut_node);
-  return trainer_.training_hours(trn);
+  const TrnDesc trn = describe_trn(base, cut_node);
+  return trainer_.training_hours(static_cast<double>(trn.total_cost().flops));
 }
 
 std::string LatencyLab::name(zoo::NetId base, int cut_node) {

@@ -3,6 +3,14 @@
 // the training-time model, plus a cache of native-resolution trunks, and
 // answers every latency/FLOPs/GPU-hour question about a (base, cut) pair.
 //
+// No question builds the TRN it asks about. Each one reads describe_trn:
+// the trunk's own kernel costs over the cut's ancestors, renumbered to the
+// ids they have in the built TRN, then the costs of a weightless head stub
+// on the cut's output shape. Costs depend only on shapes, op kinds and
+// fusion, which a trunk prefix shares with its trunk (fusion never crosses
+// a legal cut), so every number is bitwise the one the built TRN gives,
+// and no weight is copied.
+//
 // Node ids are resolution-independent, so cut sites computed by the
 // evaluator at the experiment resolution address the same layers here.
 #pragma once
@@ -28,6 +36,22 @@ struct LabConfig {
   HeadConfig head;
   hw::Precision precision = hw::Precision::kInt8;  // deployment optimizations on
   bool fuse = true;
+};
+
+/// A TRN (trunk cut + transfer head) at native resolution, described
+/// rather than built.
+struct TrnDesc {
+  /// Kernel costs under the lab's precision and fusion, in TRN node order;
+  /// KernelCost::node is the node's id in the built TRN.
+  std::vector<hw::KernelCost> kernels;
+  /// The layer behind each kernel: a trunk layer (owned by the lab) or
+  /// one of `head`'s.
+  std::vector<const nn::Layer*> layers;
+  /// The head's layers on an input of the cut's output shape, weights zero.
+  nn::Graph head;
+
+  /// Summed per-layer cost, as nn::Graph::total_cost of the built TRN.
+  nn::LayerCost total_cost() const;
 };
 
 class LatencyLab {
@@ -72,9 +96,10 @@ class LatencyLab {
   /// GPU-hours to retrain this TRN on the training server model.
   double training_hours(zoo::NetId base, int cut_node);
 
-  /// TRN graph at native resolution (trunk prefix + head). Exposed for
-  /// feature computation and the quantization example.
-  nn::Graph build_native_trn(zoo::NetId base, int cut_node);
+  /// The TRN at native resolution (trunk prefix + head), described from
+  /// the cached trunk and a head stub: every question above reads this,
+  /// and so do the analytical estimator's features.
+  TrnDesc describe_trn(zoo::NetId base, int cut_node);
 
   /// Paper-style TRN name ("ResNet50/113").
   std::string name(zoo::NetId base, int cut_node);

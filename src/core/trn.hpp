@@ -32,15 +32,20 @@ std::vector<int> blockwise_cutpoints(const nn::Graph& trunk);
 /// Cut sites for iterative (per-layer) removal: all output dominators.
 std::vector<int> iterative_cutpoints(const nn::Graph& trunk);
 
-/// Appends the transfer head to a trunk prefix. `rng` initializes the new
-/// dense layers (He/Xavier).
-nn::Graph attach_head(nn::Graph trunk_prefix, const HeadConfig& head, util::Rng& rng);
+/// Appends the transfer head's layers to a trunk prefix. Their weights stay
+/// zero until init_head, which is all a head priced by shape needs.
+nn::Graph append_head(nn::Graph trunk_prefix, const HeadConfig& head);
+
+/// Initializes the head's dense layers from `rng` (Xavier), in node order:
+/// fc1, fc2, then the logits layer.
+void init_head(nn::Graph& trn, util::Rng& rng);
 
 /// Builds the TRN graph: trunk cut at `cut_node` + fresh head.
 nn::Graph build_trn(const nn::Graph& trunk, int cut_node, const HeadConfig& head,
                     util::Rng& rng);
 
-/// Number of trunk layers (nodes excluding the input) kept by the cut.
+/// Number of trunk layers (nodes excluding the input) kept by the cut: the
+/// cut's ancestors, counted without copying them.
 int layers_remaining(const nn::Graph& trunk, int cut_node);
 
 /// Number of trunk layers removed by the cut.
@@ -50,7 +55,7 @@ int layers_removed(const nn::Graph& trunk, int cut_node);
 /// `shallow_cut`: the cut's id inside any deeper TRN's graph. Cut sites are
 /// output dominators forming a chain, and Graph::prefix keeps a node's
 /// ancestors in id order, so the shallow cut is the last node of its own
-/// prefix and keeps that id in every deeper prefix.
+/// prefix and keeps that id — its layers_remaining — in every deeper one.
 int resume_node(const nn::Graph& trunk, int shallow_cut);
 
 /// Paper-style TRN name, e.g. "ResNet50/113" (base network / remaining

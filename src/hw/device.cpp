@@ -119,21 +119,25 @@ std::vector<KernelCost> DeviceModel::kernel_costs(const nn::Graph& graph, Precis
     kc.node = id;
     kc.name = nd.name;
     kc.fused_away = fused[static_cast<std::size_t>(id)];
-    kc.latency_ms =
-        kc.fused_away ? 0.0 : node_latency_ms(*nd.layer, nd.layer->cost(in), precision, batch);
+    kc.cost = nd.layer->cost(in);
+    kc.latency_ms = kc.fused_away ? 0.0 : node_latency_ms(*nd.layer, kc.cost, precision, batch);
     out.push_back(std::move(kc));
   }
   return out;
 }
 
-double DeviceModel::network_latency_ms(const nn::Graph& graph, Precision precision,
-                                       bool fuse, int batch, int resume) const {
-  if (resume < 0 || resume >= graph.node_count())
-    throw std::invalid_argument("DeviceModel::network_latency_ms: resume out of range");
+double sum_latency_ms(const std::vector<KernelCost>& kernels, int resume) {
+  if (resume < 0 || resume > static_cast<int>(kernels.size()))
+    throw std::invalid_argument("sum_latency_ms: resume out of range");
   double total = 0.0;
-  for (const KernelCost& kc : kernel_costs(graph, precision, fuse, batch))
+  for (const KernelCost& kc : kernels)
     if (kc.node > resume) total += kc.latency_ms;
   return total;
+}
+
+double DeviceModel::network_latency_ms(const nn::Graph& graph, Precision precision,
+                                       bool fuse, int batch, int resume) const {
+  return sum_latency_ms(kernel_costs(graph, precision, fuse, batch), resume);
 }
 
 std::function<double(int)> DeviceModel::batch_curve(const nn::Graph& graph,

@@ -62,7 +62,13 @@ struct KernelCost {
   std::string name;
   double latency_ms = 0.0;
   bool fused_away = false;  // absorbed into the producer kernel
+  nn::LayerCost cost;       // the node's work, fused away or not
 };
+
+/// Sum of the kernel latencies of the nodes strictly after `resume`, in
+/// order; resume == 0 is the whole network. `kernels` is one network's
+/// kernel_costs (node ids 1..size()), so 0 <= resume <= size().
+double sum_latency_ms(const std::vector<KernelCost>& kernels, int resume = 0);
 
 class DeviceModel {
  public:
@@ -76,7 +82,7 @@ class DeviceModel {
                                        bool fuse, int batch = 1) const;
 
   /// True latency in ms of a batch-`batch` pass over the nodes strictly
-  /// after `resume`: the sum of their kernel costs, in node order.
+  /// after `resume`: sum_latency_ms of the graph's kernel costs.
   /// resume == 0 is the whole network. A positive `resume` prices the
   /// suffix a prefix-resume pass executes, the second-stage cost of a
   /// cascade escalation that reuses the shared trunk activation. At a legal

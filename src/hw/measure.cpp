@@ -2,14 +2,15 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "util/stats.hpp"
 
 namespace netcut::hw {
 
-LatencyMeasurer::LatencyMeasurer(const DeviceModel& device, MeasureConfig config)
-    : device_(device), config_(config) {}
+LatencyMeasurer::LatencyMeasurer(MeasureConfig config) : config_(config) {}
 
 double LatencyMeasurer::simulate_run_ms(double true_ms, int run_index, util::Rng& rng) const {
   const double ramp =
@@ -18,9 +19,7 @@ double LatencyMeasurer::simulate_run_ms(double true_ms, int run_index, util::Rng
   return true_ms * ramp * rng.lognormal(0.0, config_.noise_sigma);
 }
 
-Measurement LatencyMeasurer::measure_network(const nn::Graph& graph, Precision precision,
-                                             bool fuse, int resume) {
-  const double true_ms = device_.network_latency_ms(graph, precision, fuse, 1, resume);
+Measurement LatencyMeasurer::measure(double true_ms) {
   const std::string label = "measure/" + std::to_string(measurement_counter_++);
   util::Rng rng(util::derive_seed(config_.seed, label));
   const FaultModel& model = config_.faults != nullptr ? *config_.faults : FaultModel::global();
@@ -60,7 +59,7 @@ Measurement LatencyMeasurer::measure_network(const nn::Graph& graph, Precision p
   }
   if (samples.empty())
     throw std::runtime_error(
-        "measure_network: every timed run failed under the active fault schedule");
+        "LatencyMeasurer::measure: every timed run failed under the active fault schedule");
 
   // Under a schedule, spikes and burst contamination are trimmed and the
   // aggregate is the trimmed mean; clean samples are kept whole.

@@ -1,9 +1,10 @@
 // The paper's measurement protocol (Section IV-B2): warm the GPU with 200
 // inferences, then report the mean over another 800 timed runs. The
 // simulator adds a clock-ramp warm-up transient and lognormal run-to-run
-// noise on top of the DeviceModel's true latency, so measured numbers have
-// the statistical texture of real device timings while staying
-// deterministic for a given seed.
+// noise on top of a true latency (the DeviceModel's, passed in as a
+// number: the measurer never sees a graph), so measured numbers have the
+// statistical texture of real device timings while staying deterministic
+// for a given seed.
 //
 // The protocol self-heals: failed runs are retried with bounded backoff
 // and, under an active hw::FaultModel, surviving samples pass MAD-based
@@ -15,7 +16,6 @@
 // are those of the plain 200 + 800 protocol, bit for bit.
 #pragma once
 
-#include "hw/device.hpp"
 #include "hw/faults.hpp"
 #include "util/rng.hpp"
 
@@ -51,15 +51,14 @@ struct Measurement {
 
 class LatencyMeasurer {
  public:
-  LatencyMeasurer(const DeviceModel& device, MeasureConfig config = {});
+  explicit LatencyMeasurer(MeasureConfig config = {});
 
-  /// Full protocol: 200 warm-up + 800 timed single-image runs over the
-  /// nodes strictly after `resume`. resume == 0 times the whole network; a
-  /// positive `resume` times the suffix a prefix-resume pass executes, the
-  /// measured second-stage cost of a cascade escalation. Each call consumes
-  /// one measurement label.
-  Measurement measure_network(const nn::Graph& graph, Precision precision, bool fuse,
-                              int resume = 0);
+  /// Full protocol: 200 warm-up + 800 timed single-image runs of a pass
+  /// whose noise-free latency is `true_ms` (a whole network, or the suffix
+  /// a cascade escalation resumes). Each call consumes one measurement
+  /// label, so the n-th call of a measurer draws the same noise whatever
+  /// it times.
+  Measurement measure(double true_ms);
 
   /// One simulated run at the given global run index (0 = cold start).
   double simulate_run_ms(double true_ms, int run_index, util::Rng& rng) const;
@@ -67,7 +66,6 @@ class LatencyMeasurer {
   const MeasureConfig& config() const { return config_; }
 
  private:
-  const DeviceModel& device_;
   MeasureConfig config_;
   std::uint64_t measurement_counter_ = 0;
 };

@@ -13,21 +13,19 @@ double LatencyTable::layer_sum_ms() const {
   return s;
 }
 
-LayerProfiler::LayerProfiler(const DeviceModel& device, LatencyMeasurer& measurer,
-                             ProfilerConfig config)
-    : device_(device), measurer_(measurer), config_(config) {}
+LayerProfiler::LayerProfiler(ProfilerConfig config) : config_(config) {}
 
-LatencyTable LayerProfiler::profile(const nn::Graph& graph, const std::string& name,
-                                    Precision precision, bool fuse) {
+LatencyTable LayerProfiler::profile(const std::string& name, double end_to_end_ms,
+                                    const std::vector<KernelCost>& kernels) {
   LatencyTable table;
   table.network = name;
-  table.end_to_end_ms = measurer_.measure_network(graph, precision, fuse).mean_ms;
+  table.end_to_end_ms = end_to_end_ms;
 
   const std::string table_label = "profiler/" + std::to_string(table_counter_++);
   util::Rng rng(util::derive_seed(config_.seed, table_label));
   const FaultModel& model = config_.faults != nullptr ? *config_.faults : FaultModel::global();
 
-  for (const KernelCost& kc : device_.kernel_costs(graph, precision, fuse)) {
+  for (const KernelCost& kc : kernels) {
     ProfiledLayer pl;
     pl.node = kc.node;
     pl.name = kc.name;

@@ -7,13 +7,17 @@
 // simulator reproduces that artifact: each profiled kernel reads
 // true_latency + event_overhead, perturbed by measurement noise, while the
 // table's end-to-end reference comes from the unperturbed measurement
-// protocol.
+// protocol. The profiler takes both as inputs — the kernel list from
+// DeviceModel::kernel_costs and the end-to-end number from a
+// LatencyMeasurer — so it never reads a graph.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "hw/measure.hpp"
+#include "hw/device.hpp"
+#include "hw/faults.hpp"
 
 namespace netcut::hw {
 
@@ -51,17 +55,16 @@ struct ProfilerConfig {
 
 class LayerProfiler {
  public:
-  LayerProfiler(const DeviceModel& device, LatencyMeasurer& measurer,
-                ProfilerConfig config = {});
+  explicit LayerProfiler(ProfilerConfig config = {});
 
-  /// Builds the per-layer latency table for one network. One table per
-  /// unmodified network is all the profiler-based estimator needs.
-  LatencyTable profile(const nn::Graph& graph, const std::string& name, Precision precision,
-                       bool fuse);
+  /// Builds the per-layer latency table of the network `name` from its
+  /// kernel costs, one row per kernel, and its measured end-to-end latency.
+  /// One table per unmodified network is all the profiler-based estimator
+  /// needs.
+  LatencyTable profile(const std::string& name, double end_to_end_ms,
+                       const std::vector<KernelCost>& kernels);
 
  private:
-  const DeviceModel& device_;
-  LatencyMeasurer& measurer_;
   ProfilerConfig config_;
   std::uint64_t table_counter_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "hw/trainer_model.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace netcut::hw {
 
@@ -9,8 +10,7 @@ TrainerModel::TrainerModel(TrainerConfig config) : config_(std::move(config)) {
     throw std::invalid_argument("TrainerModel: non-positive throughput");
 }
 
-double TrainerModel::training_hours(const nn::Graph& graph) const {
-  const double forward_flops = static_cast<double>(graph.total_cost().flops);
+double TrainerModel::training_hours(double forward_flops) const {
   const double total_flops = forward_flops * (1.0 + config_.backward_factor) *
                              config_.dataset_images * config_.epochs;
   const double seconds = total_flops / (config_.peak_gflops * 1e9 * config_.efficiency);

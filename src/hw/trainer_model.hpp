@@ -2,10 +2,10 @@
 // for the paper's NVIDIA Tesla K20m training server. Blockwise exploration
 // retrained 148 TRNs in 183 hours; NetCut retrained 9 in 6.7 hours (27x).
 // The ratio is driven by *how many* and *how large* the retrained TRNs are,
-// which this model prices from each TRN's training FLOPs.
+// which this model prices from each TRN's forward FLOPs.
 #pragma once
 
-#include "nn/graph.hpp"
+#include <string>
 
 namespace netcut::hw {
 
@@ -25,8 +25,9 @@ class TrainerModel {
 
   const TrainerConfig& config() const { return config_; }
 
-  /// GPU-hours to retrain one network (at its full training resolution).
-  double training_hours(const nn::Graph& graph) const;
+  /// GPU-hours to retrain one network whose forward pass (at its full
+  /// training resolution) costs `forward_flops`.
+  double training_hours(double forward_flops) const;
 
  private:
   TrainerConfig config_;

@@ -150,10 +150,9 @@ std::vector<int> Graph::output_dominators() const {
   return result;
 }
 
-Graph Graph::prefix(int node_id) const {
+std::vector<bool> Graph::ancestors(int node_id) const {
   if (node_id <= 0 || node_id >= node_count())
-    throw std::out_of_range("Graph::prefix: bad node id");
-  // Collect ancestors.
+    throw std::out_of_range("Graph::ancestors: bad node id");
   std::vector<bool> keep(static_cast<std::size_t>(node_count()), false);
   keep[static_cast<std::size_t>(node_id)] = true;
   for (int id = node_id; id >= 1; --id) {
@@ -162,7 +161,11 @@ Graph Graph::prefix(int node_id) const {
       keep[static_cast<std::size_t>(src)] = true;
   }
   keep[0] = true;
+  return keep;
+}
 
+Graph Graph::prefix(int node_id) const {
+  const std::vector<bool> keep = ancestors(node_id);
   std::vector<int> remap(static_cast<std::size_t>(node_count()), -1);
   Graph out;
   out.add_input(input_shape());

@@ -87,8 +87,13 @@ class Graph {
   /// tensor cut sites for iterative layer removal.
   std::vector<int> output_dominators() const;
 
+  /// Which nodes are ancestors of `node_id` (inclusive; the input node
+  /// always is), indexed by node id. Reads only the edges.
+  std::vector<bool> ancestors(int node_id) const;
+
   /// The subgraph consisting of all ancestors of `node_id` (inclusive),
-  /// with `node_id` as the new output. Layer weights are deep-copied.
+  /// with `node_id` as the new output, in id order. Layer weights are
+  /// deep-copied.
   Graph prefix(int node_id) const;
 
   /// Sum of per-layer costs (at the graph's own input resolution).

@@ -129,7 +129,7 @@ NETCUT_TARGET_AVX2 void micro_fp32_avx2(const float* a, int lda, int mr, const f
   __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
   __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
   __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
-  const auto step = [&](int kk) {
+  const auto step = [&](int kk) NETCUT_TARGET_AVX2 {
     const float* bk = bp + static_cast<std::int64_t>(kk) * kNr;
     const __m256 b0 = _mm256_load_ps(bk);
     const __m256 b1 = _mm256_load_ps(bk + 8);

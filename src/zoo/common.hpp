@@ -3,7 +3,7 @@
 // Every builder produces a *trunk*: the convolutional feature extractor up
 // to (and including) the final block, with the original classification
 // layers removed — exactly the starting point the paper uses for transfer
-// learning. Heads are attached by core::attach_head.
+// learning. Heads are attached by core::append_head.
 //
 // Nodes belonging to a repeating architectural module carry that module's
 // block id; stem nodes carry block id -1 and are never removed.

@@ -110,7 +110,7 @@ TEST(ControlLoop, FusedDecisionsBeatDeadlineMissRegime) {
   cfg.episodes = 20;
 
   // In-deadline classifier: frames flow.
-  ControlLoop good(vision, emg, emg_gen, /*visual_latency_ms=*/0.3, cfg);
+  ControlLoop good({{"", /*latency_ms=*/0.3, &vision, {}}}, emg, emg_gen, cfg);
   const ControlLoopReport ok = good.run(dataset);
   EXPECT_LT(ok.deadline_miss_rate, 0.01);
   EXPECT_GT(ok.mean_frames_used, 10.0);
@@ -119,7 +119,7 @@ TEST(ControlLoop, FusedDecisionsBeatDeadlineMissRegime) {
 
   // Over-deadline classifier: every frame is dropped; fusion degrades to
   // EMG-only but must still function.
-  ControlLoop bad(vision, emg, emg_gen, /*visual_latency_ms=*/2.0, cfg);
+  ControlLoop bad({{"", /*latency_ms=*/2.0, &vision, {}}}, emg, emg_gen, cfg);
   const ControlLoopReport degraded = bad.run(dataset);
   EXPECT_GT(degraded.deadline_miss_rate, 0.99);
   EXPECT_LE(degraded.top1_accuracy, ok.top1_accuracy + 0.15);

@@ -1,9 +1,18 @@
 // Latency estimators against the simulated device's ground truth. Most
 // cases use the cheap MobileNet graphs; the SVR-vs-linear ablation needs
-// the full heterogeneous zoo (as in the fig09 bench).
+// the full heterogeneous zoo (as in the fig09 bench), and so does the check
+// that LatencyLab answers exactly what a built TRN would.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstring>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/estimator.hpp"
+#include "nn/conv.hpp"
 #include "util/stats.hpp"
 
 namespace netcut::core {
@@ -128,6 +137,112 @@ TEST_F(EstimatorTest, LabNamesFollowPaperConvention) {
   const auto cuts = lab_.blockwise(net);
   EXPECT_EQ(lab_.name(net, cuts[0]), "MobileNetV1-0.50/9");  // stem + first block
 }
+
+// LatencyLab prices a TRN from the trunk's kernel costs and a head stub,
+// never building it. Every answer must equal, bit for bit, the one the
+// built TRN gives: build_trn priced by a DeviceModel, measured by a
+// LatencyMeasurer on the same label sequence, and profiled by a
+// LayerProfiler. Counting helpers must match Graph::prefix's node counts.
+class LabReference : public ::testing::TestWithParam<zoo::NetId> {};
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST_P(LabReference, EveryAnswerBitwiseEqualsTheBuiltTrn) {
+  const zoo::NetId net = GetParam();
+  const nn::Graph trunk = zoo::build_trunk(net, zoo::native_resolution(net));
+  for (const auto& [precision, fuse] :
+       {std::pair{hw::Precision::kInt8, true}, std::pair{hw::Precision::kFp32, false}}) {
+    SCOPED_TRACE(std::string(hw::to_string(precision)) + (fuse ? " fused" : " unfused"));
+    LabConfig cfg;
+    cfg.precision = precision;
+    cfg.fuse = fuse;
+    LatencyLab lab(cfg);
+    const hw::DeviceModel dev(cfg.device);
+    hw::LatencyMeasurer meas(cfg.measure);  // draws the lab's label sequence
+    hw::LayerProfiler prof(cfg.profiler);
+    const hw::TrainerModel trainer(cfg.trainer);
+    util::Rng rng(1);
+
+    // Deepest first: the full cut's measurement is the features' base
+    // latency, so every later measured_ms call takes a fresh label.
+    std::vector<int> cuts = lab.blockwise(net);
+    ASSERT_EQ(cuts.back(), lab.full_cut(net));
+    std::map<int, int> resume;  // cut -> its TRN id, counted on the built prefix
+    for (int cut : cuts) resume[cut] = trunk.prefix(cut).node_count() - 1;
+    double base_ms = 0.0;
+    for (auto d = cuts.rbegin(); d != cuts.rend(); ++d) {
+      SCOPED_TRACE("cut " + std::to_string(*d));
+      const nn::Graph trn = build_trn(trunk, *d, cfg.head, rng);
+      const double truth = dev.network_latency_ms(trn, precision, fuse);
+      EXPECT_TRUE(same_bits(lab.true_ms(net, *d), truth));
+      const double measured = meas.measure(truth).mean_ms;
+      EXPECT_TRUE(same_bits(lab.measured_ms(net, *d), measured));
+      if (*d == lab.full_cut(net)) base_ms = measured;
+      EXPECT_TRUE(same_bits(lab.training_hours(net, *d),
+                            trainer.training_hours(static_cast<double>(trn.total_cost().flops))));
+
+      const TrnFeatures f = compute_trn_features(lab, net, *d);
+      const nn::LayerCost cost = trn.total_cost();
+      double filter_sum = 0.0;
+      for (int id = 1; id < trn.node_count(); ++id) {
+        const nn::Layer& layer = *trn.node(id).layer;
+        if (layer.kind() == nn::LayerKind::kConv2D) {
+          const auto& conv = static_cast<const nn::Conv2D&>(layer);
+          filter_sum += conv.kernel_h() * conv.kernel_w();
+        } else if (layer.kind() == nn::LayerKind::kDepthwiseConv2D) {
+          const auto& conv = static_cast<const nn::DepthwiseConv2D&>(layer);
+          filter_sum += conv.kernel() * conv.kernel();
+        }
+      }
+      const TrnFeatures ref{base_ms, static_cast<double>(cost.flops) / 1e9,
+                            static_cast<double>(cost.params) / 1e6,
+                            static_cast<double>(trn.layer_count()), filter_sum};
+      const std::vector<double> got = f.as_row(), want = ref.as_row();
+      for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_TRUE(same_bits(got[i], want[i])) << "feature " << i;
+
+      for (auto s = d + 1; s != cuts.rend(); ++s) {  // every shallower cut
+        const double stage2 = dev.network_latency_ms(trn, precision, fuse, 1, resume[*s]);
+        EXPECT_TRUE(same_bits(lab.true_stage2_ms(net, *s, *d), stage2)) << "shallow " << *s;
+        EXPECT_TRUE(same_bits(lab.measured_stage2_ms(net, *s, *d), meas.measure(stage2).mean_ms))
+            << "shallow " << *s;
+      }
+    }
+
+    const nn::Graph full = build_trn(trunk, lab.full_cut(net), cfg.head, rng);
+    const hw::LatencyTable want =
+        prof.profile(zoo::net_name(net),
+                     meas.measure(dev.network_latency_ms(full, precision, fuse)).mean_ms,
+                     dev.kernel_costs(full, precision, fuse));
+    const hw::LatencyTable& got = lab.profile(net);
+    EXPECT_EQ(got.network, want.network);
+    EXPECT_TRUE(same_bits(got.end_to_end_ms, want.end_to_end_ms));
+    ASSERT_EQ(got.layers.size(), want.layers.size());
+    for (std::size_t i = 0; i < want.layers.size(); ++i) {
+      EXPECT_EQ(got.layers[i].node, want.layers[i].node);
+      EXPECT_EQ(got.layers[i].name, want.layers[i].name);
+      EXPECT_EQ(got.layers[i].fused_away, want.layers[i].fused_away);
+      EXPECT_TRUE(same_bits(got.layers[i].latency_ms, want.layers[i].latency_ms)) << i;
+      EXPECT_TRUE(same_bits(got.layers[i].confidence, want.layers[i].confidence)) << i;
+    }
+  }
+
+  LatencyLab lab;
+  for (int cut : lab.iterative(net)) {
+    const nn::Graph prefix = trunk.prefix(cut);
+    EXPECT_EQ(layers_remaining(trunk, cut), prefix.layer_count()) << cut;
+    EXPECT_EQ(lab.layers_remaining(net, cut), prefix.layer_count()) << cut;
+    EXPECT_EQ(resume_node(trunk, cut), prefix.node_count() - 1) << cut;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllNets, LabReference, ::testing::ValuesIn(zoo::all_nets()),
+                         [](const ::testing::TestParamInfo<zoo::NetId>& info) {
+                           std::string name = zoo::net_name(info.param);
+                           for (char& c : name)
+                             if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace netcut::core

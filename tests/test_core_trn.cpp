@@ -35,7 +35,8 @@ TEST(AttachHead, PaperHeadStructure) {
   nn::Graph trunk = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32);
   const int trunk_nodes = trunk.node_count();
   HeadConfig head;
-  nn::Graph full = attach_head(std::move(trunk), head, rng);
+  nn::Graph full = append_head(std::move(trunk), head);
+  init_head(full, rng);
   // GAP + (FC, ReLU) x2 + FC + Softmax = 7 new nodes.
   EXPECT_EQ(full.node_count(), trunk_nodes + 7);
   const auto shapes = full.infer_shapes();
@@ -50,10 +51,9 @@ TEST(AttachHead, PaperHeadStructure) {
 }
 
 TEST(AttachHead, RequiresChwTrunkOutput) {
-  util::Rng rng(1);
   nn::Graph g;
   g.add_input(tensor::Shape::vec(8));
-  EXPECT_THROW(attach_head(std::move(g), HeadConfig{}, rng), std::invalid_argument);
+  EXPECT_THROW(append_head(std::move(g), HeadConfig{}), std::invalid_argument);
 }
 
 TEST(BuildTrn, CutReducesSizeMonotonically) {

@@ -113,9 +113,9 @@ TEST(Measure, ProtocolAveragesAfterWarmup) {
   MeasureConfig mc;
   mc.noise_sigma = 0.02;
   mc.faults = &FaultModel::disabled();  // exact protocol counts need a clean device
-  LatencyMeasurer meas(dev, mc);
+  LatencyMeasurer meas(mc);
   const Graph g = conv_bn_relu_chain(2);
-  const Measurement m = meas.measure_network(g, Precision::kInt8, true);
+  const Measurement m = meas.measure(dev.network_latency_ms(g, Precision::kInt8, true));
   const double truth = dev.network_latency_ms(g, Precision::kInt8, true);
   EXPECT_EQ(m.runs, 800);
   // Warm-up absorbed: mean within a few percent of the true latency.
@@ -126,8 +126,7 @@ TEST(Measure, ProtocolAveragesAfterWarmup) {
 }
 
 TEST(Measure, ColdRunsAreSlower) {
-  DeviceModel dev;
-  LatencyMeasurer meas(dev);
+  LatencyMeasurer meas;
   util::Rng rng(1);
   const double cold = meas.simulate_run_ms(1.0, 0, rng);
   double warm_sum = 0.0;
@@ -138,28 +137,32 @@ TEST(Measure, ColdRunsAreSlower) {
 TEST(Measure, DeterministicAcrossInstances) {
   DeviceModel dev;
   const Graph g = conv_bn_relu_chain(2);
-  LatencyMeasurer a(dev), b(dev);
-  EXPECT_DOUBLE_EQ(a.measure_network(g, Precision::kInt8, true).mean_ms,
-                   b.measure_network(g, Precision::kInt8, true).mean_ms);
+  LatencyMeasurer a, b;
+  EXPECT_DOUBLE_EQ(a.measure(dev.network_latency_ms(g, Precision::kInt8, true)).mean_ms,
+                   b.measure(dev.network_latency_ms(g, Precision::kInt8, true)).mean_ms);
 }
 
 TEST(Profiler, LayerSumExceedsEndToEnd) {
   // The event-overhead artifact that motivates the paper's ratio formula.
   DeviceModel dev;
-  LatencyMeasurer meas(dev);
-  LayerProfiler prof(dev, meas);
+  LatencyMeasurer meas;
+  LayerProfiler prof;
   const Graph g = zoo::build_trunk(zoo::NetId::kMobileNetV2_100, 224);
-  const LatencyTable t = prof.profile(g, "mnv2", Precision::kInt8, true);
+  const LatencyTable t =
+      prof.profile("mnv2", meas.measure(dev.network_latency_ms(g, Precision::kInt8, true)).mean_ms,
+                   dev.kernel_costs(g, Precision::kInt8, true));
   EXPECT_GT(t.layer_sum_ms(), t.end_to_end_ms);
   EXPECT_LT(t.layer_sum_ms(), t.end_to_end_ms * 1.5);
 }
 
 TEST(Profiler, FusedLayersReportZero) {
   DeviceModel dev;
-  LatencyMeasurer meas(dev);
-  LayerProfiler prof(dev, meas);
+  LatencyMeasurer meas;
+  LayerProfiler prof;
   const Graph g = conv_bn_relu_chain(2);
-  const LatencyTable t = prof.profile(g, "chain", Precision::kInt8, true);
+  const LatencyTable t =
+      prof.profile("chain", meas.measure(dev.network_latency_ms(g, Precision::kInt8, true)).mean_ms,
+                   dev.kernel_costs(g, Precision::kInt8, true));
   int zero_rows = 0;
   for (const ProfiledLayer& l : t.layers)
     if (l.fused_away) {
@@ -173,8 +176,9 @@ TEST(TrainerModel, HoursScaleWithNetworkSize) {
   TrainerModel tm;
   const Graph small = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 224);
   const Graph big = zoo::build_trunk(zoo::NetId::kResNet50, 224);
-  EXPECT_LT(tm.training_hours(small), tm.training_hours(big));
-  EXPECT_GT(tm.training_hours(small), 0.0);
+  const double small_hours = tm.training_hours(static_cast<double>(small.total_cost().flops));
+  EXPECT_LT(small_hours, tm.training_hours(static_cast<double>(big.total_cost().flops)));
+  EXPECT_GT(small_hours, 0.0);
 }
 
 TEST(TrainerModel, PaperScaleTotalHours) {
@@ -183,7 +187,8 @@ TEST(TrainerModel, PaperScaleTotalHours) {
   TrainerModel tm;
   double total = 0.0;
   for (auto id : zoo::all_nets())
-    total += tm.training_hours(zoo::build_trunk(id, zoo::native_resolution(id)));
+    total += tm.training_hours(static_cast<double>(
+        zoo::build_trunk(id, zoo::native_resolution(id)).total_cost().flops));
   EXPECT_GT(total, 2.0);
   EXPECT_LT(total, 60.0);
 }

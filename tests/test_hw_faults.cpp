@@ -208,9 +208,9 @@ TEST(Measure, CleanPathBitIdenticalToExplicitlyDisabled) {
   MeasureConfig plain;  // faults=nullptr -> global (disabled: env unset)
   MeasureConfig pinned;
   pinned.faults = &FaultModel::disabled();
-  LatencyMeasurer a(dev, plain), b(dev, pinned);
-  const Measurement ma = a.measure_network(g, Precision::kInt8, true);
-  const Measurement mb = b.measure_network(g, Precision::kInt8, true);
+  LatencyMeasurer a(plain), b(pinned);
+  const Measurement ma = a.measure(dev.network_latency_ms(g, Precision::kInt8, true));
+  const Measurement mb = b.measure(dev.network_latency_ms(g, Precision::kInt8, true));
   EXPECT_DOUBLE_EQ(ma.mean_ms, mb.mean_ms);
   EXPECT_DOUBLE_EQ(ma.stdev_ms, mb.stdev_ms);
   EXPECT_EQ(ma.runs, mb.runs);
@@ -227,14 +227,16 @@ TEST(Measure, CleanLoopIsThePlainProtocol) {
   MeasureConfig mc;
   mc.noise_sigma = 0.3;  // heavy lognormal tails: trimming would cut some
   mc.faults = &FaultModel::disabled();
-  LatencyMeasurer meas(dev, mc);
+  LatencyMeasurer meas(mc);
   ProfilerConfig pc;
   pc.noise_sigma = 0.5;
   pc.faults = &FaultModel::disabled();
-  LayerProfiler prof(dev, meas, pc);
-  const LatencyTable table = prof.profile(g, "chain", Precision::kInt8, true);  // measure/0
-
+  LayerProfiler prof(pc);
   const double truth = dev.network_latency_ms(g, Precision::kInt8, true);
+  const std::vector<KernelCost> costs = dev.kernel_costs(g, Precision::kInt8, true);
+  const LatencyTable table =
+      prof.profile("chain", meas.measure(truth).mean_ms, costs);  // measure/0
+
   util::Rng rng(util::derive_seed(mc.seed, "measure/0"));
   for (int i = 0; i < mc.warmup_runs; ++i) meas.simulate_run_ms(truth, i, rng);
   std::vector<double> samples;
@@ -243,7 +245,6 @@ TEST(Measure, CleanLoopIsThePlainProtocol) {
   EXPECT_EQ(table.end_to_end_ms, util::mean(samples));
 
   util::Rng prng(util::derive_seed(pc.seed, "profiler/0"));
-  const std::vector<KernelCost> costs = dev.kernel_costs(g, Precision::kInt8, true);
   ASSERT_EQ(table.layers.size(), costs.size());
   for (std::size_t i = 0; i < costs.size(); ++i) {
     if (costs[i].fused_away) continue;
@@ -263,15 +264,14 @@ TEST(Measure, TrimmedMeanSurvivesSpikes) {
 
   MeasureConfig clean_cfg;
   clean_cfg.faults = &FaultModel::disabled();
-  LatencyMeasurer clean(dev, clean_cfg);
-  const double clean_err =
-      std::abs(clean.measure_network(g, Precision::kInt8, true).mean_ms - truth);
+  LatencyMeasurer clean(clean_cfg);
+  const double clean_err = std::abs(clean.measure(truth).mean_ms - truth);
 
   const FaultModel spiky(parse_fault_spec("spike=0.05x8,seed=3"));
   MeasureConfig faulty_cfg;
   faulty_cfg.faults = &spiky;
-  LatencyMeasurer faulty(dev, faulty_cfg);
-  const Measurement m = faulty.measure_network(g, Precision::kInt8, true);
+  LatencyMeasurer faulty(faulty_cfg);
+  const Measurement m = faulty.measure(truth);
 
   // Spikes are rejected, not averaged in: the trimmed mean stays within
   // twice the fault-free protocol error (floored at 1% of truth).
@@ -289,8 +289,8 @@ TEST(Measure, LateThermalThrottleIsTrimmed) {
   const FaultModel hot(parse_fault_spec("throttle=3.0@900~30,seed=5"));
   MeasureConfig mc;
   mc.faults = &hot;
-  LatencyMeasurer meas(dev, mc);
-  const Measurement m = meas.measure_network(g, Precision::kInt8, true);
+  LatencyMeasurer meas(mc);
+  const Measurement m = meas.measure(truth);
   EXPECT_GT(m.outliers_rejected, 10);
   EXPECT_NEAR(m.mean_ms, truth, truth * 0.03);
 }
@@ -301,8 +301,8 @@ TEST(Measure, DroppedRunsAreRetriedWithAccounting) {
   const FaultModel droppy(parse_fault_spec("drop=0.3,seed=21"));
   MeasureConfig mc;
   mc.faults = &droppy;
-  LatencyMeasurer meas(dev, mc);
-  const Measurement m = meas.measure_network(g, Precision::kInt8, true);
+  LatencyMeasurer meas(mc);
+  const Measurement m = meas.measure(dev.network_latency_ms(g, Precision::kInt8, true));
   EXPECT_GT(m.retries, 0);
   EXPECT_LE(m.runs, 800);
   EXPECT_GT(m.confidence, 0.9);  // retries recover nearly every run
@@ -316,32 +316,36 @@ TEST(Measure, AllRunsFailingThrows) {
   MeasureConfig mc;
   mc.faults = &dead;
   mc.max_retries = 1;
-  LatencyMeasurer meas(dev, mc);
-  EXPECT_THROW(meas.measure_network(g, Precision::kInt8, true), std::runtime_error);
+  LatencyMeasurer meas(mc);
+  EXPECT_THROW(meas.measure(dev.network_latency_ms(g, Precision::kInt8, true)),
+               std::runtime_error);
 }
 
 TEST(Profiler, ConfidenceDropsUnderDrops) {
   DeviceModel dev;
   const Graph g = conv_bn_relu_chain(2);
+  const double truth = dev.network_latency_ms(g, Precision::kInt8, true);
+  const std::vector<KernelCost> costs = dev.kernel_costs(g, Precision::kInt8, true);
 
   MeasureConfig clean_mc;
   clean_mc.faults = &FaultModel::disabled();
-  LatencyMeasurer clean_meas(dev, clean_mc);
+  LatencyMeasurer clean_meas(clean_mc);
   ProfilerConfig clean_pc;
   clean_pc.faults = &FaultModel::disabled();
-  LayerProfiler clean_prof(dev, clean_meas, clean_pc);
-  const LatencyTable clean_t = clean_prof.profile(g, "chain", Precision::kInt8, true);
+  LayerProfiler clean_prof(clean_pc);
+  const LatencyTable clean_t =
+      clean_prof.profile("chain", clean_meas.measure(truth).mean_ms, costs);
   for (const ProfiledLayer& l : clean_t.layers) EXPECT_DOUBLE_EQ(l.confidence, 1.0);
 
   const FaultModel droppy(parse_fault_spec("drop=0.5,seed=9"));
   MeasureConfig mc;
   mc.faults = &FaultModel::disabled();  // end-to-end reference stays clean
-  LatencyMeasurer meas(dev, mc);
+  LatencyMeasurer meas(mc);
   ProfilerConfig pc;
   pc.faults = &droppy;
   pc.max_retries = 0;  // no retry budget: drops translate into confidence
-  LayerProfiler prof(dev, meas, pc);
-  const LatencyTable t = prof.profile(g, "chain", Precision::kInt8, true);
+  LayerProfiler prof(pc);
+  const LatencyTable t = prof.profile("chain", meas.measure(truth).mean_ms, costs);
   int degraded = 0;
   for (const ProfiledLayer& l : t.layers)
     if (!l.fused_away && l.confidence < 1.0) ++degraded;

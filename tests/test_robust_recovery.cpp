@@ -393,7 +393,7 @@ TEST(DeadlineWatchdog, SingleOptionWithoutFaultsMatchesLegacyLoop) {
   LoopFixture f;
   app::ControlLoopConfig cfg;
   cfg.episodes = 10;
-  app::ControlLoop legacy(f.vision, f.emg, f.emg_gen, 0.3, cfg);
+  app::ControlLoop legacy({{"", 0.3, &f.vision, {}}}, f.emg, f.emg_gen, cfg);
   std::vector<app::TrnOption> one = {{"only", 0.3, &f.vision, {}}};
   app::ControlLoop adaptive(one, f.emg, f.emg_gen, cfg, app::WatchdogConfig{},
                             &hw::FaultModel::disabled());
