@@ -2,7 +2,7 @@
 // service, the heap-queue take() microbench, and the fleet section —
 // multi-worker scaling, admission under overload and per-tenant SLOs —
 // all under the deterministic open-loop load simulation shared with
-// tests/test_serve.cpp (tests/serve_sim.hpp).
+// tests/test_serve.cpp (src/serve/sim.hpp).
 //
 //   ./build/bench/serve_snapshot [--json BENCH_serve.json]
 //
@@ -37,7 +37,7 @@
 #include "serve/fleet.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
-#include "serve_sim.hpp"
+#include "serve/sim.hpp"
 #include "util/rng.hpp"
 #include "zoo/zoo.hpp"
 

@@ -36,7 +36,7 @@
 #include "hw/device.hpp"
 #include "hw/faults.hpp"
 #include "serve/fleet.hpp"
-#include "serve_sim.hpp"
+#include "serve/sim.hpp"
 #include "tensor/backend.hpp"
 #include "util/table.hpp"
 

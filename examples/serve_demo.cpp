@@ -19,7 +19,7 @@
 // for its own overflow.
 //
 // Everything runs on the deterministic simulated clock from
-// tests/serve_sim.hpp, so this demo prints the same numbers on every run.
+// src/serve/sim.hpp, so this demo prints the same numbers on every run.
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -36,7 +36,7 @@
 #include "serve/fleet.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
-#include "serve_sim.hpp"
+#include "serve/sim.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 #include "zoo/zoo.hpp"

@@ -33,8 +33,9 @@
 #    tile clamp to its last row) and int8 panels packed once, 1x1
 #    convolutions hand their input to the GEMM directly, depthwise
 #    channel blocks write their own scratch regions (fp32 and int8), and
-#    the int8 pass's dequantize/float fallback nodes (average pools,
-#    Concat, Softmax) run through Layer::forward, its only caller in src/
+#    the int8 pass's dequantize/float fallback nodes (BatchNorm, average
+#    pools, Concat, Softmax) run through Layer::forward, its only caller
+#    in src/
 # 7. model checker (ctest -L sched): the schedule-exploration campaigns —
 #    every serve protocol under >= 200 seeded schedules plus
 #    bounded-exhaustive prefixes — clean, under the chaos schedule, and the

@@ -44,7 +44,6 @@ sources=(
   src/serve/shard.cpp
   src/serve/server.cpp
   src/serve/fleet.cpp
-  src/core/explorer.cpp
   src/core/evaluator.cpp
 )
 

@@ -235,6 +235,13 @@ void TrnEvaluator::append_cache(const std::string& key, const AccuracyResult& r)
   out << cache_row(key, r) << '\n';
 }
 
+bool TrnEvaluator::memoized(zoo::NetId base, int cut_node) {
+  const std::string key = cache_key(base, cut_node);
+  util::MutexLock lock(cache_mutex_);
+  if (!cache_loaded_) load_cache();
+  return cache_.count(key) > 0;
+}
+
 AccuracyResult TrnEvaluator::accuracy(zoo::NetId base, int cut_node) {
   const std::string key = cache_key(base, cut_node);
   {

@@ -74,6 +74,10 @@ class TrnEvaluator {
   /// at the outer parallelism level exactly once.
   void prepare(zoo::NetId base) { state(base); }
 
+  /// True when accuracy(base, cut_node) would be answered from the memo
+  /// (loading the memo file on first use) without training or features.
+  bool memoized(zoo::NetId base, int cut_node);
+
   /// Per-test-image margins / similarities / agreements of the TRN cut at
   /// `cut_node`. The head is retrained with exactly the op order and seed of
   /// accuracy(), so aggregate metrics agree with the memoized accuracy.
@@ -92,8 +96,7 @@ class TrnEvaluator {
   const data::HandsDataset& dataset() const { return dataset_; }
 
   /// Stable hash of (EvalConfig, dataset config): the memo-key component
-  /// that invalidates cached accuracies across config changes. Exposed so
-  /// resumable exploration journals can key on the same identity.
+  /// that invalidates cached accuracies across config changes.
   std::uint64_t config_hash() const { return config_hash_; }
 
   /// Malformed/truncated rows skipped by the last cache load (a crash

@@ -2,17 +2,18 @@
 // Enumerates every blockwise TRN of every base network, retrains each one,
 // measures each on the device, and prices the total retraining bill on the
 // training-server model (the paper's "148 networks, 183 hours").
+//
+// Completed retrainings live in the evaluator's crash-safe accuracy memo, so
+// an interrupted sweep resumes from the rows it finished, and a sweep whose
+// every cut is already memoized skips feature extraction altogether.
 #pragma once
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/lab.hpp"
-#include "util/ranked_mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace netcut::core {
 
@@ -49,47 +50,16 @@ class BlockwiseExplorer {
   /// Total retraining bill of a candidate set.
   static double total_train_hours(const std::vector<Candidate>& candidates);
 
-  /// Enables the crash-safe progress journal at `path`. Completed head
-  /// retrainings are appended as checksummed rows keyed on the full lab +
-  /// evaluator configuration; a later explorer pointed at the same file
-  /// skips those retrainings and resumes from where the previous run died.
-  /// A journal written under a different configuration (or corrupted past
-  /// its header) is quarantined and exploration starts fresh. The cheap
-  /// analytical lab measurements are always re-run in their original order
-  /// so measurement RNG streams stay identical to an uninterrupted sweep.
-  void set_journal(const std::string& path);
-
-  /// Retrainings skipped thanks to journal rows (diagnostics for tests).
-  int journal_hits() const {
-    util::MutexLock lock(journal_mutex_);
-    return journal_hits_;
-  }
-
  private:
   /// Candidate with all LatencyLab-derived fields filled, accuracy pending.
   Candidate lab_stub(zoo::NetId base, int cut_node, int blocks_removed);
-  Candidate evaluate_cut(zoo::NetId base, int cut_node, int blocks_removed);
   /// Two-phase batch evaluation: serial lab metadata, then the independent
   /// per-TRN head retrainings fanned out across the thread pool.
   std::vector<Candidate> evaluate_cuts(zoo::NetId base,
                                        const std::vector<std::pair<int, int>>& cuts);
 
-  /// Configuration identity stamped into the journal header.
-  std::uint64_t journal_key() const;
-  void journal_append(const std::string& base_name, int cut_node, const AccuracyResult& r)
-      NETCUT_REQUIRES(journal_mutex_);
-
   LatencyLab& lab_;
   TrnEvaluator& evaluator_;
-
-  std::string journal_path_;  // set at setup time, stable during sweeps
-  /// Guards the journal memo, the hit counter, and the append-only file
-  /// (pool workers publish completed retrainings concurrently).
-  mutable util::RankedMutex journal_mutex_{util::rank::kJournal, "core/explorer.journal"};
-  // Completed (base_name, cut_node) -> accuracy, loaded from the journal.
-  std::map<std::pair<std::string, int>, AccuracyResult> journal_
-      NETCUT_GUARDED_BY(journal_mutex_);
-  int journal_hits_ NETCUT_GUARDED_BY(journal_mutex_) = 0;
 };
 
 }  // namespace netcut::core

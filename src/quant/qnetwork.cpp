@@ -392,7 +392,11 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
         break;
       }
       case nn::LayerKind::kReLU:
-      case nn::LayerKind::kReLU6: {
+      case nn::LayerKind::kReLU6:
+      case nn::LayerKind::kFlatten: {
+        // One table lookup per element: ReLU/ReLU6 clip inside the table;
+        // Flatten relabels the same elements, so its table only maps
+        // between the two calibrated scales.
         const std::array<std::uint8_t, 256>& lut = tables.requant;
         const std::uint8_t* x = act(src0);
         std::uint8_t* y = act(id);
@@ -413,16 +417,6 @@ tensor::Tensor QuantizedNetwork::forward_int8(const tensor::Tensor& input) {
             sum[i] = t == 0 ? lut[x[i]] : sum[i] + lut[x[i]];
         }
         quantize_row(sum, count, out_p, act(id));
-        break;
-      }
-      case nn::LayerKind::kFlatten: {
-        // Pure relabeling of the same elements; only the calibrated scale
-        // changes between the two node outputs.
-        const std::array<std::uint8_t, 256>& lut = tables.requant;
-        const std::uint8_t* x = act(src0);
-        std::uint8_t* y = act(id);
-        const std::size_t count = numel(id);
-        for (std::size_t i = 0; i < count; ++i) y[i] = lut[x[i]];
         break;
       }
       case nn::LayerKind::kMaxPool: {

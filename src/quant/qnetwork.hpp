@@ -10,8 +10,8 @@
 // the GEMM nodes' requantization. Elementwise requantization (ReLU / ReLU6
 // / MaxPool / Flatten) runs through 256-entry lookup tables; Add
 // dequantizes through tables, sums in the float layer's order and
-// requantizes; the remaining layer kinds (GlobalAvgPool, AvgPool, Concat,
-// Softmax) dequantize, run the float layer, and requantize. The tables
+// requantizes; the remaining layer kinds (BatchNorm, GlobalAvgPool, AvgPool,
+// Concat, Softmax) dequantize, run the float layer, and requantize. The tables
 // depend only on the calibrated scales and are built once by calibrate().
 // Activations and kernel scratch live in one reused tensor::Arena laid out
 // once per input shape, so steady-state passes allocate nothing on the

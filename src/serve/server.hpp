@@ -18,7 +18,7 @@
 // slower network is predicted to fit again.
 //
 // The server is clock-agnostic: `now_ms` comes from the caller, so the
-// deterministic simulated clock (tests/serve_sim.hpp) and a wall clock
+// deterministic simulated clock (src/serve/sim.hpp) and a wall clock
 // drive identical code.
 #pragma once
 

@@ -1,5 +1,5 @@
-// Deterministic load simulation for the serving layer, shared by
-// tests/test_serve.cpp, bench/serve_snapshot.cpp and examples/serve_demo.
+// Deterministic load simulation for the serving layer, shared by the
+// serving tests, bench/serve_snapshot and examples/serve_demo and netcut_cli.
 //
 // Everything here runs on a simulated millisecond clock: arrivals are an
 // open-loop Poisson process drawn from a seeded Rng (the same
@@ -11,7 +11,7 @@
 // assert reproducibility outright.
 //
 // Two harnesses share the arrival machinery:
-//  * the single-server loop (run_open_loop) from PR 5, unchanged, and
+//  * the single-server loop (run_open_loop), and
 //  * the fleet loop (run_fleet_open_loop): multi-tenant phased arrivals
 //    through Fleet::submit/step, scaled to millions of requests — the
 //    report keeps O(1) state per request (responses + an FNV-1a digest of

@@ -1,7 +1,7 @@
 // Crash-safe file persistence primitives.
 //
 // Every cache this project writes (accuracy memo CSV, pretrained trunk
-// weights, exploration journals) can be interrupted mid-write by a process
+// weights) can be interrupted mid-write by a process
 // kill, and re-read by a later run that must not be poisoned by the torn
 // state. The building blocks here are the classic trio: tmp-file + rename
 // atomic publication (POSIX rename within a directory is atomic), a
@@ -19,7 +19,7 @@
 namespace netcut::util {
 
 /// FNV-1a 64-bit hash over a byte range (checksum for cache payloads and
-/// journal rows; not cryptographic).
+/// accuracy-memo rows; not cryptographic).
 std::uint64_t fnv1a64(const void* data, std::size_t n);
 std::uint64_t fnv1a64(std::string_view s);
 

@@ -1,6 +1,6 @@
 // RankedMutex + CondVar + MutexLock: the synchronization vocabulary of the
 // concurrency-checked subsystems (serve::, util::ThreadPool, the core
-// cache/journal paths).
+// evaluator's caches).
 //
 // Three layers share these types, each catching a class of bug the others
 // cannot:
@@ -46,7 +46,6 @@ inline constexpr int kQueue = 40;        // serve::RequestQueue heap (per shard)
 inline constexpr int kWatchdog = 50;     // app::MissRateWatchdog window
 inline constexpr int kEvalStates = 60;   // core::TrnEvaluator materialization
 inline constexpr int kEvalCache = 61;    // core::TrnEvaluator accuracy memo
-inline constexpr int kJournal = 62;      // core::BlockwiseExplorer journal
 inline constexpr int kPool = 90;         // util::ThreadPool job state (leaf)
 }  // namespace rank
 

@@ -1,6 +1,6 @@
 // Crash-safety and graceful-degradation checks: checked atomic files,
-// accuracy-cache healing, weight-cache quarantine, exploration journal
-// resume, and the deadline watchdog's Pareto fallback.
+// accuracy-cache healing, weight-cache quarantine, sweep resume from the
+// accuracy memo, and the deadline watchdog's Pareto fallback.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -239,48 +239,44 @@ TEST(WeightCache, FileNameDependsOnBackend) {
   EXPECT_NE(scalar, simd);
 }
 
-// --------------------------------------------------------- exploration journal
+// ---------------------------------------------------------- sweep resume
 
-TEST(ExplorationJournal, ResumesFromCompletedCutsAfterTruncation) {
-  const std::string dir = fresh_dir("journal_resume");
-  const std::string journal = dir + "/journal.csv";
+TEST(AccuracyCache, ExplorerResumesFromMemo) {
+  const std::string dir = fresh_dir("memo_resume");
+  const std::string cache = dir + "/cache.csv";
   const std::string wdir = dir + "/weights";
   const zoo::NetId base = zoo::NetId::kMobileNetV1_025;
   const data::HandsDataset dataset(tiny_data());
 
   core::LatencyLab lab1;
-  core::TrnEvaluator eval1(dataset, tiny_eval("", wdir));
-  core::BlockwiseExplorer explorer1(lab1, eval1);
-  explorer1.set_journal(journal);
-  const std::vector<core::Candidate> full = explorer1.explore(base, true);
+  core::TrnEvaluator eval1(dataset, tiny_eval(cache, wdir));
+  const std::vector<core::Candidate> full =
+      core::BlockwiseExplorer(lab1, eval1).explore(base, true);
   ASSERT_GT(full.size(), 3u);
-  EXPECT_EQ(explorer1.journal_hits(), 0);
 
   // Simulate a crash: drop the last two completed rows and leave a torn
   // partial append behind.
   std::vector<std::string> lines;
   {
-    std::ifstream in(journal);
+    std::ifstream in(cache);
     std::string line;
     while (std::getline(in, line)) lines.push_back(line);
   }
-  ASSERT_EQ(lines.size(), full.size() + 1);  // header + one row per cut
+  ASSERT_EQ(lines.size(), full.size());  // one row per cut
   {
-    std::ofstream out(journal, std::ios::trunc);
+    std::ofstream out(cache, std::ios::trunc);
     for (std::size_t i = 0; i + 2 < lines.size(); ++i) out << lines[i] << '\n';
     out << lines[lines.size() - 2].substr(0, 10);  // torn mid-row, no newline
   }
 
   core::LatencyLab lab2;
-  core::TrnEvaluator eval2(dataset, tiny_eval("", wdir));
-  core::BlockwiseExplorer explorer2(lab2, eval2);
+  core::TrnEvaluator eval2(dataset, tiny_eval(cache, wdir));
   testing::internal::CaptureStderr();
-  explorer2.set_journal(journal);
+  const std::vector<core::Candidate> resumed =
+      core::BlockwiseExplorer(lab2, eval2).explore(base, true);
   const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("torn"), std::string::npos);
-  const std::vector<core::Candidate> resumed = explorer2.explore(base, true);
-
-  EXPECT_EQ(explorer2.journal_hits(), static_cast<int>(full.size()) - 2);
+  EXPECT_NE(err.find("malformed"), std::string::npos);
+  EXPECT_EQ(eval2.cache_rows_skipped(), 1);
   ASSERT_EQ(resumed.size(), full.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(resumed[i].trn_name, full[i].trn_name);
@@ -289,39 +285,21 @@ TEST(ExplorationJournal, ResumesFromCompletedCutsAfterTruncation) {
     EXPECT_DOUBLE_EQ(resumed[i].top1, full[i].top1);
   }
 
-  // A third run finds every cut journaled and skips retraining entirely.
+  // A third sweep finds every cut in the healed memo: no trunk is loaded or
+  // pretrained and no features are harvested, so the deleted weight cache
+  // stays empty.
+  fs::remove_all(wdir);
   core::LatencyLab lab3;
-  core::TrnEvaluator eval3(dataset, tiny_eval("", wdir));
-  core::BlockwiseExplorer explorer3(lab3, eval3);
-  explorer3.set_journal(journal);
-  const std::vector<core::Candidate> replayed = explorer3.explore(base, true);
-  EXPECT_EQ(explorer3.journal_hits(), static_cast<int>(full.size()));
-  for (std::size_t i = 0; i < full.size(); ++i)
+  core::TrnEvaluator eval3(dataset, tiny_eval(cache, wdir));
+  const std::vector<core::Candidate> replayed =
+      core::BlockwiseExplorer(lab3, eval3).explore(base, true);
+  EXPECT_EQ(eval3.cache_rows_skipped(), 0);
+  EXPECT_FALSE(core::pretrained_available(base, tiny_pretrain(), wdir));
+  ASSERT_EQ(replayed.size(), full.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_DOUBLE_EQ(replayed[i].accuracy, full[i].accuracy);
-}
-
-TEST(ExplorationJournal, ForeignConfigurationIsQuarantined) {
-  const std::string dir = fresh_dir("journal_mismatch");
-  const std::string journal = dir + "/journal.csv";
-  {
-    std::ofstream out(journal);
-    out << "#netcut-journal v1 deadbeef\n";
-    out << "MobileNetV1-0.25,7,0.9,0.8,0\n";
+    EXPECT_DOUBLE_EQ(replayed[i].top1, full[i].top1);
   }
-  const data::HandsDataset dataset(tiny_data());
-  core::LatencyLab lab;
-  core::TrnEvaluator eval(dataset, tiny_eval("", ""));
-  core::BlockwiseExplorer explorer(lab, eval);
-  testing::internal::CaptureStderr();
-  explorer.set_journal(journal);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("quarantined"), std::string::npos);
-  EXPECT_EQ(explorer.journal_hits(), 0);
-  EXPECT_TRUE(fs::exists(journal + ".quarantined"));
-  // The fresh journal carries this configuration's header.
-  const std::string head = slurp(journal);
-  EXPECT_EQ(head.rfind("#netcut-journal v1 ", 0), 0u);
-  EXPECT_EQ(head.find("deadbeef"), std::string::npos);
 }
 
 // ------------------------------------------------------------ deadline watchdog

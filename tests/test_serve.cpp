@@ -34,7 +34,7 @@
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
 #include "serve/shard.hpp"
-#include "serve_sim.hpp"
+#include "serve/sim.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"

@@ -35,7 +35,7 @@
 #include "serve/fleet.hpp"
 #include "serve/health.hpp"
 #include "serve/shard.hpp"
-#include "serve_sim.hpp"
+#include "serve/sim.hpp"
 #include "sched_check.hpp"
 #include "util/rng.hpp"
 #include "util/schedule.hpp"
