@@ -2,8 +2,11 @@
 // quickstart pipeline and a fast-mode fig10-style NetCut run, plus
 // per-forward heap-allocation counts, activation-memory footprint (planned
 // peak vs the sum of all activations) and forward latency on zoo trunks,
-// under the same `host` stamp as BENCH_kernels.json. Appends nothing; each
-// run rewrites the JSON so the numbers always describe the current tree.
+// and the host's fp32 batch curve (forward_batch ms per image at B = 1..16)
+// next to the modeled one (hw::DeviceModel::batch_curve, a simulated
+// Jetson), under the same `host` stamp as BENCH_kernels.json. Appends
+// nothing; each run rewrites the JSON so the numbers always describe the
+// current tree.
 //
 //   ./build/bench/e2e_snapshot [--json BENCH_e2e.json]
 //
@@ -17,13 +20,18 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/trn.hpp"
+#include "hw/device.hpp"
 #include "nn/init.hpp"
 #include "nn/network.hpp"
+#include "quant/fusion.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 #include "zoo/zoo.hpp"
@@ -126,6 +134,59 @@ ForwardRecord measure_forward(zoo::NetId id, int resolution) {
   return r;
 }
 
+struct BatchCurve {
+  std::string net;
+  int resolution = 0;
+  std::vector<int> batch;
+  std::vector<double> measured_ms_per_image, modeled_ms_per_image;
+};
+
+/// fp32 forward_batch ms per image on the host (best of reps) and from the
+/// device model, at each batch size.
+BatchCurve measure_batch_curve(const std::string& name, const nn::Graph& g, int resolution) {
+  constexpr int kMaxBatch = 16;
+  BatchCurve c;
+  c.net = name;
+  c.resolution = resolution;
+  util::Rng rng(9);
+  std::vector<tensor::Tensor> images;
+  for (int i = 0; i < kMaxBatch; ++i)
+    images.push_back(
+        tensor::Tensor::randn(tensor::Shape::chw(3, resolution, resolution), rng, 0.5f));
+  const auto modeled =
+      hw::DeviceModel().batch_curve(g, hw::Precision::kFp32, /*fuse=*/false, kMaxBatch);
+  nn::Network net(g);
+  for (const int b : {1, 2, 4, 8, 16}) {
+    std::vector<const tensor::Tensor*> in;
+    for (int i = 0; i < b; ++i) in.push_back(&images[static_cast<std::size_t>(i)]);
+    (void)net.forward_batch(in);  // warm-up: plans this batch size
+    c.batch.push_back(b);
+    c.measured_ms_per_image.push_back(time_best_ms([&] { (void)net.forward_batch(in); }, 20) / b);
+    c.modeled_ms_per_image.push_back(modeled(b) / b);
+  }
+  return c;
+}
+
+/// perfbench `infer`'s two TRNs (BatchNorm folded, 32 px, the same weights)
+/// and the ResNet50 trunk at the explore harvest's 24 px.
+std::vector<BatchCurve> batch_curves() {
+  std::vector<BatchCurve> curves;
+  for (auto [key, id, cut] : {std::tuple{"resnet50", zoo::NetId::kResNet50, 58},
+                              std::tuple{"mobilenetv2", zoo::NetId::kMobileNetV2_140, 138}}) {
+    util::Rng rng(util::derive_seed(2021, key));
+    nn::Graph trunk = zoo::build_trunk(id, 32);
+    nn::init_graph(trunk, rng);
+    const nn::Graph trn = core::build_trn(trunk, cut, core::HeadConfig{}, rng);
+    curves.push_back(measure_batch_curve(core::trn_name(zoo::net_name(id), trunk, cut),
+                                         quant::fold_batchnorm(trn), 32));
+  }
+  util::Rng rng(11);
+  nn::Graph trunk = zoo::build_trunk(zoo::NetId::kResNet50, 24);
+  nn::init_graph(trunk, rng);
+  curves.push_back(measure_batch_curve("ResNet50 trunk", trunk, 24));
+  return curves;
+}
+
 /// Times one fresh-subprocess run of `self --run-<which>`, in milliseconds.
 /// Fresh processes keep runs from contaminating each other through
 /// allocator state, and match how the pipelines actually run.
@@ -183,6 +244,9 @@ int main(int argc, char** argv) {
   fwd.push_back(measure_forward(zoo::NetId::kMobileNetV2_140, 64));
   fwd.push_back(measure_forward(zoo::NetId::kResNet50, 64));
 
+  std::printf("batch curves...\n");
+  const std::vector<BatchCurve> curves = batch_curves();
+
   std::ofstream out(json_path);
   if (!out) {
     std::cerr << "e2e_snapshot: cannot open " << json_path << "\n";
@@ -201,6 +265,23 @@ int main(int argc, char** argv) {
         << ", \"activation_sum_bytes\": " << r.activation_sum_bytes << ", \"ms\": " << r.ms
         << "}" << (i + 1 < fwd.size() ? "," : "") << "\n";
   }
+  out << "  ],\n";
+  out << "  \"batch_curve\": [\n";
+  const auto list = [](const auto& v) {
+    std::ostringstream s;
+    s << '[';
+    for (std::size_t i = 0; i < v.size(); ++i) s << (i ? ", " : "") << v[i];
+    s << ']';
+    return s.str();
+  };
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    const BatchCurve& c = curves[i];
+    out << "    {\"net\": \"" << c.net << "\", \"resolution\": " << c.resolution
+        << ", \"precision\": \"fp32\", \"batch\": " << list(c.batch)
+        << ", \"measured_ms_per_image\": " << list(c.measured_ms_per_image)
+        << ", \"modeled_ms_per_image\": " << list(c.modeled_ms_per_image) << "}"
+        << (i + 1 < curves.size() ? "," : "") << "\n";
+  }
   out << "  ]\n}\n";
   std::cout << "wrote " << json_path << "\n";
 
@@ -209,5 +290,12 @@ int main(int argc, char** argv) {
     std::printf("%-18s @%d fwd: %.3f ms, allocs %llu, act MiB %.2f planned / %.2f summed\n",
                 r.net.c_str(), r.resolution, r.ms, static_cast<unsigned long long>(r.allocs),
                 r.planned_peak_activation_bytes / 1048576.0, r.activation_sum_bytes / 1048576.0);
+  for (const BatchCurve& c : curves) {
+    std::printf("%-28s @%d ms/image, measured | modeled:", c.net.c_str(), c.resolution);
+    for (std::size_t i = 0; i < c.batch.size(); ++i)
+      std::printf("  B%d %.3f | %.3f", c.batch[i], c.measured_ms_per_image[i],
+                  c.modeled_ms_per_image[i]);
+    std::printf("\n");
+  }
   return 0;
 }

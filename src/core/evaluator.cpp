@@ -1,5 +1,6 @@
 #include "core/evaluator.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,11 +14,11 @@
 
 #include "ml/metrics.hpp"
 #include "ml/model_selection.hpp"
-#include "util/thread_pool.hpp"
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
 #include "nn/init.hpp"
 #include "nn/loss.hpp"
+#include "nn/network.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/backend.hpp"
 
@@ -67,9 +68,8 @@ TrnEvaluator::NetState& TrnEvaluator::state(zoo::NetId base) {
   if (it != states_.end()) return it->second;
 
   NetState st;
-  nn::Graph trunk = pretrained_trunk(base, config_.resolution, config_.pretrained,
-                                     config_.weight_cache_dir);
-  st.net = std::make_unique<nn::Network>(std::move(trunk));
+  nn::Network net(pretrained_trunk(base, config_.resolution, config_.pretrained,
+                                   config_.weight_cache_dir));
 
   // Optional BatchNorm re-calibration on a train subset (0 keeps the
   // statistics the pretrained trunk shipped with).
@@ -80,40 +80,38 @@ TrnEvaluator::NetState& TrnEvaluator::state(zoo::NetId base) {
         config_.seed);
     std::vector<const tensor::Tensor*> images;
     for (const data::Sample* s : calib) images.push_back(&s->image);
-    data::calibrate_batchnorm(*st.net, images);
+    data::calibrate_batchnorm(net, images);
   }
 
-  st.cutpoints = iterative_cutpoints(st.net->graph());
+  st.cutpoints = iterative_cutpoints(net.graph());
 
-  // One pass per image, harvesting GAP features at every cut site. Images
-  // are independent, so the pass is partitioned across the pool; each chunk
-  // runs on a private clone of the frozen trunk (Network::forward_collect
-  // keeps per-instance activation state) and writes features by image index,
-  // which makes the result independent of the thread count.
-  auto harvest = [&](const std::vector<data::Sample>& samples,
-                     std::map<int, std::vector<tensor::Tensor>>& into) {
-    const std::int64_t n = static_cast<std::int64_t>(samples.size());
-    for (int cp : st.cutpoints) into[cp].assign(static_cast<std::size_t>(n), tensor::Tensor());
-    const int threads = util::num_threads();
-    const bool parallel = threads > 1 && !util::ThreadPool::in_worker() && n > 1;
-    const std::int64_t grain = parallel ? (n + threads - 1) / threads : n;
-    util::parallel_for(0, n, grain, [&](std::int64_t b, std::int64_t e) {
-      nn::Network* net = st.net.get();
-      std::unique_ptr<nn::Network> local;
-      if (parallel) {
-        local = std::make_unique<nn::Network>(st.net->graph());
-        net = local.get();
-      }
-      for (std::int64_t i = b; i < e; ++i) {
-        const std::vector<tensor::Tensor> acts = net->forward_collect(
-            samples[static_cast<std::size_t>(i)].image, st.cutpoints, /*train=*/false);
-        for (std::size_t k = 0; k < st.cutpoints.size(); ++k)
-          into[st.cutpoints[k]][static_cast<std::size_t>(i)] = gap(acts[k]);
-      }
-    });
-  };
-  harvest(dataset_.train(), st.train_features);
-  harvest(dataset_.test(), st.test_features);
+  // Batched passes over the train then test images, harvesting GAP
+  // features at every cut site. Each batch runs one GEMM per convolution
+  // and spreads its lanes over the pool; every kernel is thread-count
+  // invariant and a batched collect is bitwise a loop of single-image ones,
+  // so the features depend on neither the thread count nor the batch size.
+  // A batch's activations are reduced to features before the next runs.
+  std::vector<const tensor::Tensor*> images;
+  for (const data::Sample& s : dataset_.train()) images.push_back(&s.image);
+  for (const data::Sample& s : dataset_.test()) images.push_back(&s.image);
+  const std::size_t train_count = dataset_.train().size();
+  for (int cp : st.cutpoints) {
+    st.train_features[cp].reserve(train_count);
+    st.test_features[cp].reserve(images.size() - train_count);
+  }
+  const std::size_t lanes = nn::Network::lanes_for(images.size());
+  for (std::size_t first = 0; first < images.size(); first += lanes) {
+    const std::size_t last = std::min(images.size(), first + lanes);
+    const std::vector<std::vector<tensor::Tensor>> acts = net.forward_collect(
+        {images.begin() + static_cast<std::ptrdiff_t>(first),
+         images.begin() + static_cast<std::ptrdiff_t>(last)},
+        st.cutpoints);
+    for (std::size_t i = first; i < last; ++i) {
+      auto& into = i < train_count ? st.train_features : st.test_features;
+      for (std::size_t k = 0; k < st.cutpoints.size(); ++k)
+        into[st.cutpoints[k]].push_back(gap(acts[i - first][k]));
+    }
+  }
 
   return states_.emplace(base, std::move(st)).first->second;
 }

@@ -15,14 +15,12 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/trn.hpp"
 #include "data/hands.hpp"
 #include "data/pretrained.hpp"
-#include "nn/network.hpp"
 #include "util/ranked_mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -116,9 +114,10 @@ class TrnEvaluator {
                                         std::uint64_t seed) const;
 
  private:
+  /// What a base's one feature pass leaves behind; the trunk itself is
+  /// dropped once its features are harvested.
   struct NetState {
-    std::unique_ptr<nn::Network> net;  // eval-res trunk, weights + calibrated BNs
-    std::vector<int> cutpoints;        // dominators, depth order
+    std::vector<int> cutpoints;  // dominators, depth order
     // GAP features per cut node id, aligned with dataset train/test order.
     std::map<int, std::vector<tensor::Tensor>> train_features;
     std::map<int, std::vector<tensor::Tensor>> test_features;

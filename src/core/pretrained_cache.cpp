@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <utility>
 
 #include "nn/serialize.hpp"
 #include "tensor/backend.hpp"
@@ -59,7 +60,7 @@ CacheLoad load_weights_checked(nn::Graph& graph, const std::string& path) {
   try {
     const auto payload = util::read_checked(path, kContainerMagic, kContainerVersion);
     if (!payload) return CacheLoad::kMissing;
-    std::istringstream in(*payload, std::ios::binary);
+    std::istringstream in(std::move(*payload), std::ios::binary);
     nn::load_params(graph, in, path);
     return CacheLoad::kLoaded;
   } catch (const std::exception& e) {

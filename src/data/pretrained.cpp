@@ -86,11 +86,10 @@ std::vector<nn::BatchNorm*> batchnorms_of(Graph& g) {
 }
 
 void collect_bn_stats(nn::Network& net, const std::vector<Tensor>& images, int max_images) {
-  auto norms = batchnorms_of(net.graph());
-  for (nn::BatchNorm* bn : norms) bn->begin_stat_collection();
-  const int count = std::min<int>(max_images, static_cast<int>(images.size()));
-  for (int i = 0; i < count; ++i) net.forward(images[static_cast<std::size_t>(i)], false);
-  for (nn::BatchNorm* bn : norms) bn->end_stat_collection();
+  const std::size_t count = std::min(static_cast<std::size_t>(max_images), images.size());
+  std::vector<const Tensor*> batch;
+  for (std::size_t i = 0; i < count; ++i) batch.push_back(&images[i]);
+  calibrate_batchnorm(net, batch);
 }
 
 }  // namespace
@@ -321,7 +320,9 @@ void calibrate_batchnorm(nn::Network& net,
   if (images.empty()) throw std::invalid_argument("calibrate_batchnorm: no images");
   auto norms = batchnorms_of(net.graph());
   for (nn::BatchNorm* bn : norms) bn->begin_stat_collection();
-  for (const tensor::Tensor* img : images) net.forward(*img, /*train=*/false);
+  // Batched: each BatchNorm runs the images in order, so image i sees the
+  // sums of images 0..i exactly as a loop of single-image forwards would.
+  (void)net.forward_batch(images);
   for (nn::BatchNorm* bn : norms) bn->end_stat_collection();
 }
 

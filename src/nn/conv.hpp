@@ -24,6 +24,18 @@ class Conv2D final : public Layer {
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
   std::size_t forward_scratch_floats(const std::vector<Shape>& in) const override;
+  /// One GEMM over the batch: the images' columns side by side into
+  /// [K, B*oh*ow] (a 1x1 stride-1 conv copies its activations there), one
+  /// product into [out_c, B*oh*ow], then each image's block scattered to
+  /// its CHW output with the bias added. Every output is still one
+  /// ascending-k FMA chain, so each lane is bitwise a forward_into. Wide
+  /// output planes, which fill the GEMM alone, group fewer images per GEMM
+  /// (one each from 256 pixels up, run as parallel forward_intos).
+  void forward_lanes(std::span<LaneIO> lanes, float* batch_scratch) override;
+  /// Columns plus product of the largest image group; zero when every
+  /// image runs alone (it uses its lane scratch and writes its output
+  /// directly).
+  std::size_t batch_scratch_floats(const std::vector<Shape>& in, int batch) const override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override;
@@ -51,6 +63,9 @@ class Conv2D final : public Layer {
   tensor::ConvGeometry geometry(const Shape& in) const;
 
  private:
+  /// One GEMM over `lanes` (all of one geometry), or forward_into for one.
+  void gemm_lanes(std::span<LaneIO> lanes, const tensor::ConvGeometry& g, float* batch_scratch);
+
   int in_c_, out_c_, kernel_h_, kernel_w_, stride_, pad_h_, pad_w_;
   bool has_bias_;
   Tensor weight_;  // [out_c, in_c, kh, kw]
@@ -62,8 +77,8 @@ class Conv2D final : public Layer {
 
   // Persistent per-layer scratch (im2col columns and backward temporaries),
   // grown on demand and reused across calls instead of reallocating on every
-  // forward/backward. Layers are not shared across pool workers (the
-  // evaluator clones trunks per worker), so no synchronization is needed.
+  // forward/backward. Planned passes hand in arena scratch instead, so only
+  // unplanned forwards and backward (single-threaded training) touch these.
   std::vector<float> cols_scratch_, dcols_scratch_, dw_scratch_;
 };
 

@@ -1,6 +1,9 @@
 #include "nn/layer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "util/thread_pool.hpp"
 
 namespace netcut::nn {
 
@@ -34,6 +37,22 @@ Tensor Layer::forward(const std::vector<const Tensor*>& in, bool train) {
 }
 
 std::size_t Layer::forward_scratch_floats(const std::vector<Shape>& /*in*/) const { return 0; }
+
+void Layer::forward_lanes(std::span<LaneIO> lanes, float* /*batch_scratch*/) {
+  const auto per_lane = std::max<std::size_t>(1, static_cast<std::size_t>(lanes[0].out.numel()));
+  const auto grain = static_cast<std::int64_t>((kLaneParallelElems + per_lane - 1) / per_lane);
+  util::parallel_for(0, static_cast<std::int64_t>(lanes.size()), grain,
+                     [&](std::int64_t b, std::int64_t e) {
+                       for (std::int64_t l = b; l < e; ++l) {
+                         LaneIO& io = lanes[static_cast<std::size_t>(l)];
+                         forward_into(io.in, io.out, /*train=*/false, io.scratch);
+                       }
+                     });
+}
+
+std::size_t Layer::batch_scratch_floats(const std::vector<Shape>& /*in*/, int /*batch*/) const {
+  return 0;
+}
 
 void Layer::zero_grads() {
   for (Tensor* g : grads()) g->fill(0.0f);

@@ -1,16 +1,19 @@
 // Layer abstraction: every operator in the CNN graphs implements forward_into,
 // backward, shape inference, and a hardware-cost descriptor.
 //
-// Execution is batch-free (one CHW image at a time). BatchNorm consequently
-// runs in inference mode with generated/calibrated running statistics during
-// the transfer-learning experiments; its training mode uses single-image
-// spatial statistics, which is exercised by unit tests and the tiny
-// fine-tuning example.
+// Tensors are single images (CHW or a feature vector). A batched inference
+// pass hands a layer one LaneIO per image (forward_lanes): Conv2D lowers the
+// batch to one GEMM, every other layer runs its images one by one.
+// Training is single-image, so BatchNorm runs in inference mode with
+// generated/calibrated running statistics during the transfer-learning
+// experiments; its training mode uses single-image spatial statistics,
+// which is exercised by unit tests and the tiny fine-tuning example.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +53,19 @@ struct LayerCost {
   int kernel = 0;                 // spatial kernel size (0 for non-spatial ops)
 };
 
+/// Output elements a forward_lanes chunk should cover before it is worth a
+/// pool dispatch: smaller nodes keep their lanes on fewer threads.
+inline constexpr std::size_t kLaneParallelElems = std::size_t{1} << 15;
+
+/// One image of a batched inference pass: its input activations, the view
+/// its output is written into, and its planned per-image forward scratch
+/// (nullptr when the layer asked for none).
+struct LaneIO {
+  std::vector<const Tensor*> in;
+  Tensor out;
+  float* scratch = nullptr;
+};
+
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -77,6 +93,19 @@ class Layer {
   /// Per-call forward workspace (in floats) the layer wants planned into
   /// the arena (e.g. Conv2D's im2col column buffer). Zero by default.
   virtual std::size_t forward_scratch_floats(const std::vector<Shape>& in) const;
+
+  /// Inference over a batch of images, `lanes` in image order. Each lane's
+  /// output must be bitwise what forward_into(lane.in, lane.out, false,
+  /// lane.scratch) writes. `batch_scratch` holds at least
+  /// batch_scratch_floats(in, lanes.size()) floats shared by the whole
+  /// batch (nullptr when the plan has none). The default runs forward_into
+  /// on every lane, the lanes in parallel on the pool, which is only
+  /// correct for a layer whose inference forward writes no member state.
+  virtual void forward_lanes(std::span<LaneIO> lanes, float* batch_scratch);
+
+  /// Workspace (in floats) forward_lanes wants for `batch` images of input
+  /// shapes `in`, beyond each lane's own scratch. Zero by default.
+  virtual std::size_t batch_scratch_floats(const std::vector<Shape>& in, int batch) const;
 
   /// Gradient of the loss w.r.t. each input, given the gradient w.r.t. the
   /// output of the most recent train-mode forward. Accumulates parameter

@@ -126,6 +126,8 @@ MemoryPlan::MemoryPlan(const Graph& graph, const std::vector<Shape>& shapes,
     std::vector<Shape> in;
     in.reserve(nd.inputs.size());
     for (int src : nd.inputs) in.push_back(shapes[static_cast<std::size_t>(src)]);
+    batch_scratch_floats_ =
+        std::max(batch_scratch_floats_, align_up(nd.layer->batch_scratch_floats(in, batch)));
     const std::size_t floats = nd.layer->forward_scratch_floats(in);
     if (floats == 0) continue;
     PlanSlot& slot = scratch_[static_cast<std::size_t>(id)];

@@ -18,7 +18,11 @@
 // are computed exactly as for batch == 1, and lane b executes at offset
 // `b * lane_stride()`. Lanes are disjoint by construction (the stride is the
 // aligned high-water mark of one lane), so the per-lane alias proof carries
-// over to every lane and lanes may execute concurrently.
+// over to every lane and lanes may execute concurrently. One batch scratch
+// slot follows the last lane: the workspace a node shares across its
+// images (a Conv2D's batch-wide columns and product), sized for the
+// largest node's Layer::batch_scratch_floats and reused by every node,
+// since only one node executes at a time.
 //
 // Prefix-resume plans (resume > 0) cover only the graph suffix: node
 // `resume` plays the input role — the caller supplies its activation (the
@@ -55,9 +59,15 @@ class MemoryPlan {
   bool matches(int node_count, const std::vector<int>& collect, bool train,
                int batch = 1, int resume = 0) const;
 
-  /// Arena capacity the plan needs (activations + scratch, all lanes), in
-  /// floats: lane_stride() * batch().
+  /// Floats the lanes occupy (activations + per-image scratch, all lanes):
+  /// lane_stride() * batch(). The batch scratch slot follows them.
   std::size_t arena_floats() const { return lane_stride_ * static_cast<std::size_t>(batch_); }
+  /// The workspace every node of a batch-B pass shares (offset
+  /// arena_floats()); floats == 0 for batch 1 and for graphs whose layers
+  /// ask for none.
+  PlanSlot batch_scratch() const { return {arena_floats(), batch_scratch_floats_}; }
+  /// Arena capacity a pass needs: the lanes plus the batch scratch.
+  std::size_t total_floats() const { return arena_floats() + batch_scratch_floats_; }
   /// The sum of every planned activation's size: the footprint a pass
   /// would need if no two activations shared arena bytes.
   std::size_t naive_activation_floats() const { return naive_activation_floats_; }
@@ -102,6 +112,7 @@ class MemoryPlan {
   int batch_ = 1;
   int resume_ = 0;
   std::size_t lane_stride_ = 0;
+  std::size_t batch_scratch_floats_ = 0;
   std::size_t naive_activation_floats_ = 0;
   std::size_t planned_activation_floats_ = 0;
 };

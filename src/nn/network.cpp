@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "nn/verify.hpp"
-#include "util/thread_pool.hpp"
 
 namespace netcut::nn {
 
@@ -15,18 +14,16 @@ Network::Network(Graph graph) : graph_(std::move(graph)) {
 }
 
 Network::Network(const Network& other)
-    : graph_(other.graph_),
-      activations_(other.activations_),
-      have_activations_(other.have_activations_),
-      plans_(other.plans_) {}
+    : graph_(other.graph_), have_activations_(other.have_activations_), plans_(other.plans_) {}
 
 Network& Network::operator=(const Network& other) {
   if (this == &other) return *this;
   graph_ = other.graph_;
-  activations_ = other.activations_;
   have_activations_ = other.have_activations_;
   plans_ = other.plans_;
   arena_ = tensor::Arena();
+  acts_.clear();
+  lanes_.clear();
   return *this;
 }
 
@@ -55,79 +52,109 @@ const MemoryPlan& Network::plan_for(const std::vector<int>& collect, bool train,
   return plans_.front();
 }
 
-void Network::run_lane(const MemoryPlan& plan, std::size_t base, int resume, const Tensor& seed,
-                       std::vector<Tensor>& acts, std::vector<const Tensor*>& in, bool train,
-                       VerifyReport* guard) {
+void Network::execute(const MemoryPlan& plan, std::span<const Tensor* const> seeds, bool train,
+                      const char* who) {
   // Layers size their work from their inputs, not from the planned slots:
   // a seed of any other shape would write past its slots and the arena.
+  const int resume = plan.resume();
   const Shape& want = plan.shape(resume);
-  if (seed.shape() != want)
-    throw std::invalid_argument("Network: input shape " + seed.shape().to_string() +
-                                " does not match node " + std::to_string(resume) + " shape " +
-                                want.to_string());
+  for (const Tensor* seed : seeds)
+    if (seed->shape() != want)
+      throw std::invalid_argument("Network: input shape " + seed->shape().to_string() +
+                                  " does not match node " + std::to_string(resume) + " shape " +
+                                  want.to_string());
   const int n = graph_.node_count();
-  // The seed is read-only, so it views the caller's buffer directly instead
-  // of being copied into the arena.
-  acts[static_cast<std::size_t>(resume)] =
-      Tensor::view(seed.shape(), const_cast<float*>(seed.data()));
+  const std::size_t batch = seeds.size();
+  arena_.reserve(plan.total_floats());
+  // Runtime numerics guard: poison the planned region so a layer that
+  // reads or keeps memory it never wrote produces a recognizable pattern,
+  // then scan every output as it is produced.
+  const bool guard = runtime_verify_enabled();
+  std::vector<VerifyReport> reports(guard ? batch : 0);
+  if (guard) arena_.poison(0, plan.total_floats());
+
+  if (acts_.size() < batch) acts_.resize(batch);
+  if (lanes_.size() < batch) lanes_.resize(batch);
+  const std::span<LaneIO> lanes(lanes_.data(), batch);
+  for (std::size_t b = 0; b < batch; ++b) {
+    acts_[b].assign(static_cast<std::size_t>(n), Tensor());
+    // The seed is read-only, so it views the caller's buffer directly
+    // instead of being copied into the arena.
+    acts_[b][static_cast<std::size_t>(resume)] =
+        Tensor::view(want, const_cast<float*>(seeds[b]->data()));
+  }
+  float* batch_scratch =
+      plan.batch_scratch().floats != 0 ? arena_.slot(plan.batch_scratch().offset) : nullptr;
+
   for (int id = resume + 1; id < n; ++id) {
     Node& nd = graph_.node(id);
-    in.clear();
-    for (int src : nd.inputs) {
-      const Tensor& t = acts[static_cast<std::size_t>(src)];
-      if (t.empty()) throw std::logic_error("Network: missing activation at node " + nd.name);
-      in.push_back(&t);
+    const std::size_t act = plan.activation(id).offset;
+    const PlanSlot& scratch = plan.scratch(id);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::size_t base = b * plan.lane_stride();
+      LaneIO& io = lanes[b];
+      io.in.clear();
+      for (int src : nd.inputs) {
+        const Tensor& t = acts_[b][static_cast<std::size_t>(src)];
+        if (t.empty()) throw std::logic_error("Network: missing activation at node " + nd.name);
+        io.in.push_back(&t);
+      }
+      io.out = Tensor::view(plan.shape(id), arena_.slot(base + act));
+      io.scratch = scratch.floats != 0 ? arena_.slot(base + scratch.offset) : nullptr;
     }
-    Tensor out = Tensor::view(plan.shape(id), arena_.slot(base + plan.activation(id).offset));
-    float* scratch = plan.scratch(id).floats != 0
-                         ? arena_.slot(base + plan.scratch(id).offset)
-                         : nullptr;
-    nd.layer->forward_into(in, out, train, scratch);
-    if (guard != nullptr) scan_activation(out, id, nd.name, *guard);
-    acts[static_cast<std::size_t>(id)] = std::move(out);
-    if (!train && id != n - 1) {
-      // Inference: a source whose last consumer just ran is dead — its arena
-      // bytes may be reused by a later node, so drop the view now. Pinned
-      // nodes (collected / output) have last_use == n-1 and are never
-      // dropped; nothing runs after the final node, so skipping the sweep
-      // there keeps naturally-late activations distinguishable from them.
-      for (int src : nd.inputs)
-        if (src != resume && plan.last_use(src) == id)
-          acts[static_cast<std::size_t>(src)] = Tensor();
+    if (batch == 1)
+      nd.layer->forward_into(lanes[0].in, lanes[0].out, train, lanes[0].scratch);
+    else
+      nd.layer->forward_lanes(lanes, batch_scratch);
+    for (std::size_t b = 0; b < batch; ++b) {
+      std::vector<Tensor>& acts = acts_[b];
+      if (guard) scan_activation(lanes[b].out, id, nd.name, reports[b]);
+      acts[static_cast<std::size_t>(id)] = std::move(lanes[b].out);
+      if (!train && id != n - 1) {
+        // Inference: a source whose last consumer just ran is dead — its
+        // arena bytes may be reused by a later node, so drop the view now.
+        // Pinned nodes (collected / output) have last_use == n-1 and are
+        // never dropped; nothing runs after the final node, so skipping the
+        // sweep there keeps naturally-late activations distinguishable.
+        for (int src : nd.inputs)
+          if (src != resume && plan.last_use(src) == id)
+            acts[static_cast<std::size_t>(src)] = Tensor();
+      }
     }
+  }
+
+  if (guard) {
+    VerifyReport merged;  // lane order keeps the report deterministic
+    for (const VerifyReport& r : reports)
+      merged.findings.insert(merged.findings.end(), r.findings.begin(), r.findings.end());
+    enforce(merged, std::string(who) + " (runtime numerics guard)");
   }
 }
 
 std::vector<Tensor> Network::forward_collect(const Tensor& input,
                                              const std::vector<int>& collect, bool train) {
-  const int n = graph_.node_count();
   const MemoryPlan& plan = plan_for(collect, train);
-  arena_.reserve(plan.arena_floats());
-  // Runtime numerics guard: poison the planned region so a layer that
-  // reads or keeps memory it never wrote produces a recognizable pattern,
-  // then scan every output as it is produced.
-  const bool guard = runtime_verify_enabled();
-  VerifyReport guard_report;
-  if (guard) arena_.poison(0, plan.arena_floats());
-
   have_activations_ = false;
-  activations_.assign(static_cast<std::size_t>(n), Tensor());
-  lane_inputs_.resize(1);
-  run_lane(plan, 0, 0, input, activations_, lane_inputs_[0], train,
-           guard ? &guard_report : nullptr);
+  const Tensor* seed = &input;
+  execute(plan, {&seed, 1}, train, "Network::forward");
   have_activations_ = true;
-  if (guard) enforce(guard_report, "Network::forward (runtime numerics guard)");
 
   // push_back copies the views, which materializes owning tensors — the
   // returned activations are independent of the arena.
+  const std::vector<Tensor>& acts = acts_[0];
   std::vector<Tensor> out;
   out.reserve(collect.size() + 1);
   if (collect.empty()) {
-    out.push_back(activations_[static_cast<std::size_t>(graph_.output_node())]);
+    out.push_back(acts[static_cast<std::size_t>(graph_.output_node())]);
   } else {
-    for (int id : collect) out.push_back(activations_[static_cast<std::size_t>(id)]);
+    for (int id : collect) out.push_back(acts[static_cast<std::size_t>(id)]);
   }
   return out;
+}
+
+std::vector<std::vector<Tensor>> Network::forward_collect(const std::vector<const Tensor*>& inputs,
+                                                          const std::vector<int>& collect) {
+  return run_batched(0, inputs, collect, "Network::forward_collect");
 }
 
 std::vector<Tensor> Network::forward_batch(const std::vector<const Tensor*>& inputs) {
@@ -154,54 +181,54 @@ Tensor Network::forward_from(int resume, const Tensor& seed) {
 
 std::vector<Tensor> Network::forward_from_batch(int resume,
                                                 const std::vector<const Tensor*>& seeds) {
-  const int batch = static_cast<int>(seeds.size());
-  std::vector<Tensor> outputs(seeds.size());
-  if (batch == 0) return outputs;
+  std::vector<std::vector<Tensor>> per_seed =
+      run_batched(resume, seeds, {}, "Network::forward_from_batch");
+  std::vector<Tensor> outputs;
+  outputs.reserve(per_seed.size());
+  for (std::vector<Tensor>& o : per_seed) outputs.push_back(std::move(o[0]));
+  return outputs;
+}
+
+std::size_t Network::lanes_for(std::size_t images) {
+  const std::size_t batches = (images + kMaxLanes - 1) / kMaxLanes;
+  return batches == 0 ? 1 : (images + batches - 1) / batches;
+}
+
+std::vector<std::vector<Tensor>> Network::run_batched(int resume,
+                                                      const std::vector<const Tensor*>& seeds,
+                                                      const std::vector<int>& collect,
+                                                      const char* who) {
+  std::vector<std::vector<Tensor>> out(seeds.size());
+  if (seeds.empty()) return out;
   for (const Tensor* s : seeds) {
-    if (s == nullptr) throw std::invalid_argument("Network::forward_from_batch: null seed");
+    if (s == nullptr) throw std::invalid_argument(std::string(who) + ": null input");
     if (s->shape() != seeds[0]->shape())
-      throw std::invalid_argument("Network::forward_from_batch: seeds must share one shape");
+      throw std::invalid_argument(std::string(who) + ": inputs must share one shape");
   }
   check_resume(resume);
-
-  const int n = graph_.node_count();
-  const int out_node = graph_.output_node();
-  const MemoryPlan& plan = plan_for({}, /*train=*/false, batch, resume);
-  arena_.reserve(plan.arena_floats());
-  const bool guard = runtime_verify_enabled();
-  std::vector<VerifyReport> lane_reports(guard ? seeds.size() : 0);
-  if (guard) arena_.poison(0, plan.arena_floats());
-  if (lane_inputs_.size() < seeds.size()) lane_inputs_.resize(seeds.size());
-
-  // Lanes bind views into disjoint arena regions and write disjoint output
-  // slots; every layer's inference forward_into is free of member writes
-  // once its scratch is planned, so lanes run concurrently. Kernels are
-  // deterministic at any thread count, making the pass bitwise identical to
-  // `batch` independent single-seed passes however the pool is sized. A
-  // single lane is one chunk, which runs inline on the caller, so the
-  // kernels inside it still parallelize.
-  util::parallel_for(0, batch, 1, [&](std::int64_t lb, std::int64_t le) {
-    for (std::int64_t lane = lb; lane < le; ++lane) {
-      const std::size_t l = static_cast<std::size_t>(lane);
-      std::vector<Tensor> acts(static_cast<std::size_t>(n));
-      run_lane(plan, l * plan.lane_stride(), resume, *seeds[l], acts, lane_inputs_[l],
-               /*train=*/false, guard ? &lane_reports[l] : nullptr);
-      // Copying the view materializes an owning tensor independent of the
-      // arena (and of every other lane).
-      outputs[l] = acts[static_cast<std::size_t>(out_node)];
-    }
-  });
   // An inference pass leaves no activations for a backward pass.
   have_activations_ = false;
-  activations_.clear();
 
-  if (guard) {
-    VerifyReport merged;  // lane order keeps the report deterministic
-    for (const VerifyReport& r : lane_reports)
-      merged.findings.insert(merged.findings.end(), r.findings.begin(), r.findings.end());
-    enforce(merged, "Network::forward_from_batch (runtime numerics guard)");
+  const int out_node = graph_.output_node();
+  const std::size_t lanes = lanes_for(seeds.size());
+  for (std::size_t first = 0; first < seeds.size(); first += lanes) {
+    const std::size_t batch = std::min(lanes, seeds.size() - first);
+    const MemoryPlan& plan =
+        plan_for(collect, /*train=*/false, static_cast<int>(batch), resume);
+    execute(plan, {seeds.data() + first, batch}, /*train=*/false, who);
+    // Copying a view materializes an owning tensor independent of the arena.
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::vector<Tensor>& acts = acts_[b];
+      std::vector<Tensor>& o = out[first + b];
+      if (collect.empty()) {
+        o.push_back(acts[static_cast<std::size_t>(out_node)]);
+      } else {
+        o.reserve(collect.size());
+        for (int id : collect) o.push_back(acts[static_cast<std::size_t>(id)]);
+      }
+    }
   }
-  return outputs;
+  return out;
 }
 
 void Network::backward(const Tensor& grad_output) {

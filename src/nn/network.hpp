@@ -3,14 +3,22 @@
 //
 // Every forward pass runs through one executor: a MemoryPlan assigns every
 // activation and per-layer scratch buffer an offset into one arena, and
-// layers write through forward_into into views bound at those offsets, so a
-// steady-state pass performs no per-node heap allocation. Batched passes
-// run one such lane per image over disjoint arena regions. Tensors handed
-// back to the caller (the output, collected activations) are deep-copied
-// out of the arena by Tensor's materializing copy semantics.
+// layers write into views bound at those offsets, so a steady-state pass
+// performs no per-node heap allocation. The executor is node-major over a
+// batch of lanes, one lane (a disjoint arena region) per image: each node
+// runs once for the whole batch. A single image calls the layer's
+// forward_into; a batch calls Layer::forward_lanes, where a Conv2D runs one
+// GEMM over the images' columns (images with wide output planes in smaller
+// groups) and the other layers run their lanes in parallel (a BatchNorm
+// collecting statistics runs them in image order).
+// Batched passes are inference-only and bitwise equal to single-image
+// passes. Tensors handed back to the caller (the output, collected
+// activations) are deep-copied out of the arena by Tensor's materializing
+// copy semantics.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/graph.hpp"
@@ -47,13 +55,21 @@ class Network {
   std::vector<Tensor> forward_collect(const Tensor& input, const std::vector<int>& collect,
                                       bool train = false);
 
+  /// Inference-only batched forward_collect: per input, in order, the
+  /// activations of `collect` (the output alone when `collect` is empty).
+  /// All inputs must share one shape. Bitwise identical to inputs.size()
+  /// single-image forward_collect calls, also while BatchNorms collect
+  /// statistics (data::calibrate_batchnorm).
+  std::vector<std::vector<Tensor>> forward_collect(const std::vector<const Tensor*>& inputs,
+                                                   const std::vector<int>& collect);
+
   /// Inference-only batched forward: one output per input, in order. The
-  /// arena is laid out as `inputs.size()` disjoint lanes (planned once per
-  /// batch size and cached) and lanes run concurrently on the pool; every
-  /// kernel is deterministic at any thread count, so the
-  /// result is bitwise identical to `inputs.size()` independent single-image
-  /// forwards — the serving layer relies on exactly that equivalence. All
-  /// inputs must share one shape. Same as forward_from_batch(0, inputs).
+  /// arena is laid out as one disjoint lane per image (planned once per
+  /// batch size and cached), and every kernel is deterministic at any
+  /// thread count, so the result is bitwise identical to `inputs.size()`
+  /// independent single-image forwards — the serving layer relies on
+  /// exactly that equivalence. All inputs must share one shape. Same as
+  /// forward_from_batch(0, inputs).
   std::vector<Tensor> forward_batch(const std::vector<const Tensor*>& inputs);
 
   /// Inference-only forward that resumes mid-graph: node `resume` is seeded
@@ -86,6 +102,15 @@ class Network {
 
   std::int64_t total_flops() const { return graph_.total_cost().flops; }
 
+  /// Most images one planned batch runs. Measured on the explore harvest
+  /// (24 px trunks, pool of 3): beyond 16 lanes the GEMMs gain little and
+  /// the arena keeps growing.
+  static constexpr std::size_t kMaxLanes = 16;
+  /// Lanes per batch for a list of `images`: the fewest batches of at most
+  /// kMaxLanes, sized evenly (40 images run as 14 + 13 + 13, not 16 + 16 +
+  /// 8). The batched entry points split their inputs this way.
+  static std::size_t lanes_for(std::size_t images);
+
   /// Output shape at the declared input resolution.
   Shape output_shape() const;
 
@@ -98,27 +123,30 @@ class Network {
 
  private:
   void check_resume(int resume) const;
-  /// The one node loop: seeds node `resume` with a view of `seed` (whose
-  /// shape must equal that node's inferred shape, else std::invalid_argument),
-  /// then runs every later node into its planned slot, offset by `base`
-  /// floats (the lane). `acts` (node_count() entries) receives the views;
-  /// inference drops a view once its last consumer ran. `in` is the lane's
-  /// reused input-pointer list, refilled per node. `guard` collects the
-  /// runtime numerics scan when non-null.
-  void run_lane(const MemoryPlan& plan, std::size_t base, int resume, const Tensor& seed,
-                std::vector<Tensor>& acts, std::vector<const Tensor*>& in, bool train,
-                VerifyReport* guard);
+  /// Inference over `seeds` in batches of lanes_for(seeds.size()): per
+  /// seed, the activations of `collect` (the output alone when it is empty).
+  std::vector<std::vector<Tensor>> run_batched(int resume, const std::vector<const Tensor*>& seeds,
+                                               const std::vector<int>& collect, const char* who);
+  /// The one node loop. Seeds lane b's node plan.resume() with a view of
+  /// seeds[b] (each must have that node's inferred shape, else
+  /// std::invalid_argument), then runs every later node once for all lanes
+  /// into its planned slots; acts_[b] receives lane b's views, and
+  /// inference drops a view once its last consumer ran. With one lane the
+  /// layer's forward_into runs (train allowed); with more, forward_lanes.
+  /// The runtime numerics guard, when on, scans every output and reports
+  /// lane by lane under `who`.
+  void execute(const MemoryPlan& plan, std::span<const Tensor* const> seeds, bool train,
+               const char* who);
 
   Graph graph_;
-  std::vector<Tensor> activations_;  // valid after a train-mode forward
-  bool have_activations_ = false;
+  bool have_activations_ = false;  // a train-mode forward ran; backward may follow
 
   std::vector<MemoryPlan> plans_;  // MRU cache, front = most recent
   tensor::Arena arena_;
-  // One input-pointer list per lane, cleared and refilled for every node,
-  // so the node loop allocates nothing once the lists have grown. Lanes run
-  // concurrently, so they cannot share one.
-  std::vector<std::vector<const Tensor*>> lane_inputs_;
+  // Per-lane node activations and layer operands, kept across passes so
+  // the node loop allocates nothing once they have grown.
+  std::vector<std::vector<Tensor>> acts_;
+  std::vector<LaneIO> lanes_;
 };
 
 }  // namespace netcut::nn

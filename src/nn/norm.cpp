@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/thread_pool.hpp"
+
 namespace netcut::nn {
 
 BatchNorm::BatchNorm(int channels, float eps)
@@ -33,28 +35,10 @@ void BatchNorm::forward_into(const std::vector<const Tensor*>& in, Tensor& out, 
   Tensor& y = out;
 
   if (collecting_) {
-    // Accumulate running statistics AND normalize with the aggregate stats
-    // collected so far (including this image), so deep stacks stay
-    // well-conditioned throughout calibration. Normalizing each image by
-    // its *own* spatial stats would annihilate per-image information once
-    // the spatial grid collapses toward 1x1 at depth.
     stat_count_ += hw;
     for (int c = 0; c < channels_; ++c) {
-      const float* src = x.data() + static_cast<std::int64_t>(c) * hw;
-      double s = 0.0, s2 = 0.0;
-      for (int i = 0; i < hw; ++i) {
-        s += src[i];
-        s2 += static_cast<double>(src[i]) * src[i];
-      }
-      stat_sum_[c] += static_cast<float>(s);
-      stat_sumsq_[c] += static_cast<float>(s2);
-      const double n = static_cast<double>(stat_count_);
-      const float m = static_cast<float>(stat_sum_[c] / n);
-      const float var =
-          static_cast<float>(std::max(stat_sumsq_[c] / n - static_cast<double>(m) * m, 1e-8));
-      const float inv_std = 1.0f / std::sqrt(var + eps_);
-      float* dst = y.data() + static_cast<std::int64_t>(c) * hw;
-      for (int i = 0; i < hw; ++i) dst[i] = gamma_[c] * (src[i] - m) * inv_std + beta_[c];
+      const std::int64_t at = static_cast<std::int64_t>(c) * hw;
+      collect_channel(c, x.data() + at, y.data() + at, hw, stat_count_);
     }
     return;
   }
@@ -112,6 +96,55 @@ void BatchNorm::forward_into(const std::vector<const Tensor*>& in, Tensor& out, 
       dst[i] = gamma_[c] * xh[i] + beta_[c];
     }
   }
+}
+
+void BatchNorm::collect_channel(int c, const float* src, float* dst, int hw,
+                                std::int64_t count) {
+  // Accumulate running statistics AND normalize with the aggregate stats
+  // collected so far (including this image), so deep stacks stay
+  // well-conditioned throughout calibration. Normalizing each image by its
+  // *own* spatial stats would annihilate per-image information once the
+  // spatial grid collapses toward 1x1 at depth.
+  double s = 0.0, s2 = 0.0;
+  for (int i = 0; i < hw; ++i) {
+    s += src[i];
+    s2 += static_cast<double>(src[i]) * src[i];
+  }
+  stat_sum_[c] += static_cast<float>(s);
+  stat_sumsq_[c] += static_cast<float>(s2);
+  const double n = static_cast<double>(count);
+  const float m = static_cast<float>(stat_sum_[c] / n);
+  const float var =
+      static_cast<float>(std::max(stat_sumsq_[c] / n - static_cast<double>(m) * m, 1e-8));
+  const float inv_std = 1.0f / std::sqrt(var + eps_);
+  for (int i = 0; i < hw; ++i) dst[i] = gamma_[c] * (src[i] - m) * inv_std + beta_[c];
+}
+
+void BatchNorm::forward_lanes(std::span<LaneIO> lanes, float* batch_scratch) {
+  if (!collecting_) {
+    Layer::forward_lanes(lanes, batch_scratch);
+    return;
+  }
+  // Channels are independent; within one, the images run in order, so
+  // image b sees the sums of images 0..b exactly as in a loop of
+  // single-image forwards.
+  for (const LaneIO& io : lanes) require_arity(io.in, 1, "BatchNorm");
+  const Shape& shape = lanes[0].in[0]->shape();
+  const int hw = shape[1] * shape[2];
+  const std::int64_t base = stat_count_;
+  const std::size_t per_channel = lanes.size() * static_cast<std::size_t>(hw);
+  const auto grain =
+      static_cast<std::int64_t>((kLaneParallelElems + per_channel - 1) / per_channel);
+  util::parallel_for(0, channels_, grain, [&](std::int64_t c0, std::int64_t c1) {
+    for (std::int64_t c = c0; c < c1; ++c) {
+      const std::int64_t at = c * hw;
+      for (std::size_t b = 0; b < lanes.size(); ++b)
+        collect_channel(static_cast<int>(c), lanes[b].in[0]->data() + at,
+                        lanes[b].out.data() + at, hw,
+                        base + static_cast<std::int64_t>(b + 1) * hw);
+    }
+  });
+  stat_count_ = base + static_cast<std::int64_t>(lanes.size()) * hw;
 }
 
 std::vector<Tensor> BatchNorm::backward(const Tensor& grad_out) {

@@ -24,6 +24,10 @@ class BatchNorm final : public Layer {
   Shape output_shape(const std::vector<Shape>& in) const override;
   void forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool train,
                     float* scratch) override;
+  /// Collecting statistics, each channel runs the lanes in image order, so
+  /// image b sees the sums of images 0..b exactly as in a loop of
+  /// single-image forwards; otherwise the lanes run in parallel.
+  void forward_lanes(std::span<LaneIO> lanes, float* batch_scratch) override;
   std::vector<Tensor> backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
@@ -62,6 +66,11 @@ class BatchNorm final : public Layer {
   float eps_;
   Tensor gamma_, beta_, running_mean_, running_var_;
   Tensor grad_gamma_, grad_beta_;
+
+  /// Adds one image's channel-c sums and writes that channel normalized
+  /// by the statistics so far: `count` samples per channel, this image's
+  /// included.
+  void collect_channel(int c, const float* src, float* dst, int hw, std::int64_t count);
 
   bool collecting_ = false;
   bool freeze_stats_ = false;

@@ -427,6 +427,13 @@ VerifyReport verify_plan(const Graph& graph, const MemoryPlan& plan) {
                      std::to_string(want_scratch));
     if (want_scratch > 0)
       slots.push_back(SlotView{id, true, scr.offset, std::max(scr.floats, want_scratch), id, id});
+    // The batch scratch follows every lane and serves one node at a time,
+    // so it only has to be large enough for each node's request.
+    const std::size_t want_batch = nd.layer->batch_scratch_floats(in, plan.batch());
+    if (want_batch > plan.batch_scratch().floats)
+      report.add(Severity::kError, id, rules::kPlanSlotSize,
+                 "batch scratch holds " + std::to_string(plan.batch_scratch().floats) +
+                     " floats, layer asks " + std::to_string(want_batch));
   }
   check_slots(slots, plan.arena_floats(), report);
   return report;

@@ -4,9 +4,8 @@
 // tensors whose live intervals intersect, and execution binds Tensor views
 // at those offsets before every planned forward pass.
 //
-// An arena is not thread-safe; parallel executors (the TrnEvaluator
-// harvest) give every worker its own Network clone and therefore its own
-// arena instance.
+// An arena is not thread-safe: one nn::Network owns it, and the lanes and
+// kernels of a batched pass write disjoint slots of it.
 #pragma once
 
 #include <cstddef>

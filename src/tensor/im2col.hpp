@@ -22,6 +22,11 @@ int same_pad(int kernel);
 
 /// cols has shape [in_c*kernel_h*kernel_w, out_h*out_w] (row-major).
 void im2col(const float* img, const ConvGeometry& g, float* cols);
+/// The columns of `batch` images side by side: cols has shape
+/// [in_c*kernel_h*kernel_w, batch*out_h*out_w], image b owning columns
+/// [b*out_h*out_w, (b+1)*out_h*out_w) of every row. Work is split by
+/// channel, so each thread writes whole rows (nn::Conv2D::forward_lanes).
+void im2col_batch(const float* const* imgs, int batch, const ConvGeometry& g, float* cols);
 
 /// Scatter-add the column matrix back into an image (gradient of im2col).
 /// img must be zero-initialized by the caller.

@@ -19,11 +19,13 @@
 #include <vector>
 
 #include "core/trn.hpp"
+#include "data/pretrained.hpp"
 #include "nn/activation.hpp"
 #include "nn/combine.hpp"
 #include "nn/conv.hpp"
 #include "nn/init.hpp"
 #include "nn/memory_plan.hpp"
+#include "nn/norm.hpp"
 #include "nn/network.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -174,6 +176,84 @@ TEST_P(MemPlanZoo, BatchedForwardBitIdenticalToSingleImageForwards) {
       expect_bitwise_equal(batched[i], singles[i],
                            zoo::net_name(GetParam()) + " lane " + std::to_string(i) +
                                " threads=" + std::to_string(threads));
+  }
+}
+
+TEST_P(MemPlanZoo, BatchedCollectBitIdenticalToSingleImageCollects) {
+  // The harvest's contract: a batched forward_collect at every cut site
+  // returns exactly what per-image forward_collect calls return, at any
+  // batch size (25 spans more than one planned batch) and thread count.
+  PoolGuard guard;
+  for (const int res : {24, 32}) {
+    const Graph g = initialized_trunk(GetParam(), res, 91);
+    const std::vector<int> cuts = core::iterative_cutpoints(g);
+    util::Rng rng(92);
+    std::vector<Tensor> images;
+    for (int i = 0; i < 25; ++i)
+      images.push_back(Tensor::randn(Shape::chw(3, res, res), rng, 0.5f));
+    util::set_num_threads(1);
+    std::vector<std::vector<Tensor>> singles;
+    {
+      Network net(g);
+      for (const Tensor& t : images) singles.push_back(net.forward_collect(t, cuts));
+    }
+    for (const int threads : {1, 8}) {
+      util::set_num_threads(threads);
+      Network net(g);
+      for (const std::size_t batch : {1u, 2u, 7u, 25u}) {
+        std::vector<const Tensor*> inputs;
+        for (std::size_t i = 0; i < batch; ++i) inputs.push_back(&images[i]);
+        const std::vector<std::vector<Tensor>> got = net.forward_collect(inputs, cuts);
+        ASSERT_EQ(got.size(), batch);
+        for (std::size_t i = 0; i < batch; ++i) {
+          ASSERT_EQ(got[i].size(), cuts.size());
+          for (std::size_t k = 0; k < cuts.size(); ++k)
+            expect_bitwise_equal(got[i][k], singles[i][k],
+                                 zoo::net_name(GetParam()) + " res=" + std::to_string(res) +
+                                     " batch=" + std::to_string(batch) + " image " +
+                                     std::to_string(i) + " node " + std::to_string(cuts[k]) +
+                                     " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(MemPlan, BatchedCalibrationBitIdenticalToPerImageLoop) {
+  // BatchNorms collecting statistics normalize each image with the sums of
+  // every image before it, so a batched calibration is only right if each
+  // BatchNorm runs the images in order. 20 images span two planned batches.
+  PoolGuard guard;
+  util::set_num_threads(8);
+  for (const zoo::NetId id : {zoo::NetId::kResNet50, zoo::NetId::kDenseNet121}) {
+    const Graph g = initialized_trunk(id, 24, 101);
+    util::Rng rng(102);
+    std::vector<Tensor> images;
+    std::vector<const Tensor*> inputs;
+    for (int i = 0; i < 20; ++i)
+      images.push_back(Tensor::randn(Shape::chw(3, 24, 24), rng, 0.5f));
+    for (const Tensor& t : images) inputs.push_back(&t);
+
+    Network looped(g);
+    Network batched(g);
+    data::calibrate_batchnorm(batched, inputs);
+    std::vector<BatchNorm*> norms;
+    for (int n = 1; n < looped.graph().node_count(); ++n)
+      if (auto* bn = dynamic_cast<BatchNorm*>(looped.graph().node(n).layer.get()))
+        norms.push_back(bn);
+    ASSERT_FALSE(norms.empty());
+    for (BatchNorm* bn : norms) bn->begin_stat_collection();
+    for (const Tensor& t : images) (void)looped.forward(t);
+    for (BatchNorm* bn : norms) bn->end_stat_collection();
+
+    for (int n = 1; n < looped.graph().node_count(); ++n) {
+      const auto* want = dynamic_cast<const BatchNorm*>(looped.graph().node(n).layer.get());
+      if (want == nullptr) continue;
+      const auto& got = dynamic_cast<const BatchNorm&>(*batched.graph().node(n).layer);
+      const std::string tag = zoo::net_name(id) + " node " + std::to_string(n);
+      expect_bitwise_equal(got.running_mean(), want->running_mean(), tag + " mean");
+      expect_bitwise_equal(got.running_var(), want->running_var(), tag + " var");
+    }
   }
 }
 
