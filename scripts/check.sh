@@ -25,7 +25,9 @@
 #    §11); then the numerics-sensitive suites (ctest -L
 #    "kernels|layers|quant") once under NETCUT_BACKEND=scalar and once
 #    under NETCUT_BACKEND=simd — both dispatch tables must hold the same
-#    contracts on this machine
+#    contracts on this machine; then the transfer-head suites (ctest -L
+#    heads: the app's classifiers and fine-tuning) under each backend, since
+#    the app's verdicts rest on head training that GEMM rounding can move
 # 6. AddressSanitizer (build-asan/): thread pool, memory planner and graph
 #    verifier tests — the subsystems that juggle raw lifetimes — then the
 #    kernel, layer and quantization suites (ctest -L "kernels|layers|quant"):
@@ -90,6 +92,8 @@ CTEST_RUNS=(
   "4;build;-L serve;$FAILOVER"
   "5;build;-L kernels|layers|quant;NETCUT_BACKEND=scalar"
   "5;build;-L kernels|layers|quant;NETCUT_BACKEND=simd"
+  "5;build;-L heads;NETCUT_BACKEND=scalar"
+  "5;build;-L heads;NETCUT_BACKEND=simd"
   "6;build-asan;-R ThreadPool|ThreadDeterminism|MemPlan|NnVerify;"
   "6;build-asan;-L kernels|layers|quant;"
   "7;build;-L sched;"
@@ -200,7 +204,7 @@ step 3 "ctest under fault injection (NETCUT_FAULTS chaos schedule)"
 step 4 "serving layer (serve_snapshot pin, ctest -L serve, clean + chaos + failover chaos)" \
   serve_snapshot_pinned
 label_summary
-step 5 "kernel backends (flag-free netcut_tensor, ctest -L kernels|layers|quant, scalar + simd)" \
+step 5 "kernel backends (flag-free netcut_tensor, ctest -L kernels|layers|quant and -L heads, scalar + simd)" \
   build_noisa
 step 6 "ASan: thread pool + memory planner + verifier + kernels + layers + quant" \
   build_tree build-asan address test_util_threadpool test_nn_memplan test_nn_verify \

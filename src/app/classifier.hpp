@@ -1,8 +1,8 @@
-// Trainable soft-label classifiers for the robotic hand's two sensing
-// paths: a small MLP over feature vectors (the EMG path and TRN heads) and
-// a visual classifier that pairs a frozen pseudo-pretrained trunk with a
-// retrained head — the deployable counterpart of core::TrnEvaluator's
-// accuracy protocol.
+// Soft-label classifiers for the robotic hand's two sensing paths. Each
+// trains a core::TransferHead, the head NetCut's evaluator scores: one over
+// 8-channel EMG features, one over the GlobalAvgPool features of a frozen
+// pseudo-pretrained trunk prefix — the deployable counterpart of
+// core::TrnEvaluator's accuracy protocol.
 //
 // Each sensing classifier measures its own reliability once, after fitting,
 // on held-out draws the control loop never sees. The control loop uses it
@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/trn.hpp"
 #include "data/emg.hpp"
 #include "data/hands.hpp"
 #include "data/pretrained.hpp"
@@ -20,6 +21,7 @@
 
 namespace netcut::app {
 
+/// The transfer head's sizes and training schedule.
 struct MlpConfig {
   int hidden1 = 32;
   int hidden2 = 16;
@@ -29,30 +31,7 @@ struct MlpConfig {
   std::uint64_t seed = 7;
 };
 
-/// MLP emitting a probability distribution over grasp types. Trains on
-/// (feature vector, soft label) pairs with soft-target cross-entropy.
-class SoftClassifier {
- public:
-  SoftClassifier(int features, MlpConfig config);
-
-  void fit(const std::vector<tensor::Tensor>& x, const std::vector<tensor::Tensor>& y);
-  /// Softmax probabilities.
-  tensor::Tensor predict(const tensor::Tensor& x) const;
-
-  bool trained() const { return trained_; }
-  int features() const { return features_; }
-
- private:
-  tensor::Tensor standardize(const tensor::Tensor& x) const;
-
-  int features_;
-  MlpConfig config_;
-  std::unique_ptr<nn::Network> net_;
-  std::vector<float> mean_, stdev_;
-  bool trained_ = false;
-};
-
-/// The EMG intent classifier of Fig 2: SoftClassifier over 8-channel
+/// The EMG intent classifier of Fig 2: a transfer head over 8-channel
 /// synthetic EMG features.
 class EmgClassifier {
  public:
@@ -60,7 +39,7 @@ class EmgClassifier {
   /// on fresh EmgGenerator::sample draws seeded from the config's seed.
   EmgClassifier(const data::EmgGenerator& generator, int train_samples, MlpConfig config);
 
-  tensor::Tensor predict(const tensor::Tensor& emg_features) const { return mlp_.predict(emg_features); }
+  tensor::Tensor predict(const tensor::Tensor& emg_features) const { return head_.predict(emg_features); }
   double test_accuracy(const data::EmgGenerator& generator, int samples,
                        std::uint64_t seed) const;
   /// Chance-corrected held-out top-1, max(0, (top1 - 1/K) / (1 - 1/K)) with
@@ -69,7 +48,7 @@ class EmgClassifier {
   double reliability() const { return reliability_; }
 
  private:
-  SoftClassifier mlp_;
+  core::TransferHead head_;
   double reliability_ = 0.0;
 };
 
@@ -102,7 +81,7 @@ class VisualClassifier {
   zoo::NetId base_;
   int cut_node_;
   std::unique_ptr<nn::Network> trunk_;
-  std::unique_ptr<SoftClassifier> head_;
+  std::unique_ptr<core::TransferHead> head_;
   double reliability_ = 0.0;
 };
 

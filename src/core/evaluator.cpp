@@ -5,41 +5,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-
-#include "core/pretrained_cache.hpp"
 #include <sstream>
 #include <stdexcept>
 
-#include "util/atomic_file.hpp"
-
+#include "core/cascade.hpp"
+#include "core/pretrained_cache.hpp"
 #include "ml/metrics.hpp"
-#include "ml/model_selection.hpp"
-#include "nn/activation.hpp"
-#include "nn/dense.hpp"
-#include "nn/init.hpp"
-#include "nn/loss.hpp"
 #include "nn/network.hpp"
-#include "nn/optimizer.hpp"
+#include "nn/pooling.hpp"
 #include "tensor/backend.hpp"
+#include "util/atomic_file.hpp"
 
 namespace netcut::core {
 
 namespace {
-
-/// Channel means of a CHW activation — the GlobalAvgPool feature vector.
-tensor::Tensor gap(const tensor::Tensor& act) {
-  const int C = act.shape()[0];
-  const std::size_t hw =
-      static_cast<std::size_t>(act.shape()[1]) * static_cast<std::size_t>(act.shape()[2]);
-  tensor::Tensor out(tensor::Shape::vec(C));
-  for (int c = 0; c < C; ++c) {
-    const float* chan = act.data() + static_cast<std::size_t>(c) * hw;
-    double s = 0.0;
-    for (std::size_t i = 0; i < hw; ++i) s += chan[i];
-    out[c] = static_cast<float>(s / static_cast<double>(hw));
-  }
-  return out;
-}
 
 std::uint64_t hash_config(const EvalConfig& c, const data::HandsConfig& d) {
   std::ostringstream os;
@@ -99,6 +78,7 @@ TrnEvaluator::NetState& TrnEvaluator::state(zoo::NetId base) {
     st.train_features[cp].reserve(train_count);
     st.test_features[cp].reserve(images.size() - train_count);
   }
+  nn::GlobalAvgPool gap;
   const std::size_t lanes = nn::Network::lanes_for(images.size());
   for (std::size_t first = 0; first < images.size(); first += lanes) {
     const std::size_t last = std::min(images.size(), first + lanes);
@@ -109,7 +89,7 @@ TrnEvaluator::NetState& TrnEvaluator::state(zoo::NetId base) {
     for (std::size_t i = first; i < last; ++i) {
       auto& into = i < train_count ? st.train_features : st.test_features;
       for (std::size_t k = 0; k < st.cutpoints.size(); ++k)
-        into[st.cutpoints[k]].push_back(gap(acts[i - first][k]));
+        into[st.cutpoints[k]].push_back(gap.forward({&acts[i - first][k]}, false));
     }
   }
 
@@ -248,22 +228,13 @@ AccuracyResult TrnEvaluator::accuracy(zoo::NetId base, int cut_node) {
     if (auto it = cache_.find(key); it != cache_.end()) return it->second;
   }
 
-  NetState& st = state(base);
-  const auto train_it = st.train_features.find(cut_node);
-  if (train_it == st.train_features.end())
-    throw std::invalid_argument("TrnEvaluator::accuracy: node " + std::to_string(cut_node) +
-                                " is not a legal cut site for " + zoo::net_name(base));
-  const auto& train_x = train_it->second;
-  const auto& test_x = st.test_features.at(cut_node);
-
-  std::vector<tensor::Tensor> train_y, test_y;
-  train_y.reserve(dataset_.train().size());
-  for (const data::Sample& s : dataset_.train()) train_y.push_back(s.label);
+  const std::vector<tensor::Tensor> predictions = retrained_predictions(base, cut_node);
+  std::vector<tensor::Tensor> test_y;
   test_y.reserve(dataset_.test().size());
   for (const data::Sample& s : dataset_.test()) test_y.push_back(s.label);
-
-  const std::uint64_t seed = util::derive_seed(config_.seed, seed_key(base, cut_node));
-  const AccuracyResult r = train_head_on_features(train_x, train_y, test_x, test_y, seed);
+  AccuracyResult r;
+  r.angular_similarity = ml::mean_angular_similarity(predictions, test_y);
+  r.top1 = ml::top1_agreement(predictions, test_y);
   {
     util::MutexLock lock(cache_mutex_);
     cache_[key] = r;
@@ -272,94 +243,25 @@ AccuracyResult TrnEvaluator::accuracy(zoo::NetId base, int cut_node) {
   return r;
 }
 
-std::vector<tensor::Tensor> TrnEvaluator::head_predictions(
-    const std::vector<tensor::Tensor>& train_x, const std::vector<tensor::Tensor>& train_y,
-    const std::vector<tensor::Tensor>& test_x, std::uint64_t seed) const {
-  const int features = static_cast<int>(train_x[0].numel());
+std::vector<tensor::Tensor> TrnEvaluator::retrained_predictions(zoo::NetId base,
+                                                                int cut_node) {
+  NetState& st = state(base);
+  const auto train_it = st.train_features.find(cut_node);
+  if (train_it == st.train_features.end())
+    throw std::invalid_argument("TrnEvaluator: node " + std::to_string(cut_node) +
+                                " is not a legal cut site for " + zoo::net_name(base));
+  std::vector<tensor::Tensor> train_y;
+  train_y.reserve(dataset_.train().size());
+  for (const data::Sample& s : dataset_.train()) train_y.push_back(s.label);
 
-  // Standardize features (fit on train) for stable head optimization.
-  std::vector<double> mean(static_cast<std::size_t>(features), 0.0);
-  std::vector<double> stdev(static_cast<std::size_t>(features), 0.0);
-  for (const tensor::Tensor& x : train_x)
-    for (int k = 0; k < features; ++k) mean[static_cast<std::size_t>(k)] += x[k];
-  for (int k = 0; k < features; ++k)
-    mean[static_cast<std::size_t>(k)] /= static_cast<double>(train_x.size());
-  for (const tensor::Tensor& x : train_x)
-    for (int k = 0; k < features; ++k) {
-      const double d = x[k] - mean[static_cast<std::size_t>(k)];
-      stdev[static_cast<std::size_t>(k)] += d * d;
-    }
-  for (int k = 0; k < features; ++k) {
-    stdev[static_cast<std::size_t>(k)] =
-        std::sqrt(stdev[static_cast<std::size_t>(k)] / static_cast<double>(train_x.size()));
-    if (stdev[static_cast<std::size_t>(k)] < 1e-8) stdev[static_cast<std::size_t>(k)] = 1.0;
-  }
-  auto standardize = [&](const tensor::Tensor& x) {
-    tensor::Tensor out(tensor::Shape::vec(features));
-    for (int k = 0; k < features; ++k)
-      out[k] = static_cast<float>((x[k] - mean[static_cast<std::size_t>(k)]) /
-                                  stdev[static_cast<std::size_t>(k)]);
-    return out;
-  };
-
-  // Head as a logits network (softmax applied at evaluation).
-  util::Rng rng(seed);
-  nn::Graph g;
-  int x = g.add_input(tensor::Shape::vec(features));
-  auto fc1 = std::make_unique<nn::Dense>(features, config_.head.hidden1);
-  nn::xavier_init_dense(fc1->weight(), rng);
-  x = g.add(std::move(fc1), {x}, "fc1");
-  x = g.add(std::make_unique<nn::ReLU>(false), {x}, "relu1");
-  auto fc2 = std::make_unique<nn::Dense>(config_.head.hidden1, config_.head.hidden2);
-  nn::xavier_init_dense(fc2->weight(), rng);
-  x = g.add(std::move(fc2), {x}, "fc2");
-  x = g.add(std::make_unique<nn::ReLU>(false), {x}, "relu2");
-  auto fc3 = std::make_unique<nn::Dense>(config_.head.hidden2, config_.head.classes);
-  nn::xavier_init_dense(fc3->weight(), rng);
-  g.add(std::move(fc3), {x}, "logits");
-  nn::Network head(std::move(g));
-
-  nn::Adam opt(config_.learning_rate);
-  opt.bind(head.params(), head.grads());
-
-  std::vector<tensor::Tensor> std_train;
-  std_train.reserve(train_x.size());
-  for (const tensor::Tensor& t : train_x) std_train.push_back(standardize(t));
-
-  const int n = static_cast<int>(std_train.size());
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    const std::vector<int> order = rng.permutation(n);
-    for (int i : order) {
-      head.zero_grads();
-      const tensor::Tensor logits =
-          head.forward(std_train[static_cast<std::size_t>(i)], /*train=*/true);
-      const nn::loss::LossResult lr =
-          nn::loss::soft_cross_entropy(logits, train_y[static_cast<std::size_t>(i)]);
-      head.backward(lr.grad);
-      opt.step();
-    }
-  }
-
+  const TransferHead head(train_it->second, train_y, config_.head, config_.epochs,
+                          config_.learning_rate,
+                          util::derive_seed(config_.seed, seed_key(base, cut_node)));
+  const std::vector<tensor::Tensor>& test_x = st.test_features.at(cut_node);
   std::vector<tensor::Tensor> predictions;
   predictions.reserve(test_x.size());
-  for (const tensor::Tensor& t : test_x)
-    predictions.push_back(nn::softmax(head.forward(standardize(t), false)));
+  for (const tensor::Tensor& x : test_x) predictions.push_back(head.predict(x));
   return predictions;
-}
-
-AccuracyResult TrnEvaluator::train_head_on_features(
-    const std::vector<tensor::Tensor>& train_x, const std::vector<tensor::Tensor>& train_y,
-    const std::vector<tensor::Tensor>& test_x, const std::vector<tensor::Tensor>& test_y,
-    std::uint64_t seed) const {
-  if (train_x.empty() || train_x.size() != train_y.size() || test_x.size() != test_y.size())
-    throw std::invalid_argument("train_head_on_features: bad dataset");
-  const std::vector<tensor::Tensor> predictions =
-      head_predictions(train_x, train_y, test_x, seed);
-
-  AccuracyResult r;
-  r.angular_similarity = ml::mean_angular_similarity(predictions, test_y);
-  r.top1 = ml::top1_agreement(predictions, test_y);
-  return r;
 }
 
 const PerImageEval& TrnEvaluator::per_image(zoo::NetId base, int cut_node) {
@@ -369,22 +271,7 @@ const PerImageEval& TrnEvaluator::per_image(zoo::NetId base, int cut_node) {
     if (auto it = per_image_.find(key); it != per_image_.end()) return it->second;
   }
 
-  NetState& st = state(base);
-  const auto train_it = st.train_features.find(cut_node);
-  if (train_it == st.train_features.end())
-    throw std::invalid_argument("TrnEvaluator::per_image: node " + std::to_string(cut_node) +
-                                " is not a legal cut site for " + zoo::net_name(base));
-  const auto& train_x = train_it->second;
-  const auto& test_x = st.test_features.at(cut_node);
-
-  std::vector<tensor::Tensor> train_y;
-  train_y.reserve(dataset_.train().size());
-  for (const data::Sample& s : dataset_.train()) train_y.push_back(s.label);
-
-  // Same seed derivation as accuracy(): the retrained head is the same head.
-  const std::uint64_t seed = util::derive_seed(config_.seed, seed_key(base, cut_node));
-  const std::vector<tensor::Tensor> predictions =
-      head_predictions(train_x, train_y, test_x, seed);
+  const std::vector<tensor::Tensor> predictions = retrained_predictions(base, cut_node);
 
   PerImageEval e;
   e.margin.reserve(predictions.size());
@@ -393,16 +280,7 @@ const PerImageEval& TrnEvaluator::per_image(zoo::NetId base, int cut_node) {
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     const tensor::Tensor& p = predictions[i];
     const tensor::Tensor& label = dataset_.test()[i].label;
-    float top1 = 0.0f, top2 = 0.0f;
-    for (int k = 0; k < static_cast<int>(p.numel()); ++k) {
-      if (p[k] > top1) {
-        top2 = top1;
-        top1 = p[k];
-      } else if (p[k] > top2) {
-        top2 = p[k];
-      }
-    }
-    e.margin.push_back(static_cast<double>(top1) - static_cast<double>(top2));
+    e.margin.push_back(softmax_margin(p));
     e.angular.push_back(ml::angular_similarity(p, label));
     e.correct.push_back(ml::top1_agreement({p}, {label}) > 0.5 ? 1 : 0);
   }

@@ -4,8 +4,8 @@
 // experiment resolution, installs pseudo-pretrained weights, calibrates
 // batch norms, and runs every train/test image through it a single time,
 // harvesting GlobalAvgPool features at *every* candidate cut site. Each
-// TRN's head (2x FC/ReLU + FC, trained on logits with soft-target
-// cross-entropy) is then retrained for real on those cached features —
+// TRN's head (a TransferHead: 2x FC/ReLU + FC, trained on logits with
+// soft-target cross-entropy) is then retrained for real on those features —
 // mathematically the paper's frozen-trunk transfer phase, at a cost that
 // fits one CPU core. Accuracy is mean angular similarity on the held-out
 // test set (Section III-A).
@@ -105,14 +105,6 @@ class TrnEvaluator {
     return cache_rows_skipped_;
   }
 
-  /// Direct head training on explicit feature vectors (exposed for tests
-  /// and the EMG classifier, which shares the training loop).
-  AccuracyResult train_head_on_features(const std::vector<tensor::Tensor>& train_x,
-                                        const std::vector<tensor::Tensor>& train_y,
-                                        const std::vector<tensor::Tensor>& test_x,
-                                        const std::vector<tensor::Tensor>& test_y,
-                                        std::uint64_t seed) const;
-
  private:
   /// What a base's one feature pass leaves behind; the trunk itself is
   /// dropped once its features are harvested.
@@ -130,12 +122,10 @@ class TrnEvaluator {
   /// seed_key plus the active kernel backend, the accuracy memo's key: the
   /// backends round the trunk's features differently, and so its accuracy.
   std::string cache_key(zoo::NetId base, int cut_node) const;
-  /// Standardize + train the head + softmax-predict the test set — the body
-  /// shared by train_head_on_features and per_image (identical op order).
-  std::vector<tensor::Tensor> head_predictions(const std::vector<tensor::Tensor>& train_x,
-                                               const std::vector<tensor::Tensor>& train_y,
-                                               const std::vector<tensor::Tensor>& test_x,
-                                               std::uint64_t seed) const;
+  /// Softmax predictions on the test set of the TransferHead retrained on
+  /// the cut's train features, seeded from seed_key: accuracy() and
+  /// per_image() see the same head.
+  std::vector<tensor::Tensor> retrained_predictions(zoo::NetId base, int cut_node);
   void load_cache() NETCUT_REQUIRES(cache_mutex_);
   void append_cache(const std::string& key, const AccuracyResult& r)
       NETCUT_REQUIRES(cache_mutex_);

@@ -88,10 +88,4 @@ std::vector<Candidate> BlockwiseExplorer::explore_iterative(zoo::NetId base,
   return evaluate_cuts(base, plan);
 }
 
-double BlockwiseExplorer::total_train_hours(const std::vector<Candidate>& candidates) {
-  double h = 0.0;
-  for (const Candidate& c : candidates) h += c.train_hours;
-  return h;
-}
-
 }  // namespace netcut::core

@@ -47,9 +47,6 @@ class BlockwiseExplorer {
   /// of Fig 4.
   std::vector<Candidate> explore_iterative(zoo::NetId base, bool include_full);
 
-  /// Total retraining bill of a candidate set.
-  static double total_train_hours(const std::vector<Candidate>& candidates);
-
  private:
   /// Candidate with all LatencyLab-derived fields filled, accuracy pending.
   Candidate lab_stub(zoo::NetId base, int cut_node, int blocks_removed);

@@ -2,7 +2,6 @@
 
 #include "ml/metrics.hpp"
 #include "nn/activation.hpp"
-#include "nn/loss.hpp"
 #include "nn/norm.hpp"
 #include "nn/optimizer.hpp"
 
@@ -21,26 +20,6 @@ AccuracyResult evaluate(nn::Network& net, const data::HandsDataset& dataset) {
   r.angular_similarity = ml::mean_angular_similarity(preds, labels);
   r.top1 = ml::top1_agreement(preds, labels);
   return r;
-}
-
-double run_epochs(nn::Network& net, const data::HandsDataset& dataset, nn::Optimizer& opt,
-                  int epochs, util::Rng& rng) {
-  const int n = static_cast<int>(dataset.train().size());
-  double last = 0.0;
-  for (int epoch = 0; epoch < epochs; ++epoch) {
-    last = 0.0;
-    for (int i : rng.permutation(n)) {
-      const data::Sample& s = dataset.train()[static_cast<std::size_t>(i)];
-      net.zero_grads();
-      const tensor::Tensor logits = net.forward(s.image, true);
-      const auto lr = nn::loss::soft_cross_entropy(logits, s.label);
-      net.backward(lr.grad);
-      opt.step();
-      last += lr.value;
-    }
-    last /= n;
-  }
-  return last;
 }
 
 }  // namespace
@@ -73,7 +52,7 @@ FinetuneResult finetune_trn(const nn::Graph& pretrained_trunk, int cut_node,
     }
     nn::Adam opt(config.head_lr);
     opt.bind(std::move(params), std::move(grads));
-    result.stage1_final_loss = run_epochs(net, dataset, opt, config.head_epochs, rng);
+    result.stage1_final_loss = train_epochs(net, opt, dataset.train(), config.head_epochs, rng);
   }
   result.after_head = evaluate(net, dataset);
 
@@ -81,7 +60,7 @@ FinetuneResult finetune_trn(const nn::Graph& pretrained_trunk, int cut_node,
   if (config.full_epochs > 0) {
     nn::Adam opt(config.full_lr);
     opt.bind(net.params(), net.grads());
-    result.stage2_final_loss = run_epochs(net, dataset, opt, config.full_epochs, rng);
+    result.stage2_final_loss = train_epochs(net, opt, dataset.train(), config.full_epochs, rng);
   }
   result.after_full = evaluate(net, dataset);
   return result;

@@ -1,15 +1,32 @@
 #include "core/trn.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
 #include "nn/init.hpp"
+#include "nn/loss.hpp"
 #include "nn/pooling.hpp"
 #include "nn/verify.hpp"
 
 namespace netcut::core {
+
+namespace {
+
+/// The head's dense stack after node `x`, a vector of `features`: fc1/ReLU,
+/// fc2/ReLU, logits, then a Softmax when head.with_softmax.
+void append_dense_stack(nn::Graph& g, int x, int features, const HeadConfig& head) {
+  x = g.add(std::make_unique<nn::Dense>(features, head.hidden1), {x}, "head/fc1");
+  x = g.add(std::make_unique<nn::ReLU>(false), {x}, "head/relu1");
+  x = g.add(std::make_unique<nn::Dense>(head.hidden1, head.hidden2), {x}, "head/fc2");
+  x = g.add(std::make_unique<nn::ReLU>(false), {x}, "head/relu2");
+  x = g.add(std::make_unique<nn::Dense>(head.hidden2, head.classes), {x}, "head/logits");
+  if (head.with_softmax) g.add(std::make_unique<nn::Softmax>(), {x}, "head/softmax");
+}
+
+}  // namespace
 
 std::vector<int> blockwise_cutpoints(const nn::Graph& trunk) {
   std::vector<int> out;
@@ -28,15 +45,8 @@ nn::Graph append_head(nn::Graph g, const HeadConfig& head) {
   if (feat.rank() != 3)
     throw std::invalid_argument("append_head: trunk output must be CHW, got " +
                                 feat.to_string());
-  const int features = feat[0];
-
-  int x = g.add(std::make_unique<nn::GlobalAvgPool>(), {g.output_node()}, "head/gap");
-  x = g.add(std::make_unique<nn::Dense>(features, head.hidden1), {x}, "head/fc1");
-  x = g.add(std::make_unique<nn::ReLU>(false), {x}, "head/relu1");
-  x = g.add(std::make_unique<nn::Dense>(head.hidden1, head.hidden2), {x}, "head/fc2");
-  x = g.add(std::make_unique<nn::ReLU>(false), {x}, "head/relu2");
-  x = g.add(std::make_unique<nn::Dense>(head.hidden2, head.classes), {x}, "head/logits");
-  if (head.with_softmax) g.add(std::make_unique<nn::Softmax>(), {x}, "head/softmax");
+  const int gap = g.add(std::make_unique<nn::GlobalAvgPool>(), {g.output_node()}, "head/gap");
+  append_dense_stack(g, gap, feat[0], head);
   nn::check_graph(g, "append_head");
   return g;
 }
@@ -47,6 +57,78 @@ void init_head(nn::Graph& trn, util::Rng& rng) {
     if (nd.layer->kind() == nn::LayerKind::kDense && nd.name.rfind("head/", 0) == 0)
       nn::xavier_init_dense(static_cast<nn::Dense&>(*nd.layer).weight(), rng);
   }
+}
+
+double train_epochs(nn::Network& net, nn::Optimizer& opt, const std::vector<data::Sample>& train,
+                    int epochs, util::Rng& rng) {
+  const int n = static_cast<int>(train.size());
+  double last = 0.0;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    last = 0.0;
+    for (int i : rng.permutation(n)) {
+      const data::Sample& s = train[static_cast<std::size_t>(i)];
+      net.zero_grads();
+      const tensor::Tensor logits = net.forward(s.image, true);
+      const nn::loss::LossResult lr = nn::loss::soft_cross_entropy(logits, s.label);
+      net.backward(lr.grad);
+      opt.step();
+      last += lr.value;
+    }
+    last /= n;
+  }
+  return last;
+}
+
+TransferHead::TransferHead(const std::vector<tensor::Tensor>& train_x,
+                           const std::vector<tensor::Tensor>& train_y, const HeadConfig& head,
+                           int epochs, double learning_rate, std::uint64_t seed) {
+  if (train_x.empty() || train_x.size() != train_y.size())
+    throw std::invalid_argument("TransferHead: bad training set");
+  const int features = static_cast<int>(train_x[0].numel());
+  const auto n = static_cast<double>(train_x.size());
+  mean_.assign(static_cast<std::size_t>(features), 0.0);
+  stdev_.assign(static_cast<std::size_t>(features), 0.0);
+  for (const tensor::Tensor& x : train_x)
+    for (int k = 0; k < features; ++k) mean_[static_cast<std::size_t>(k)] += x[k];
+  for (double& m : mean_) m /= n;
+  for (const tensor::Tensor& x : train_x)
+    for (int k = 0; k < features; ++k) {
+      const double d = x[k] - mean_[static_cast<std::size_t>(k)];
+      stdev_[static_cast<std::size_t>(k)] += d * d;
+    }
+  for (double& s : stdev_) {
+    s = std::sqrt(s / n);
+    if (s < 1e-8) s = 1.0;
+  }
+
+  util::Rng rng(seed);
+  HeadConfig logits = head;
+  logits.with_softmax = false;  // softmax is applied by predict()
+  nn::Graph g;
+  append_dense_stack(g, g.add_input(tensor::Shape::vec(features)), features, logits);
+  init_head(g, rng);
+  net_ = std::make_unique<nn::Network>(std::move(g));
+
+  nn::Adam opt(learning_rate);
+  opt.bind(net_->params(), net_->grads());
+  std::vector<data::Sample> train;
+  train.reserve(train_x.size());
+  for (std::size_t i = 0; i < train_x.size(); ++i)
+    train.push_back({standardize(train_x[i]), train_y[i], {}});
+  train_epochs(*net_, opt, train, epochs, rng);
+}
+
+tensor::Tensor TransferHead::standardize(const tensor::Tensor& x) const {
+  const int features = static_cast<int>(mean_.size());
+  tensor::Tensor out(tensor::Shape::vec(features));
+  for (int k = 0; k < features; ++k)
+    out[k] = static_cast<float>((x[k] - mean_[static_cast<std::size_t>(k)]) /
+                                stdev_[static_cast<std::size_t>(k)]);
+  return out;
+}
+
+tensor::Tensor TransferHead::predict(const tensor::Tensor& x) const {
+  return nn::softmax(net_->forward(standardize(x), false));
 }
 
 nn::Graph build_trn(const nn::Graph& trunk, int cut_node, const HeadConfig& head,

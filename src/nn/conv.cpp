@@ -28,9 +28,7 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel_h, int kernel_w, in
       pad_w_(pad_w),
       has_bias_(bias),
       weight_(Shape{out_channels, in_channels, kernel_h, kernel_w}),
-      bias_(Shape{out_channels}),
-      grad_weight_(Shape{out_channels, in_channels, kernel_h, kernel_w}),
-      grad_bias_(Shape{out_channels}) {
+      bias_(Shape{out_channels}) {
   if (in_channels <= 0 || out_channels <= 0 || kernel_h <= 0 || kernel_w <= 0 || stride <= 0 ||
       pad_h < 0 || pad_w < 0)
     throw std::invalid_argument("Conv2D: invalid hyperparameters");
@@ -183,6 +181,7 @@ std::size_t Conv2D::batch_scratch_floats(const std::vector<Shape>& in, int batch
 std::vector<Tensor> Conv2D::backward(const Tensor& grad_out) {
   if (cached_input_.empty()) throw std::logic_error("Conv2D::backward without train forward");
   const Tensor& x = cached_input_;
+  if (grad_weight_.empty()) grads();
   const ConvGeometry g = geometry(x.shape());
   const int oh = g.out_h();
   const int ow = g.out_w();
@@ -227,7 +226,8 @@ std::vector<Tensor*> Conv2D::params() {
 }
 
 std::vector<Tensor*> Conv2D::grads() {
-  if (has_bias_) return {&grad_weight_, &grad_bias_};
+  grad_for(grad_weight_, weight_);
+  if (has_bias_) return {&grad_weight_, &grad_for(grad_bias_, bias_)};
   return {&grad_weight_};
 }
 
@@ -250,9 +250,7 @@ DepthwiseConv2D::DepthwiseConv2D(int channels, int kernel, int stride, int pad, 
       pad_(pad < 0 ? tensor::same_pad(kernel) : pad),
       has_bias_(bias),
       weight_(Shape{channels, 1, kernel, kernel}),
-      bias_(Shape{channels}),
-      grad_weight_(Shape{channels, 1, kernel, kernel}),
-      grad_bias_(Shape{channels}) {
+      bias_(Shape{channels}) {
   if (channels <= 0 || kernel <= 0 || stride <= 0)
     throw std::invalid_argument("DepthwiseConv2D: invalid hyperparameters");
 }
@@ -304,6 +302,7 @@ std::vector<Tensor> DepthwiseConv2D::backward(const Tensor& grad_out) {
   if (cached_input_.empty())
     throw std::logic_error("DepthwiseConv2D::backward without train forward");
   const Tensor& x = cached_input_;
+  if (grad_weight_.empty()) grads();
   const int ih = x.shape()[1], iw = x.shape()[2];
   const int oh = grad_out.shape()[1], ow = grad_out.shape()[2];
 
@@ -350,7 +349,8 @@ std::vector<Tensor*> DepthwiseConv2D::params() {
 }
 
 std::vector<Tensor*> DepthwiseConv2D::grads() {
-  if (has_bias_) return {&grad_weight_, &grad_bias_};
+  grad_for(grad_weight_, weight_);
+  if (has_bias_) return {&grad_weight_, &grad_for(grad_bias_, bias_)};
   return {&grad_weight_};
 }
 

@@ -11,9 +11,7 @@ Dense::Dense(int in_features, int out_features, bool bias)
       out_f_(out_features),
       has_bias_(bias),
       weight_(Shape{out_features, in_features}),
-      bias_(Shape{out_features}),
-      grad_weight_(Shape{out_features, in_features}),
-      grad_bias_(Shape{out_features}) {
+      bias_(Shape{out_features}) {
   if (in_features <= 0 || out_features <= 0)
     throw std::invalid_argument("Dense: invalid feature counts");
 }
@@ -39,6 +37,7 @@ void Dense::forward_into(const std::vector<const Tensor*>& in, Tensor& out, bool
 std::vector<Tensor> Dense::backward(const Tensor& grad_out) {
   if (cached_input_.empty()) throw std::logic_error("Dense::backward without train forward");
   const Tensor& x = cached_input_;
+  if (grad_weight_.empty()) grads();
   // dW += dy * x^T ; db += dy ; dx = W^T dy
   for (int o = 0; o < out_f_; ++o) {
     const float g = grad_out[o];
@@ -60,7 +59,8 @@ std::vector<Tensor*> Dense::params() {
 }
 
 std::vector<Tensor*> Dense::grads() {
-  if (has_bias_) return {&grad_weight_, &grad_bias_};
+  grad_for(grad_weight_, weight_);
+  if (has_bias_) return {&grad_weight_, &grad_for(grad_bias_, bias_)};
   return {&grad_weight_};
 }
 

@@ -113,6 +113,8 @@ class Layer {
   virtual std::vector<Tensor> backward(const Tensor& grad_out) = 0;
 
   virtual std::vector<Tensor*> params() { return {}; }
+  /// Parameter gradients, aligned with params(). Sized and zeroed on first
+  /// call (or first backward): layers that only run inference hold none.
   virtual std::vector<Tensor*> grads() { return {}; }
   void zero_grads();
 
@@ -126,6 +128,11 @@ class Layer {
  protected:
   static void require_arity(const std::vector<Shape>& in, int arity, const char* who);
   static void require_arity(const std::vector<const Tensor*>& in, int arity, const char* who);
+  /// `grad`, sized like `param` and zeroed when it has no storage yet.
+  static Tensor& grad_for(Tensor& grad, const Tensor& param) {
+    if (grad.empty()) grad = Tensor(param.shape());
+    return grad;
+  }
 };
 
 }  // namespace netcut::nn

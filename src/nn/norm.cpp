@@ -14,9 +14,7 @@ BatchNorm::BatchNorm(int channels, float eps)
       gamma_(Shape{channels}, 1.0f),
       beta_(Shape{channels}),
       running_mean_(Shape{channels}),
-      running_var_(Shape{channels}, 1.0f),
-      grad_gamma_(Shape{channels}),
-      grad_beta_(Shape{channels}) {
+      running_var_(Shape{channels}, 1.0f) {
   if (channels <= 0) throw std::invalid_argument("BatchNorm: invalid channel count");
 }
 
@@ -149,6 +147,7 @@ void BatchNorm::forward_lanes(std::span<LaneIO> lanes, float* batch_scratch) {
 
 std::vector<Tensor> BatchNorm::backward(const Tensor& grad_out) {
   if (cached_xhat_.empty()) throw std::logic_error("BatchNorm::backward without train forward");
+  if (grad_gamma_.empty()) grads();
   const int hw = grad_out.shape()[1] * grad_out.shape()[2];
   Tensor dx(grad_out.shape());
 

@@ -31,7 +31,9 @@ class BatchNorm final : public Layer {
   std::vector<Tensor> backward(const Tensor& grad_out) override;
 
   std::vector<Tensor*> params() override { return {&gamma_, &beta_}; }
-  std::vector<Tensor*> grads() override { return {&grad_gamma_, &grad_beta_}; }
+  std::vector<Tensor*> grads() override {
+    return {&grad_for(grad_gamma_, gamma_), &grad_for(grad_beta_, beta_)};
+  }
   std::vector<Tensor*> state() override {
     return {&gamma_, &beta_, &running_mean_, &running_var_};
   }

@@ -29,10 +29,8 @@ class Shape {
   const std::vector<int>& dims() const { return dims_; }
   std::string to_string() const;
 
-  // CHW accessors for rank-3 activation shapes.
+  // Channel count of a rank-3 CHW activation shape.
   int channels() const { return dim(0); }
-  int height() const { return dim(1); }
-  int width() const { return dim(2); }
 
   static Shape chw(int c, int h, int w) { return Shape{c, h, w}; }
   static Shape vec(int n) { return Shape{n}; }

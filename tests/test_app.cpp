@@ -1,4 +1,5 @@
-// Robotic-hand application layer: classifiers, fusion, and the control loop.
+// Robotic-hand application layer: the transfer head its classifiers share,
+// the classifiers, fusion, and the control loop.
 #include <gtest/gtest.h>
 
 #include "app/classifier.hpp"
@@ -30,7 +31,7 @@ data::PretrainedConfig tiny_pretrain() {
   return c;
 }
 
-TEST(SoftClassifier, LearnsSeparableFeatures) {
+TEST(TransferHead, LearnsSeparableFeatures) {
   // Features: class-indexed bumps; must reach high angular similarity.
   util::Rng rng(1);
   std::vector<tensor::Tensor> x, y;
@@ -42,8 +43,12 @@ TEST(SoftClassifier, LearnsSeparableFeatures) {
     x.push_back(std::move(f));
     y.push_back(data::make_label(static_cast<data::GraspType>(cls), rng, 0.02));
   }
-  SoftClassifier clf(10, quick_mlp());
-  clf.fit(x, y);
+  const MlpConfig c = quick_mlp();
+  core::HeadConfig head;
+  head.classes = c.classes;
+  head.hidden1 = c.hidden1;
+  head.hidden2 = c.hidden2;
+  const core::TransferHead clf(x, y, head, c.epochs, c.learning_rate, c.seed);
   std::vector<tensor::Tensor> preds, labels;
   for (int i = 0; i < 100; ++i) {
     preds.push_back(clf.predict(x[static_cast<std::size_t>(i)]));
@@ -53,9 +58,11 @@ TEST(SoftClassifier, LearnsSeparableFeatures) {
   EXPECT_GT(ml::top1_agreement(preds, labels), 0.9);
 }
 
-TEST(SoftClassifier, PredictBeforeFitThrows) {
-  SoftClassifier clf(4, quick_mlp());
-  EXPECT_THROW(clf.predict(tensor::Tensor(tensor::Shape::vec(4))), std::logic_error);
+TEST(TransferHead, RejectsBadTrainingSet) {
+  // Trained by its constructor, a head cannot exist unfitted.
+  const std::vector<tensor::Tensor> one(1, tensor::Tensor(tensor::Shape::vec(4)));
+  EXPECT_THROW(core::TransferHead({}, {}, core::HeadConfig{}, 1, 1e-3, 7), std::invalid_argument);
+  EXPECT_THROW(core::TransferHead(one, {}, core::HeadConfig{}, 1, 1e-3, 7), std::invalid_argument);
 }
 
 TEST(EmgClassifier, BeatsChanceOnHeldOutData) {

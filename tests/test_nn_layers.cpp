@@ -365,5 +365,34 @@ TEST(Layer, BackwardWithoutForwardThrows) {
   EXPECT_THROW(conv.backward(g), std::logic_error);
 }
 
+TEST(Layer, GradientsAllocatedOnFirstUse) {
+  // A constructor allocates the parameters (and BatchNorm's running
+  // statistics), never gradient storage: inference-only graphs hold none.
+  struct Case {
+    std::function<std::unique_ptr<Layer>()> make;
+    std::uint64_t tensors;
+  };
+  const std::vector<Case> cases = {
+      {[] { return std::make_unique<Conv2D>(3, 8, 3); }, 2},
+      {[] { return std::make_unique<DepthwiseConv2D>(8, 3); }, 2},
+      {[] { return std::make_unique<Dense>(16, 4); }, 2},
+      {[] { return std::make_unique<BatchNorm>(8); }, 4},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t before = tensor::tensor_alloc_count();
+    const std::unique_ptr<Layer> layer = c.make();
+    EXPECT_EQ(tensor::tensor_alloc_count() - before, c.tensors) << to_string(layer->kind());
+
+    // The first grads() call sizes them like the parameters, zeroed.
+    const std::vector<Tensor*> params = layer->params();
+    const std::vector<Tensor*> grads = layer->grads();
+    ASSERT_EQ(grads.size(), params.size());
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      EXPECT_EQ(grads[i]->shape(), params[i]->shape());
+      for (std::int64_t k = 0; k < grads[i]->numel(); ++k) EXPECT_EQ((*grads[i])[k], 0.0f);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace netcut::nn
