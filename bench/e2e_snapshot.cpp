@@ -1,19 +1,19 @@
 // End-to-end performance snapshot (BENCH_e2e.json): wall-clock for the
-// quickstart pipeline and a fast-mode fig10-style NetCut run, plus
-// per-forward heap-allocation counts, activation-memory footprint (planned
-// peak vs the sum of all activations) and forward latency on zoo trunks,
-// and the host's fp32 batch curve (forward_batch ms per image at B = 1..16)
+// built quickstart example and a fast-mode fig10_netcut_selection run, and
+// the host's fp32 batch curve (forward_batch ms per image at B = 1..16)
 // next to the modeled one (hw::DeviceModel::batch_curve, a simulated
-// Jetson), under the same `host` stamp as BENCH_kernels.json. Appends
+// Jetson), under the same `host` stamp as BENCH_kernels.json. Single-image
+// forward latency, allocations and the activation arena are perfbench
+// infer's (nn.forward_ms, nn.allocs_per_forward, nn.arena_mb). Appends
 // nothing; each run rewrites the JSON so the numbers always describe the
 // current tree.
 //
 //   ./build/bench/e2e_snapshot [--json BENCH_e2e.json]
 //
-// The pipelines run in fresh subprocesses. The fig10 section reuses the
-// shared experiment caches (netcut_weights/, netcut_accuracy_cache.csv)
-// exactly like the fig* harnesses, so its wall-clock reflects the
-// steady-state developer loop.
+// The two binaries run in fresh subprocesses from this build tree. Like
+// every fig* harness they read the cwd's experiment caches
+// (netcut_weights/, netcut_accuracy_cache.csv), so the wall-clock reflects
+// the steady-state developer loop.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +23,6 @@
 #include <sstream>
 #include <string>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -57,81 +56,6 @@ double time_best_ms(Fn&& fn, int reps) {
     if (t1 - t0 < best) best = t1 - t0;
   }
   return best;
-}
-
-/// The quickstart pipeline (examples/quickstart.cpp) minus the printf:
-/// select + retrain one TRN of MobileNetV2-1.40 against a 0.45 ms deadline.
-/// No accuracy memo, so the retraining forwards/backwards run for real.
-double run_quickstart_once() {
-  core::LatencyLab lab;
-  data::HandsConfig data_cfg;
-  data_cfg.resolution = 24;
-  data_cfg.train_count = 150;
-  data_cfg.test_count = 60;
-  const data::HandsDataset dataset(data_cfg);
-
-  core::EvalConfig eval_cfg;
-  eval_cfg.resolution = 24;
-  eval_cfg.epochs = 10;
-  eval_cfg.cache_path.clear();
-  core::TrnEvaluator evaluator(dataset, eval_cfg);
-
-  core::ProfilerEstimator estimator(lab);
-  core::NetCut netcut(lab, evaluator);
-  core::NetCutConfig cfg;
-  cfg.deadline_ms = 0.45;
-  cfg.networks = {zoo::NetId::kMobileNetV2_140};
-  const core::NetCutResult result = netcut.run(estimator, cfg);
-  return result.selected >= 0 ? result.winner().trn.accuracy : -1.0;
-}
-
-/// Fig10-style selection under NETCUT_FAST: NetCut with the profiler
-/// estimator over all seven networks at the robotic-hand deadline.
-void run_fig10_fast_once() {
-  core::LatencyLab lab(bench::lab_config());
-  const data::HandsDataset dataset(bench::dataset_config());
-  core::TrnEvaluator evaluator(dataset, bench::eval_config());
-  core::NetCut netcut(lab, evaluator);
-  core::ProfilerEstimator prof(lab);
-  core::NetCutConfig cfg;
-  cfg.deadline_ms = bench::kDeadlineMs;
-  const core::NetCutResult r = netcut.run(prof, cfg);
-  if (r.selected < 0) std::fprintf(stderr, "e2e_snapshot: fig10 run selected nothing\n");
-}
-
-struct ForwardRecord {
-  std::string net;
-  int resolution = 0;
-  std::uint64_t allocs = 0;
-  std::size_t activation_sum_bytes = 0, planned_peak_activation_bytes = 0;
-  double ms = 0.0;
-};
-
-ForwardRecord measure_forward(zoo::NetId id, int resolution) {
-  util::Rng rng(7);
-  nn::Graph g = zoo::build_trunk(id, resolution);
-  nn::init_graph(g, rng);
-  const tensor::Tensor x =
-      tensor::Tensor::randn(tensor::Shape::chw(3, resolution, resolution), rng, 0.5f);
-
-  ForwardRecord r;
-  r.net = zoo::net_name(id);
-  r.resolution = resolution;
-
-  nn::Network net(std::move(g));
-  (void)net.forward(x);  // warm-up: plan + arena + conv scratch
-
-  const nn::MemoryPlan& plan = net.plan_for({}, /*train=*/false);
-  r.planned_peak_activation_bytes = plan.planned_activation_floats() * sizeof(float);
-  r.activation_sum_bytes = plan.naive_activation_floats() * sizeof(float);
-
-  const std::uint64_t c0 = tensor::tensor_alloc_count();
-  (void)net.forward(x);
-  r.allocs = tensor::tensor_alloc_count() - c0;
-
-  constexpr int kReps = 30;
-  r.ms = time_best_ms([&] { (void)net.forward(x); }, kReps);
-  return r;
 }
 
 struct BatchCurve {
@@ -187,11 +111,10 @@ std::vector<BatchCurve> batch_curves() {
   return curves;
 }
 
-/// Times one fresh-subprocess run of `self --run-<which>`, in milliseconds.
-/// Fresh processes keep runs from contaminating each other through
-/// allocator state, and match how the pipelines actually run.
-double time_subprocess_ms(const std::string& self, const char* which) {
-  const std::string cmd = "'" + self + "' --run-" + which + " >/dev/null 2>&1";
+/// Times one fresh-subprocess run of the built binary at `path` (relative
+/// to the build tree), in milliseconds.
+double time_subprocess_ms(const char* path) {
+  const std::string cmd = std::string("'") + NETCUT_BUILD_DIR + "/" + path + "' >/dev/null 2>&1";
   const double t0 = now_ms();
   if (std::system(cmd.c_str()) != 0)
     std::fprintf(stderr, "e2e_snapshot: subprocess '%s' failed\n", cmd.c_str());
@@ -203,46 +126,24 @@ double time_subprocess_ms(const std::string& self, const char* which) {
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_e2e.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--run-quickstart") == 0) {
-      run_quickstart_once();
-      return 0;
-    }
-    if (std::strcmp(argv[i], "--run-fig10") == 0) {
-      setenv("NETCUT_FAST", "1", 1);
-      run_fig10_fast_once();
-      return 0;
-    }
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
       json_path = argv[++i];
     else if (std::strncmp(argv[i], "--json=", 7) == 0)
       json_path = argv[i] + 7;
   }
-  const std::string self = argv[0];
 
-  // Each pipeline: one untimed warm-up subprocess (weight caches, page
+  // Each binary: one untimed warm-up subprocess (weight caches, page
   // cache, frequency ramp), then best-of-3 in fresh subprocesses (the
   // pipelines are deterministic; repetition only filters scheduler noise).
-  std::printf("warming up quickstart pipeline...\n");
-  time_subprocess_ms(self, "quickstart");
-  std::printf("timing quickstart (fresh subprocesses)...\n");
-  const double quickstart_ms =
-      time_best_ms([&] { return time_subprocess_ms(self, "quickstart"); }, 3);
-
+  const auto time_binary = [](const char* path) {
+    std::printf("warming up %s...\n", path);
+    time_subprocess_ms(path);
+    std::printf("timing %s (fresh subprocesses)...\n", path);
+    return time_best_ms([&] { return time_subprocess_ms(path); }, 3);
+  };
+  const double quickstart_ms = time_binary("examples/quickstart");
   setenv("NETCUT_FAST", "1", 1);
-  std::printf("warming up fig10-style fast run (shared caches)...\n");
-  time_subprocess_ms(self, "fig10");
-  std::printf("timing fig10-style fast run (fresh subprocesses)...\n");
-  const double fig10_ms = time_best_ms([&] { return time_subprocess_ms(self, "fig10"); }, 3);
-
-  std::printf("per-forward metrics...\n");
-  std::vector<ForwardRecord> fwd;
-  fwd.push_back(measure_forward(zoo::NetId::kMobileNetV2_140, 32));
-  fwd.push_back(measure_forward(zoo::NetId::kResNet50, 32));
-  fwd.push_back(measure_forward(zoo::NetId::kInceptionV3, 32));
-  // Larger inputs: the summed activations (8-12 MiB) outgrow the cache,
-  // while the planned working set (~1 MiB) stays resident.
-  fwd.push_back(measure_forward(zoo::NetId::kMobileNetV2_140, 64));
-  fwd.push_back(measure_forward(zoo::NetId::kResNet50, 64));
+  const double fig10_ms = time_binary("bench/fig10_netcut_selection");
 
   std::printf("batch curves...\n");
   const std::vector<BatchCurve> curves = batch_curves();
@@ -256,16 +157,6 @@ int main(int argc, char** argv) {
   out << "  \"host\": " << bench::host_json() << ",\n";
   out << "  \"quickstart\": {\"ms\": " << quickstart_ms << "},\n";
   out << "  \"fig10_fast\": {\"ms\": " << fig10_ms << "},\n";
-  out << "  \"forward\": [\n";
-  for (std::size_t i = 0; i < fwd.size(); ++i) {
-    const ForwardRecord& r = fwd[i];
-    out << "    {\"net\": \"" << r.net << "\", \"resolution\": " << r.resolution
-        << ", \"allocs\": " << r.allocs
-        << ", \"planned_peak_activation_bytes\": " << r.planned_peak_activation_bytes
-        << ", \"activation_sum_bytes\": " << r.activation_sum_bytes << ", \"ms\": " << r.ms
-        << "}" << (i + 1 < fwd.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
   out << "  \"batch_curve\": [\n";
   const auto list = [](const auto& v) {
     std::ostringstream s;
@@ -286,10 +177,6 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << json_path << "\n";
 
   std::printf("\nquickstart: %.0f ms\nfig10 fast: %.0f ms\n", quickstart_ms, fig10_ms);
-  for (const ForwardRecord& r : fwd)
-    std::printf("%-18s @%d fwd: %.3f ms, allocs %llu, act MiB %.2f planned / %.2f summed\n",
-                r.net.c_str(), r.resolution, r.ms, static_cast<unsigned long long>(r.allocs),
-                r.planned_peak_activation_bytes / 1048576.0, r.activation_sum_bytes / 1048576.0);
   for (const BatchCurve& c : curves) {
     std::printf("%-28s @%d ms/image, measured | modeled:", c.net.c_str(), c.resolution);
     for (std::size_t i = 0; i < c.batch.size(); ++i)

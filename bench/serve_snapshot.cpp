@@ -1,8 +1,7 @@
 // Serving-layer snapshot (BENCH_serve.json): batched vs single-request
-// service, the heap-queue take() microbench, and the fleet section —
-// multi-worker scaling, admission under overload and per-tenant SLOs —
-// all under the deterministic open-loop load simulation shared with
-// tests/test_serve.cpp (src/serve/sim.hpp).
+// service and the fleet section — multi-worker scaling, admission under
+// overload and per-tenant SLOs — all under the deterministic open-loop load
+// simulation shared with tests/test_serve.cpp (src/serve/sim.hpp).
 //
 //   ./build/bench/serve_snapshot [--json BENCH_serve.json]
 //
@@ -14,15 +13,11 @@
 //   * batch cap 8 sustains >= 3x the single-request throughput under an
 //     offered load ~5x the single-request service rate, at no worse a miss
 //     rate or p99 than the single-request baseline;
-//   * the heap-backed RequestQueue::take costs far less than the full
-//     EDF re-sort per take it replaced, with bit-identical pop order;
 //   * a 4-worker fleet sustains >= 3x a 1-worker fleet's aggregate
 //     throughput at an equal admitted miss rate (1/2/4/8 scaling curve);
 //   * under ~2x overload with a bursty tenant, admission sheds explicitly
 //     (never a silent miss) and admitted p99 stays within each SLO class
 //     budget — the burst's shedding lands on the bursty tenant.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -94,90 +89,6 @@ void emit_json(std::ostream& out, const ServeRun& r, bool last) {
       << ", \"batches\": " << r.report.batches
       << ", \"reproducible\": " << (r.reproducible ? "true" : "false") << "}"
       << (last ? "" : ",") << "\n";
-}
-
-// ---------------------------------------------------------------------------
-// Queue take() microbench: incrementally maintained heap vs the full
-// EDF re-sort per take it replaced (satellite of the fleet PR). Pop order
-// must agree bit-for-bit; the cost per take is wall-clock (reported, not
-// part of the reproducibility gate).
-// ---------------------------------------------------------------------------
-
-struct QueueBench {
-  std::size_t backlog = 0;
-  std::size_t batch = 0;
-  double heap_us_per_take = 0.0;
-  double sort_us_per_take = 0.0;
-  bool order_identical = false;
-};
-
-std::vector<serve::Request> queue_bench_workload(std::size_t n) {
-  util::Rng rng(util::derive_seed(424242, "bench/queue-take"));
-  std::vector<serve::Request> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    serve::Request r;
-    r.id = static_cast<std::uint64_t>(i);
-    // Coarse deadlines force ties (broken by id), the worst case for
-    // keeping pop order deterministic.
-    r.deadline_ms = static_cast<double>(rng.uniform_int(0, 1 << 14));
-    out.push_back(r);
-  }
-  return out;
-}
-
-QueueBench run_queue_bench(std::size_t backlog, std::size_t batch) {
-  using clock = std::chrono::steady_clock;
-  const std::vector<serve::Request> work = queue_bench_workload(backlog);
-  auto edf_less = [](const serve::Request& a, const serve::Request& b) {
-    if (a.deadline_ms != b.deadline_ms) return a.deadline_ms < b.deadline_ms;
-    return a.id < b.id;
-  };
-
-  QueueBench qb;
-  qb.backlog = backlog;
-  qb.batch = batch;
-
-  // Heap-backed queue: push everything, then drain in batches.
-  std::vector<std::uint64_t> heap_order;
-  heap_order.reserve(backlog);
-  {
-    serve::RequestQueue q;
-    for (const serve::Request& r : work) q.push(r);
-    const auto t0 = clock::now();
-    std::size_t takes = 0;
-    while (!q.empty()) {
-      const auto got = q.take([&](const serve::Request&, std::size_t pending) {
-        return std::min(pending, batch);
-      });
-      for (const serve::Request& r : got) heap_order.push_back(r.id);
-      ++takes;
-    }
-    const double us = std::chrono::duration<double, std::micro>(clock::now() - t0).count();
-    qb.heap_us_per_take = us / static_cast<double>(takes);
-  }
-
-  // Legacy reference: the pre-heap implementation re-sorted the whole
-  // backlog on every take.
-  std::vector<std::uint64_t> sort_order;
-  sort_order.reserve(backlog);
-  {
-    std::vector<serve::Request> pending = work;
-    const auto t0 = clock::now();
-    std::size_t takes = 0;
-    while (!pending.empty()) {
-      std::sort(pending.begin(), pending.end(), edf_less);
-      const std::size_t n = std::min(pending.size(), batch);
-      for (std::size_t i = 0; i < n; ++i) sort_order.push_back(pending[i].id);
-      pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(n));
-      ++takes;
-    }
-    const double us = std::chrono::duration<double, std::micro>(clock::now() - t0).count();
-    qb.sort_us_per_take = us / static_cast<double>(takes);
-  }
-
-  qb.order_identical = heap_order == sort_order;
-  return qb;
 }
 
 // ---------------------------------------------------------------------------
@@ -295,18 +206,6 @@ int main(int argc, char** argv) {
   }
   if (batched.report.miss_rate > single.report.miss_rate) {
     std::fprintf(stderr, "serve_snapshot: batched miss rate exceeds the single baseline\n");
-    ok = false;
-  }
-
-  // --- queue take() cost: heap vs full re-sort --------------------------
-  const QueueBench qb = run_queue_bench(/*backlog=*/8192, /*batch=*/8);
-  std::printf("queue take() at backlog %zu, batch %zu: heap %.2f us/take vs "
-              "full-sort %.2f us/take (%.0fx), pop order identical=%s\n\n",
-              qb.backlog, qb.batch, qb.heap_us_per_take, qb.sort_us_per_take,
-              qb.heap_us_per_take > 0 ? qb.sort_us_per_take / qb.heap_us_per_take : 0.0,
-              qb.order_identical ? "yes" : "NO");
-  if (!qb.order_identical) {
-    std::fprintf(stderr, "serve_snapshot: heap pop order diverged from the sorted reference\n");
     ok = false;
   }
 
@@ -587,11 +486,6 @@ int main(int argc, char** argv) {
   out << "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) emit_json(out, runs[i], i + 1 == runs.size());
   out << "  ],\n";
-  out << "  \"queue_take\": {\"backlog\": " << qb.backlog << ", \"batch\": " << qb.batch
-      << ", \"heap_us_per_take\": " << qb.heap_us_per_take
-      << ", \"sort_us_per_take\": " << qb.sort_us_per_take
-      << ", \"order_identical\": " << (qb.order_identical ? "true" : "false")
-      << ", \"note\": \"wall-clock costs, excluded from the bit-identity gate\"},\n";
   out << "  \"fleet\": {\n    \"throughput_ratio_4v1\": " << ratio_4v1 << ",\n";
   out << "    \"scaling\": [\n";
   for (std::size_t i = 0; i < fleet_runs.size(); ++i)

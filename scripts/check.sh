@@ -18,7 +18,7 @@
 #    pinning rather than perturbing the assertions; then a --label-summary
 #    line with per-label pass counts. Before the suites, a fresh
 #    `serve_snapshot --json` run must match the committed BENCH_serve.json
-#    in every field but the wall-clock queue_take row
+#    byte for byte
 # 5. kernel backends: the kernel library (netcut_tensor) builds in
 #    build-noisa/ as RelWithDebInfo, with no -march flag, so every SIMD
 #    kernel must carry its own target attribute (runtime dispatch, DESIGN
@@ -140,43 +140,24 @@ build_noisa() {
   cmake --build build-noisa -j "$(nproc)" --target netcut_tensor
 }
 
-# serve_snapshot_pinned: the simulated serving rows are a pure function of
-# (config, seed), so a fresh serve_snapshot run reproduces the committed
-# BENCH_serve.json field for field. Only the wall-clock queue_take row may
-# differ; every other differing field is printed and fails the step.
+# serve_snapshot_pinned: every serving row is a pure function of (config,
+# seed), so a fresh serve_snapshot run reproduces the committed
+# BENCH_serve.json byte for byte. Any difference is printed as a diff and
+# fails the step.
 serve_snapshot_pinned() {
   local fresh rc=0
   fresh=$(mktemp)
   build/bench/serve_snapshot --json "$fresh" >/dev/null || rc=$?
-  if [ "$rc" -eq 0 ]; then
-    python3 - BENCH_serve.json "$fresh" <<'PY' || rc=$?
-import json, sys
-
-def flat(node, path, out):
-    if isinstance(node, dict):
-        for k, v in node.items():
-            flat(v, f"{path}.{k}" if path else k, out)
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            flat(v, f"{path}[{i}]", out)
-    else:
-        out[path] = node
-    return out
-
-committed, fresh = (flat(json.load(open(p)), "", {}) for p in sys.argv[1:])
-differ = sorted(k for k in committed.keys() | fresh.keys()
-                if not k.startswith("queue_take") and committed.get(k) != fresh.get(k))
-for k in differ:
-    print(f"    {k}: committed {committed.get(k)!r}, fresh {fresh.get(k)!r}")
-sys.exit(1 if differ else 0)
-PY
+  if [ "$rc" -eq 0 ] && ! cmp -s BENCH_serve.json "$fresh"; then
+    diff BENCH_serve.json "$fresh" | sed 's/^/    /'
+    rc=1
   fi
   rm -f "$fresh"
   if [ "$rc" -ne 0 ]; then
     echo "    serve_snapshot differs from BENCH_serve.json (see above)"
     return "$rc"
   fi
-  echo "    serve_snapshot matches BENCH_serve.json (queue_take excluded)"
+  echo "    serve_snapshot matches BENCH_serve.json byte for byte"
 }
 
 # Per-label pass counts from dedicated `ctest -L <label>` runs (ctest has no

@@ -78,7 +78,6 @@ ControlLoopReport ControlLoop::run(const data::HandsDataset& dataset) {
   // Observed device slowdown: EWMA of (frame latency / nominal latency).
   // Late frames still yield a timing; only outright failed runs do not.
   double slowdown = 1.0;
-  constexpr double kSlowdownAlpha = 0.1;
   // Miss rates bracketing the first fallback, for the degradation report.
   bool fell_back = false;
   int pre_frames = 0, pre_missed = 0, post_frames = 0, post_missed = 0;

@@ -78,8 +78,9 @@ struct TrnOption {
 // WatchdogConfig (shared with the serving layer) lives in app/watchdog.hpp.
 
 /// One watchdog decision, for reporting. `from`/`to` index the fallback
-/// ladder (see ControlLoop::fallback_ladder) — identical to option indices
-/// when no option carries a cascade.
+/// ladder the watchdog walks (one rung per cascade threshold, a single rung
+/// for a cascade-free option) — identical to option indices when no option
+/// carries a cascade.
 struct SwitchEvent {
   int episode = 0;
   double time_ms = 0.0;             // reach time within the episode
@@ -126,19 +127,15 @@ class ControlLoop {
 
   ControlLoopReport run(const data::HandsDataset& dataset);
 
-  /// The expanded fallback ladder the watchdog walks: one (option index,
-  /// threshold index) rung per cascade threshold, a single rung for
-  /// cascade-free options. Identity when no option has a cascade.
-  const std::vector<std::pair<std::size_t, std::size_t>>& fallback_ladder() const {
-    return ladder_;
-  }
-
  private:
   /// Nominal per-frame latency of rung `r` (worst case for cascade rungs
   /// that can still escalate: stage 1 plus the full escalation delta).
   double rung_nominal_ms(std::size_t r) const;
 
   std::vector<TrnOption> options_;
+  /// The expanded fallback ladder the watchdog walks: one (option index,
+  /// threshold index) rung per cascade threshold, a single rung for
+  /// cascade-free options. Identity when no option has a cascade.
   std::vector<std::pair<std::size_t, std::size_t>> ladder_;
   const EmgClassifier& emg_;
   const data::EmgGenerator& emg_gen_;

@@ -39,6 +39,11 @@ struct WatchdogConfig {
   double recover_headroom = 0.98;
 };
 
+/// Weight of each new sample in the observed device slowdown, an EWMA of
+/// (measured latency / nominal latency) that the control loop and the
+/// serving layer both keep to judge whether a slower option fits again.
+inline constexpr double kSlowdownAlpha = 0.1;
+
 class MissRateWatchdog {
  public:
   enum class Action { kStay, kFallBack, kRecover };

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "nn/serialize.hpp"
+#include "nn/verify.hpp"
 #include "tensor/backend.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
@@ -116,10 +117,8 @@ nn::Graph pretrained_trunk(zoo::NetId net, int resolution,
       throw std::runtime_error("pretrained_trunk: failed to reload cached weights");
   } else if (resolution != kPretrainResolution) {
     // No cache directory: copy the trained state across in memory.
-    std::ostringstream payload(std::ios::binary);
-    nn::save_params(train_trunk, payload, "pretrained_trunk (in-memory)");
-    std::istringstream in(payload.str(), std::ios::binary);
-    nn::load_params(trunk, in, "pretrained_trunk (in-memory)");
+    nn::copy_state(train_trunk, trunk);
+    nn::check_params(trunk, "pretrained_trunk");
   } else {
     trunk = std::move(train_trunk);
   }

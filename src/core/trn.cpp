@@ -59,7 +59,7 @@ void init_head(nn::Graph& trn, util::Rng& rng) {
   }
 }
 
-double train_epochs(nn::Network& net, nn::Optimizer& opt, const std::vector<data::Sample>& train,
+double train_epochs(nn::Network& net, nn::Adam& opt, const std::vector<data::Sample>& train,
                     int epochs, util::Rng& rng) {
   const int n = static_cast<int>(train.size());
   double last = 0.0;

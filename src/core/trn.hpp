@@ -51,7 +51,7 @@ void init_head(nn::Graph& trn, util::Rng& rng);
 /// `epochs` passes over rng.permutation(n), each sample zero_grads →
 /// forward(train) → soft_cross_entropy(image, label) → backward → step.
 /// Returns the last epoch's mean loss.
-double train_epochs(nn::Network& net, nn::Optimizer& opt, const std::vector<data::Sample>& train,
+double train_epochs(nn::Network& net, nn::Adam& opt, const std::vector<data::Sample>& train,
                     int epochs, util::Rng& rng);
 
 /// The transfer head over feature vectors (a cut's GlobalAvgPool output),

@@ -1,6 +1,4 @@
 #include "data/pretrained.hpp"
-#include <cstdlib>
-#include <cstdio>
 
 #include <algorithm>
 #include <cmath>
@@ -14,6 +12,7 @@
 #include "nn/norm.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/pooling.hpp"
+#include "nn/serialize.hpp"
 
 namespace netcut::data {
 
@@ -241,7 +240,6 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
       final_opt.set_learning_rate(final_opt.learning_rate() * 0.3);
     }
     double epoch_loss = 0.0;
-    double epoch_aux = 0.0, epoch_fin = 0.0;
     int in_batch = 0;
     int steps_since_refresh = 0;
     net.zero_grads();
@@ -270,18 +268,12 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
         }
       }
       epoch_loss += fin.value + config.aux_weight * aux.value;
-      epoch_aux += aux.value;
-      epoch_fin += fin.value;
     }
     if (in_batch > 0) {
       opt.step();
       ++report.steps;
     }
     report.final_loss = epoch_loss / n;
-    if (std::getenv("NETCUT_PRETRAIN_VERBOSE"))
-      std::fprintf(stderr, "[pretrain] epoch %d loss %.4f (aux %.3f final %.3f, lr %.2e)\n",
-                   epoch, report.final_loss, epoch_aux / n, epoch_fin / n,
-                   opt.learning_rate());
     // Statistics drift with the weights: re-collect once per epoch.
     collect_bn_stats(net, images, 40);
   }
@@ -299,19 +291,7 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
   report.source_accuracy = static_cast<double>(correct) / n;
 
   // Copy the trained trunk portion (weights + BN statistics) back.
-  for (int id = 1; id < trunk_nodes; ++id) {
-    nn::Layer& src = *net.graph().node(id).layer;
-    nn::Layer& dst = *trunk.node(id).layer;
-    const auto src_params = src.params();
-    const auto dst_params = dst.params();
-    for (std::size_t k = 0; k < src_params.size(); ++k) *dst_params[k] = *src_params[k];
-    if (src.kind() == nn::LayerKind::kBatchNorm) {
-      auto& sbn = static_cast<nn::BatchNorm&>(src);
-      auto& dbn = static_cast<nn::BatchNorm&>(dst);
-      dbn.running_mean() = sbn.running_mean();
-      dbn.running_var() = sbn.running_var();
-    }
-  }
+  nn::copy_state(net.graph(), trunk);
   return report;
 }
 

@@ -21,32 +21,4 @@ LossResult soft_cross_entropy(const Tensor& logits, const Tensor& target) {
   return r;
 }
 
-double kl_divergence(const Tensor& target, const Tensor& prediction) {
-  if (target.shape() != prediction.shape())
-    throw std::invalid_argument("kl_divergence: shape mismatch");
-  double kl = 0.0;
-  for (std::int64_t i = 0; i < target.numel(); ++i) {
-    const double t = target[i];
-    if (t <= 0.0) continue;
-    kl += t * std::log(t / (static_cast<double>(prediction[i]) + 1e-12));
-  }
-  return kl;
-}
-
-LossResult mse(const Tensor& prediction, const Tensor& target) {
-  if (prediction.shape() != target.shape())
-    throw std::invalid_argument("mse: shape mismatch");
-  LossResult r;
-  r.grad = Tensor(prediction.shape());
-  double s = 0.0;
-  const double n = static_cast<double>(prediction.numel());
-  for (std::int64_t i = 0; i < prediction.numel(); ++i) {
-    const double d = prediction[i] - target[i];
-    s += d * d;
-    r.grad[i] = static_cast<float>(2.0 * d / n);
-  }
-  r.value = s / n;
-  return r;
-}
-
 }  // namespace netcut::nn::loss

@@ -14,17 +14,10 @@ using tensor::Tensor;
 
 struct LossResult {
   double value = 0.0;
-  Tensor grad;  // gradient w.r.t. the logits (or prediction for mse)
+  Tensor grad;  // gradient w.r.t. the logits
 };
 
 /// Cross-entropy between a target distribution and softmax(logits).
 LossResult soft_cross_entropy(const Tensor& logits, const Tensor& target);
-
-/// KL(target || prediction) for two probability vectors; no gradient
-/// (reporting metric only).
-double kl_divergence(const Tensor& target, const Tensor& prediction);
-
-/// Mean squared error (used by regression tests of the framework).
-LossResult mse(const Tensor& prediction, const Tensor& target);
 
 }  // namespace netcut::nn::loss

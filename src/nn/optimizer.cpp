@@ -5,44 +5,17 @@
 
 namespace netcut::nn {
 
-void Optimizer::bind(std::vector<tensor::Tensor*> params, std::vector<tensor::Tensor*> grads) {
+Adam::Adam(double lr, double beta1, double beta2, double eps)
+    : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
+
+void Adam::bind(std::vector<tensor::Tensor*> params, std::vector<tensor::Tensor*> grads) {
   if (params.size() != grads.size())
-    throw std::invalid_argument("Optimizer::bind: param/grad count mismatch");
+    throw std::invalid_argument("Adam::bind: param/grad count mismatch");
   for (std::size_t i = 0; i < params.size(); ++i)
     if (params[i]->numel() != grads[i]->numel())
-      throw std::invalid_argument("Optimizer::bind: param/grad size mismatch");
+      throw std::invalid_argument("Adam::bind: param/grad size mismatch");
   params_ = std::move(params);
   grads_ = std::move(grads);
-  on_bind();
-}
-
-Sgd::Sgd(double lr, double momentum, double weight_decay)
-    : Optimizer(lr), momentum_(momentum), weight_decay_(weight_decay) {}
-
-void Sgd::on_bind() {
-  velocity_.clear();
-  for (const tensor::Tensor* p : params_)
-    velocity_.emplace_back(static_cast<std::size_t>(p->numel()), 0.0f);
-}
-
-void Sgd::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    tensor::Tensor& p = *params_[k];
-    const tensor::Tensor& g = *grads_[k];
-    std::vector<float>& vel = velocity_[k];
-    for (std::int64_t i = 0; i < p.numel(); ++i) {
-      float grad = g[i] + static_cast<float>(weight_decay_) * p[i];
-      float v = static_cast<float>(momentum_) * vel[static_cast<std::size_t>(i)] + grad;
-      vel[static_cast<std::size_t>(i)] = v;
-      p[i] -= static_cast<float>(lr_) * v;
-    }
-  }
-}
-
-Adam::Adam(double lr, double beta1, double beta2, double eps)
-    : Optimizer(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
-
-void Adam::on_bind() {
   t_ = 0;
   m_.clear();
   v_.clear();

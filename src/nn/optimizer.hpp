@@ -1,58 +1,33 @@
-// First-order optimizers over a network's parameter list. The fine-tuning
-// schedule from the paper (head-only at lr 1e-3, then all layers at 1e-4)
-// is expressed by re-binding an optimizer to a different parameter set.
+// Adam over a network's parameter list. The fine-tuning schedule from the
+// paper (head-only at lr 1e-3, then all layers at 1e-4) is expressed by
+// binding an optimizer to a different parameter set.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "tensor/tensor.hpp"
 
 namespace netcut::nn {
 
-class Optimizer {
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
 
   /// Bind the parameter/gradient tensors this optimizer updates. Resets
-  /// internal state (momenta).
+  /// the step count and moments.
   void bind(std::vector<tensor::Tensor*> params, std::vector<tensor::Tensor*> grads);
 
   /// Apply one update using the currently accumulated gradients.
-  virtual void step() = 0;
+  void step();
 
   void set_learning_rate(double lr) { lr_ = lr; }
   double learning_rate() const { return lr_; }
 
- protected:
-  explicit Optimizer(double lr) : lr_(lr) {}
-  virtual void on_bind() {}
-
-  double lr_;
+ private:
+  double lr_, beta1_, beta2_, eps_;
+  long t_ = 0;
   std::vector<tensor::Tensor*> params_;
   std::vector<tensor::Tensor*> grads_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0, double weight_decay = 0.0);
-  void step() override;
-
- private:
-  void on_bind() override;
-  double momentum_, weight_decay_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
-  void step() override;
-
- private:
-  void on_bind() override;
-  double beta1_, beta2_, eps_;
-  long t_ = 0;
   std::vector<std::vector<float>> m_, v_;
 };
 

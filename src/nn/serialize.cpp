@@ -1,7 +1,8 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <fstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 
 #include "nn/verify.hpp"
@@ -28,12 +29,6 @@ void save_params(const Graph& graph, std::ostream& out, const std::string& conte
     }
   }
   if (!out) throw std::runtime_error("save_params: write failed for " + context);
-}
-
-void save_params(const Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("save_params: cannot open " + path);
-  save_params(graph, out, path);
 }
 
 void load_params(Graph& graph, std::istream& in, const std::string& context) {
@@ -70,11 +65,23 @@ void load_params(Graph& graph, std::istream& in, const std::string& context) {
   check_params(graph, "load_params");
 }
 
-bool load_params(Graph& graph, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  load_params(graph, in, path);
-  return true;
+void copy_state(const Graph& from, Graph& to) {
+  if (from.node_count() < to.node_count())
+    throw std::invalid_argument("copy_state: source graph has fewer nodes");
+  for (int id = 1; id < to.node_count(); ++id) {
+    Layer& src = *from.node(id).layer;
+    Layer& dst = *to.node(id).layer;
+    const auto s = src.state();
+    const auto d = dst.state();
+    if (src.kind() != dst.kind() || s.size() != d.size())
+      throw std::invalid_argument("copy_state: layer mismatch at node " + std::to_string(id));
+    for (std::size_t k = 0; k < s.size(); ++k) {
+      if (s[k]->numel() != d[k]->numel())
+        throw std::invalid_argument("copy_state: tensor size mismatch at node " +
+                                    std::to_string(id));
+      *d[k] = *s[k];
+    }
+  }
 }
 
-}  // namespace nn
+}  // namespace netcut::nn

@@ -1,6 +1,7 @@
 // Binary serialization of a graph's persistent state (weights, biases,
 // batch-norm statistics). Used to cache pseudo-pretrained trunks on disk so
-// the pretraining cost is paid once per configuration.
+// the pretraining cost is paid once per configuration. copy_state is the
+// in-memory counterpart.
 //
 // Format: magic, node count, then per node: layer-kind tag and each
 // persistent tensor's element count + raw float data. Loading validates
@@ -15,20 +16,20 @@
 
 namespace netcut::nn {
 
-/// Writes all persistent tensors of the graph. Throws on I/O failure.
-void save_params(const Graph& graph, const std::string& path);
-
-/// Stream form, for callers that wrap the payload in their own container
-/// (e.g. the checksummed atomic weight cache).
+/// Writes all persistent tensors of the graph; callers wrap the payload in
+/// their own container (e.g. the checksummed atomic weight cache).
+/// `context` names the destination in error messages. Throws on I/O
+/// failure.
 void save_params(const Graph& graph, std::ostream& out, const std::string& context);
 
-/// Reads persistent tensors into the graph. Returns false (leaving the
-/// graph untouched where possible) when the file is missing; throws on
-/// structural mismatch or corruption.
-bool load_params(Graph& graph, const std::string& path);
-
-/// Stream form; `context` names the source in error messages. Throws on
-/// structural mismatch or corruption.
+/// Reads persistent tensors into the graph; `context` names the source in
+/// error messages. Throws on structural mismatch or corruption.
 void load_params(Graph& graph, std::istream& in, const std::string& context);
+
+/// Copies the persistent tensors (Layer::state()) of every node of `to`
+/// from the same node of `from`, which may extend `to` (a pretraining
+/// graph is the trunk plus its heads). Throws std::invalid_argument on a
+/// structural mismatch.
+void copy_state(const Graph& from, Graph& to);
 
 }  // namespace netcut::nn

@@ -4,12 +4,10 @@
 //
 // The pending set is an incrementally maintained binary min-heap keyed by
 // (deadline, id): push is O(log n) and take pops only the k requests it
-// returns (O(k log n)), instead of the full EDF re-sort per take that this
-// replaced (O(n log n) on every batch under a deep backlog — the dominant
-// cost at fleet scale, measured in bench/serve_snapshot's queue_take
-// section). Because (deadline, id) is a total order, popping the k smallest
-// yields exactly the sorted prefix the old sort produced: pop order is
-// bit-identical.
+// returns (O(k log n)), not a full EDF re-sort per take (O(n log n) on every
+// batch under a deep backlog). Because (deadline, id) is a total order,
+// popping the k smallest yields exactly the sorted prefix a full sort would:
+// ServeQueue.HeapPopOrderMatchesFullEdfSort checks the two orders agree.
 //
 // The head inspection and the pop still happen inside one critical section,
 // so a concurrently arriving request can never split the batching policy's

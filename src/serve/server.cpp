@@ -8,8 +8,6 @@
 namespace netcut::serve {
 
 namespace {
-constexpr double kSlowdownAlpha = 0.1;  // matches the control loop's EWMA
-
 /// Timing-only escalation wish for one request: a Bernoulli(p) draw keyed
 /// on (cascade seed, request id) alone, so it is stable across batch
 /// boundaries, retries, and work stealing.
@@ -161,7 +159,7 @@ std::vector<Completion> BatchServer::step(double now_ms) {
   if (fault_stream_.active()) fault = fault_stream_.next(static_cast<int>(batch_counter_));
   service *= fault.multiplier;
   const double finish = now_ms + service;
-  if (!fault.failed) slowdown_ += kSlowdownAlpha * (service / nominal - slowdown_);
+  if (!fault.failed) slowdown_ += app::kSlowdownAlpha * (service / nominal - slowdown_);
 
   std::vector<Completion> done;
   done.reserve(batch.size());

@@ -51,8 +51,7 @@ inline constexpr int kS8PanelRows = 8;
 /// so both backends produce the same bits.
 struct KernelBackend {
   const char* name = "?";
-  void (*gemm)(const float* a, const float* b, float* c, int m, int k, int n,
-               bool accumulate) = nullptr;
+  void (*gemm)(const float* a, const float* b, float* c, int m, int k, int n) = nullptr;
   void (*gemv)(const float* a, const float* x, float* y, int m, int n) = nullptr;
   void (*gemv_t)(const float* a, const float* x, float* y, int m, int n) = nullptr;
   void (*gemm_s8u8)(const std::int32_t* a_panels, const std::uint8_t* b, std::int32_t* c,

@@ -29,11 +29,9 @@ constexpr std::int64_t kParallelFlopCutoff = 1 << 16;
 
 /// Processes C rows [i0, i1). i0 is tile-aligned unless the caller is the
 /// serial path covering the whole matrix.
-void gemm_rows(const float* a, const float* b, float* c, int i0, int i1, int k, int n,
-               bool accumulate) {
-  if (!accumulate)
-    std::memset(c + static_cast<std::int64_t>(i0) * n, 0,
-                sizeof(float) * static_cast<std::size_t>(i1 - i0) * static_cast<std::size_t>(n));
+void gemm_rows(const float* a, const float* b, float* c, int i0, int i1, int k, int n) {
+  std::memset(c + static_cast<std::int64_t>(i0) * n, 0,
+              sizeof(float) * static_cast<std::size_t>(i1 - i0) * static_cast<std::size_t>(n));
   for (int k0 = 0; k0 < k; k0 += kBlockK) {
     const int k1 = (k0 + kBlockK < k) ? k0 + kBlockK : k;
     int i = i0;
@@ -73,11 +71,10 @@ void gemm_rows(const float* a, const float* b, float* c, int i0, int i1, int k, 
   }
 }
 
-void gemm_scalar(const float* a, const float* b, float* c, int m, int k, int n,
-                 bool accumulate) {
+void gemm_scalar(const float* a, const float* b, float* c, int m, int k, int n) {
   const std::int64_t flops = 2LL * m * k * n;
   if (flops < kParallelFlopCutoff) {
-    gemm_rows(a, b, c, 0, m, k, n, accumulate);
+    gemm_rows(a, b, c, 0, m, k, n);
     return;
   }
   // Partition over row panels so tile/remainder row assignment is identical
@@ -90,7 +87,7 @@ void gemm_scalar(const float* a, const float* b, float* c, int m, int k, int n,
     const int i0 = static_cast<int>(p0) * kRowTile;
     int i1 = static_cast<int>(p1) * kRowTile;
     if (i1 > m) i1 = m;
-    gemm_rows(a, b, c, i0, i1, k, n, accumulate);
+    gemm_rows(a, b, c, i0, i1, k, n);
   });
 }
 

@@ -25,9 +25,9 @@
 // Determinism: row-panel partitioning mirrors the scalar backend — panel
 // boundaries are multiples of the register tile, so every output element
 // sees the same accumulation order at any thread count. Each fp32 output is
-// one FMA chain over k in ascending order (plus C when accumulating), so it
-// differs from the scalar backend only by FMA rounding (ULP-level, see
-// DESIGN.md section 11); int8 results are bit-exact by integer associativity.
+// one FMA chain over k in ascending order, so it differs from the scalar
+// backend only by FMA rounding (ULP-level, see DESIGN.md section 11); int8
+// results are bit-exact by integer associativity.
 //
 // Depthwise is the exception to both rules above: one implementation,
 // plain C++ whose lane loops the compiler vectorises for the build's ISA.
@@ -104,7 +104,7 @@ void pack_b_fp32(const float* b, int k, int n, float* dst) {
 }
 
 // ---------------------------------------------------------------------------
-// fp32 microkernels: c[kMr x kNr] (+)= a[kMr x kc] * bp over kc steps
+// fp32 microkernels: c[kMr x kNr] = a[kMr x kc] * bp over kc steps
 // ---------------------------------------------------------------------------
 
 /// Row r of the tile at `a` (row stride lda). Rows past mr alias the last
@@ -116,7 +116,7 @@ inline const float* tile_row(const float* a, int lda, int mr, int r) {
 
 #if NETCUT_SIMD_X86
 NETCUT_TARGET_AVX2 void micro_fp32_avx2(const float* a, int lda, int mr, const float* bp,
-                                        int kc, float* c, int ldc, bool add) {
+                                        int kc, float* c, int ldc) {
   const float* a0 = tile_row(a, lda, mr, 0);
   const float* a1 = tile_row(a, lda, mr, 1);
   const float* a2 = tile_row(a, lda, mr, 2);
@@ -164,10 +164,6 @@ NETCUT_TARGET_AVX2 void micro_fp32_avx2(const float* a, int lda, int mr, const f
   __m256 acc[kMr][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}, {c40, c41}, {c50, c51}};
   for (int r = 0; r < kMr; ++r) {
     float* crow = c + static_cast<std::int64_t>(r) * ldc;
-    if (add) {
-      acc[r][0] = _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]);
-      acc[r][1] = _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]);
-    }
     _mm256_storeu_ps(crow, acc[r][0]);
     _mm256_storeu_ps(crow + 8, acc[r][1]);
   }
@@ -175,7 +171,7 @@ NETCUT_TARGET_AVX2 void micro_fp32_avx2(const float* a, int lda, int mr, const f
 #endif  // NETCUT_SIMD_X86
 
 void micro_fp32_portable(const float* a, int lda, int mr, const float* bp, int kc, float* c,
-                         int ldc, bool add) {
+                         int ldc) {
   const float* rows[kMr];
   for (int r = 0; r < kMr; ++r) rows[r] = tile_row(a, lda, mr, r);
   float acc[kMr][kNr] = {};
@@ -189,30 +185,25 @@ void micro_fp32_portable(const float* a, int lda, int mr, const float* bp, int k
   }
   for (int r = 0; r < kMr; ++r) {
     float* crow = c + static_cast<std::int64_t>(r) * ldc;
-    if (add) {
-      for (int jj = 0; jj < kNr; ++jj) crow[jj] += acc[r][jj];
-    } else {
-      for (int jj = 0; jj < kNr; ++jj) crow[jj] = acc[r][jj];
-    }
+    for (int jj = 0; jj < kNr; ++jj) crow[jj] = acc[r][jj];
   }
 }
 
-void micro_fp32(const float* a, int lda, int mr, const float* bp, int kc, float* c, int ldc,
-                bool add) {
+void micro_fp32(const float* a, int lda, int mr, const float* bp, int kc, float* c, int ldc) {
 #if NETCUT_SIMD_X86
   if (kUseAvx2) {
-    micro_fp32_avx2(a, lda, mr, bp, kc, c, ldc, add);
+    micro_fp32_avx2(a, lda, mr, bp, kc, c, ldc);
     return;
   }
 #endif
-  micro_fp32_portable(a, lda, mr, bp, kc, c, ldc, add);
+  micro_fp32_portable(a, lda, mr, bp, kc, c, ldc);
 }
 
 /// Row panel [i0, i1) of the packed-B product. A is read in place (row
 /// stride k). i0 is a kMr multiple; the only short tile is the final one,
 /// so tile assignment is identical at any thread count.
 void gemm_fp32_rows(const float* a, const float* bpack, float* c, int i0, int i1, int k,
-                    int n, bool accumulate) {
+                    int n) {
   const int panels = (n + kNr - 1) / kNr;
   float buf[kMr * kNr];
   for (int i = i0; i < i1; i += kMr) {
@@ -224,30 +215,24 @@ void gemm_fp32_rows(const float* a, const float* bpack, float* c, int i0, int i1
       const float* bpanel = bpack + static_cast<std::int64_t>(p) * k * kNr;
       float* ctile = c + static_cast<std::int64_t>(i) * n + j0;
       if (mr == kMr && jw == kNr) {
-        micro_fp32(atile, k, mr, bpanel, k, ctile, n, accumulate);
+        micro_fp32(atile, k, mr, bpanel, k, ctile, n);
         continue;
       }
-      micro_fp32(atile, k, mr, bpanel, k, buf, kNr, /*add=*/false);
+      micro_fp32(atile, k, mr, bpanel, k, buf, kNr);
       for (int r = 0; r < mr; ++r) {
         float* crow = ctile + static_cast<std::int64_t>(r) * n;
         const float* brow = buf + static_cast<std::int64_t>(r) * kNr;
-        if (accumulate) {
-          for (int jj = 0; jj < jw; ++jj) crow[jj] += brow[jj];
-        } else {
-          for (int jj = 0; jj < jw; ++jj) crow[jj] = brow[jj];
-        }
+        for (int jj = 0; jj < jw; ++jj) crow[jj] = brow[jj];
       }
     }
   }
 }
 
-void gemm_simd(const float* a, const float* b, float* c, int m, int k, int n,
-               bool accumulate) {
+void gemm_simd(const float* a, const float* b, float* c, int m, int k, int n) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     // Degenerate contraction: the product is all zeros.
-    if (!accumulate)
-      std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
+    std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m) * static_cast<std::size_t>(n));
     return;
   }
   // Pack B once on the calling thread (deterministic), shared read-only by
@@ -260,7 +245,7 @@ void gemm_simd(const float* a, const float* b, float* c, int m, int k, int n,
 
   const std::int64_t flops = 2LL * m * k * n;
   if (flops < kParallelFlopCutoff) {
-    gemm_fp32_rows(a, bpack, c, 0, m, k, n, accumulate);
+    gemm_fp32_rows(a, bpack, c, 0, m, k, n);
     return;
   }
   const std::int64_t panels = (m + kMr - 1) / kMr;
@@ -272,7 +257,7 @@ void gemm_simd(const float* a, const float* b, float* c, int m, int k, int n,
     const int i0 = static_cast<int>(p0) * kMr;
     int i1 = static_cast<int>(p1) * kMr;
     if (i1 > m) i1 = m;
-    gemm_fp32_rows(a, bp, c, i0, i1, k, n, accumulate);
+    gemm_fp32_rows(a, bp, c, i0, i1, k, n);
   });
 }
 

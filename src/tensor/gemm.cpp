@@ -12,11 +12,7 @@ namespace netcut::tensor {
 // lets both backends take their fast row-streaming path.
 
 void gemm(const float* a, const float* b, float* c, int m, int k, int n) {
-  active_backend().gemm(a, b, c, m, k, n, /*accumulate=*/false);
-}
-
-void gemm_accumulate(const float* a, const float* b, float* c, int m, int k, int n) {
-  active_backend().gemm(a, b, c, m, k, n, /*accumulate=*/true);
+  active_backend().gemm(a, b, c, m, k, n);
 }
 
 void gemm_at(const float* a, const float* b, float* c, int m, int k, int n) {
@@ -28,7 +24,7 @@ void gemm_at(const float* a, const float* b, float* c, int m, int k, int n) {
   for (int kk = 0; kk < k; ++kk)
     for (int i = 0; i < m; ++i)
       at[static_cast<std::size_t>(i) * k + kk] = a[static_cast<std::size_t>(kk) * m + i];
-  active_backend().gemm(at.data(), b, c, m, k, n, /*accumulate=*/false);
+  active_backend().gemm(at.data(), b, c, m, k, n);
 }
 
 void gemm_bt(const float* a, const float* b, float* c, int m, int k, int n) {
@@ -41,7 +37,7 @@ void gemm_bt(const float* a, const float* b, float* c, int m, int k, int n) {
   for (int j = 0; j < n; ++j)
     for (int kk = 0; kk < k; ++kk)
       bt[static_cast<std::size_t>(kk) * n + j] = b[static_cast<std::size_t>(j) * k + kk];
-  active_backend().gemm(a, bt.data(), c, m, k, n, /*accumulate=*/false);
+  active_backend().gemm(a, bt.data(), c, m, k, n);
 }
 
 void gemv(const float* a, const float* x, float* y, int m, int n) {

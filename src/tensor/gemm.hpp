@@ -15,9 +15,6 @@ namespace netcut::tensor {
 /// C[MxN] = A[MxK] * B[KxN]   (row-major, C overwritten)
 void gemm(const float* a, const float* b, float* c, int m, int k, int n);
 
-/// C[MxN] += A[MxK] * B[KxN]
-void gemm_accumulate(const float* a, const float* b, float* c, int m, int k, int n);
-
 /// C[MxN] = A^T[KxM] * B[KxN]  — A is stored KxM, used transposed.
 void gemm_at(const float* a, const float* b, float* c, int m, int k, int n);
 

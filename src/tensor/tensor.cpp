@@ -141,11 +141,6 @@ Tensor& Tensor::operator*=(float s) {
   return *this;
 }
 
-void Tensor::add_scaled(const Tensor& rhs, float s) {
-  require_same_numel(*this, rhs, "Tensor::add_scaled");
-  for (std::int64_t i = 0; i < numel(); ++i) ptr_[i] += s * rhs[i];
-}
-
 float Tensor::sum() const {
   double s = 0.0;
   for (std::int64_t i = 0; i < size_; ++i) s += ptr_[i];

@@ -60,7 +60,6 @@ class Tensor {
   Tensor& operator+=(const Tensor& rhs);
   Tensor& operator-=(const Tensor& rhs);
   Tensor& operator*=(float s);
-  void add_scaled(const Tensor& rhs, float s);  // *this += s * rhs
 
   float sum() const;
   float max() const;

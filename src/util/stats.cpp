@@ -105,22 +105,4 @@ double rmse(const std::vector<double>& estimates, const std::vector<double>& tru
   return std::sqrt(s / static_cast<double>(truths.size()));
 }
 
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys) {
-  require_same_size(xs, ys, "pearson");
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 }  // namespace netcut::util

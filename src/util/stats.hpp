@@ -35,7 +35,4 @@ double mean_absolute_error(const std::vector<double>& estimates,
 /// Root-mean-square error.
 double rmse(const std::vector<double>& estimates, const std::vector<double>& truths);
 
-/// Pearson correlation coefficient.
-double pearson(const std::vector<double>& xs, const std::vector<double>& ys);
-
 }  // namespace netcut::util

@@ -1,7 +1,7 @@
-// Aligned console tables and CSV emission for the benchmark harnesses.
+// Aligned console tables for the benchmark harnesses.
 //
 // Every fig* bench binary prints the same rows/series the paper's figure
-// shows; Table keeps those dumps readable and machine-parseable.
+// shows; Table keeps those dumps readable.
 #pragma once
 
 #include <string>
@@ -21,8 +21,6 @@ class Table {
 
   /// Render as an aligned, boxed console table.
   std::string to_string() const;
-  /// Render as CSV (header row + data rows).
-  std::string to_csv() const;
 
  private:
   std::vector<std::string> headers_;

@@ -3,11 +3,11 @@
 // input gradient and (where present) parameter gradients.
 #include <gtest/gtest.h>
 
+#include "gradcheck.hpp"
 #include "nn/activation.hpp"
 #include "nn/combine.hpp"
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
-#include "nn/gradcheck.hpp"
 #include "nn/norm.hpp"
 #include "nn/pooling.hpp"
 #include "util/rng.hpp"

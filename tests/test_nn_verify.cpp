@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -340,10 +341,14 @@ TEST(NnVerify, LoadParamsRejectsNonFiniteWeights) {
   init_graph(g, rng);
   static_cast<Conv2D&>(*g.node(1).layer).weight()[3] = 1e30f * 1e30f;  // inf
   const std::string path = ::testing::TempDir() + "netcut_verify_nan_params.bin";
-  save_params(g, path);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    save_params(g, out, path);
+  }
   Graph fresh = diamond_graph();
   try {
-    load_params(fresh, path);
+    std::ifstream in(path, std::ios::binary);
+    load_params(fresh, in, path);
     FAIL() << "load_params accepted non-finite weights";
   } catch (const VerifyError& e) {
     EXPECT_TRUE(e.report().has(rules::kParamNonFinite)) << e.what();

@@ -4,10 +4,10 @@
 
 #include <cmath>
 
+#include "gradcheck.hpp"
 #include "hw/device.hpp"
 #include "ml/svr.hpp"
 #include "nn/conv.hpp"
-#include "nn/gradcheck.hpp"
 #include "nn/init.hpp"
 #include "nn/network.hpp"
 #include "nn/pooling.hpp"

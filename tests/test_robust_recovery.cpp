@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -212,7 +213,10 @@ TEST(WeightCache, HeaderlessFileQuarantinedAndRetrained) {
   // Overwrite the cache with the bare nn::save_params stream (the format
   // written before the checked container): it is not read, but quarantined,
   // and retraining reproduces the same weights.
-  nn::save_params(first, path);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    nn::save_params(first, out, path);
+  }
   const std::string headerless = slurp(path);
   testing::internal::CaptureStderr();
   nn::Graph healed = core::pretrained_trunk(net, 24, cfg, dir);
@@ -224,6 +228,22 @@ TEST(WeightCache, HeaderlessFileQuarantinedAndRetrained) {
   graph_params(first, a);
   graph_params(healed, b);
   EXPECT_EQ(a, b);
+}
+
+/// Without a cache directory the pretrained state is copied across in
+/// memory (nn::copy_state). At a resolution other than pretraining's it
+/// must equal a load of the cached file bit for bit.
+TEST(WeightCache, InMemoryCopyEqualsCacheLoad) {
+  const std::string dir = fresh_dir("weight_cache_in_memory");
+  const zoo::NetId net = zoo::NetId::kMobileNetV1_025;
+  const data::PretrainedConfig cfg = tiny_pretrain();
+  nn::Graph cached = core::pretrained_trunk(net, 32, cfg, dir);
+  nn::Graph in_memory = core::pretrained_trunk(net, 32, cfg, "");
+  std::vector<float> a, b;
+  graph_params(cached, a);
+  graph_params(in_memory, b);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
 /// The scalar and simd GEMMs round differently and so pretrain different

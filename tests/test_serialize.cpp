@@ -21,6 +21,16 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
 };
 
+void save_file(const Graph& graph, const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  save_params(graph, out, path);
+}
+
+void load_file(Graph& graph, const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  load_params(graph, in, path);
+}
+
 TEST(Serialize, RoundTripPreservesEveryParameterAndBnStat) {
   const TempFile file("test_serialize_roundtrip.bin");
   util::Rng rng(5);
@@ -35,10 +45,10 @@ TEST(Serialize, RoundTripPreservesEveryParameterAndBnStat) {
       bn.running_var()[c] = static_cast<float>(rng.uniform(0.5, 2.0));
     }
   }
-  save_params(a, file.path);
+  save_file(a, file.path);
 
   Graph b = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 24);
-  ASSERT_TRUE(load_params(b, file.path));
+  load_file(b, file.path);
 
   for (int id = 1; id < a.node_count(); ++id) {
     auto pa = a.node(id).layer->params();
@@ -68,14 +78,14 @@ TEST(Serialize, LoadAtDifferentResolutionWorks) {
   util::Rng rng(7);
   Graph small = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 24);
   init_graph(small, rng);
-  save_params(small, file.path);
+  save_file(small, file.path);
   Graph big = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 32);
-  EXPECT_TRUE(load_params(big, file.path));
+  EXPECT_NO_THROW(load_file(big, file.path));
 }
 
-TEST(Serialize, MissingFileReturnsFalse) {
+TEST(Serialize, MissingFileThrows) {
   Graph g = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 24);
-  EXPECT_FALSE(load_params(g, "definitely_not_a_file.bin"));
+  EXPECT_THROW(load_file(g, "definitely_not_a_file.bin"), std::runtime_error);
 }
 
 TEST(Serialize, StructuralMismatchThrows) {
@@ -83,9 +93,9 @@ TEST(Serialize, StructuralMismatchThrows) {
   util::Rng rng(8);
   Graph a = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 24);
   init_graph(a, rng);
-  save_params(a, file.path);
+  save_file(a, file.path);
   Graph other = zoo::build_trunk(zoo::NetId::kMobileNetV1_050, 24);
-  EXPECT_THROW(load_params(other, file.path), std::runtime_error);
+  EXPECT_THROW(load_file(other, file.path), std::runtime_error);
 }
 
 TEST(Serialize, CorruptedFileThrows) {
@@ -96,7 +106,7 @@ TEST(Serialize, CorruptedFileThrows) {
     out.write(junk, sizeof(junk));
   }
   Graph g = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 24);
-  EXPECT_THROW(load_params(g, file.path), std::runtime_error);
+  EXPECT_THROW(load_file(g, file.path), std::runtime_error);
 }
 
 TEST(Serialize, TruncatedFileThrows) {
@@ -104,7 +114,7 @@ TEST(Serialize, TruncatedFileThrows) {
   util::Rng rng(9);
   Graph a = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 24);
   init_graph(a, rng);
-  save_params(a, file.path);
+  save_file(a, file.path);
   // Chop the file in half.
   std::ifstream in(file.path, std::ios::binary | std::ios::ate);
   const auto size = in.tellg();
@@ -116,7 +126,7 @@ TEST(Serialize, TruncatedFileThrows) {
   out.write(half.data(), static_cast<std::streamsize>(half.size()));
   out.close();
   Graph b = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 24);
-  EXPECT_THROW(load_params(b, file.path), std::runtime_error);
+  EXPECT_THROW(load_file(b, file.path), std::runtime_error);
 }
 
 }  // namespace

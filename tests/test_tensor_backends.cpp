@@ -90,24 +90,10 @@ TEST(Backends, Fp32GemmAgreesToUlp) {
     const auto b = Tensor::randn(Shape{s.k, s.n}, rng);
     std::vector<float> ref(static_cast<std::size_t>(s.m) * s.n);
     std::vector<float> got(ref.size());
-    scalar_backend().gemm(a.data(), b.data(), ref.data(), s.m, s.k, s.n, false);
-    simd_backend().gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n, false);
+    scalar_backend().gemm(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
+    simd_backend().gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n);
     // K accumulation steps compound rounding differently under FMA; allow a
     // per-step ULP budget.
-    expect_ulp_close(ref.data(), got.data(), ref.size(), 4.0f * static_cast<float>(s.k));
-  }
-}
-
-TEST(Backends, Fp32GemmAccumulateAgreesToUlp) {
-  util::Rng rng(102);
-  for (const ShapeCase& s : edge_shapes()) {
-    const auto a = Tensor::randn(Shape{s.m, s.k}, rng);
-    const auto b = Tensor::randn(Shape{s.k, s.n}, rng);
-    const auto c0 = Tensor::randn(Shape{s.m, s.n}, rng);
-    std::vector<float> ref(c0.data(), c0.data() + c0.numel());
-    std::vector<float> got = ref;
-    scalar_backend().gemm(a.data(), b.data(), ref.data(), s.m, s.k, s.n, true);
-    simd_backend().gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n, true);
     expect_ulp_close(ref.data(), got.data(), ref.size(), 4.0f * static_cast<float>(s.k));
   }
 }
@@ -154,7 +140,7 @@ TEST(Backends, GemvAgreesToUlp) {
 }
 
 /// The simd fp32 GEMM's per-element contract on AVX2: one std::fma chain
-/// over k in ascending order, starting from 0, plus C when accumulating.
+/// over k in ascending order, starting from 0.
 /// Reading A in place must keep this order bit for bit. The TRN shapes are
 /// convolutions with a handful of output pixels (N <= 16, one column panel)
 /// and a K tail; {7, 3, 1} makes every row tile short.
@@ -167,27 +153,20 @@ TEST(Backends, SimdFp32GemmEqualsSequentialFmaChain) {
   for (const ShapeCase& s : shapes) {
     const auto a = Tensor::randn(Shape{s.m, s.k}, rng);
     const auto b = Tensor::randn(Shape{s.k, s.n}, rng);
-    const auto c0 = Tensor::randn(Shape{s.m, s.n}, rng);
     const std::size_t count = static_cast<std::size_t>(s.m) * s.n;
-    std::vector<float> chain(count), chain_acc(count);
+    std::vector<float> chain(count);
     for (int i = 0; i < s.m; ++i)
       for (int j = 0; j < s.n; ++j) {
         float acc = 0.0f;
         for (int kk = 0; kk < s.k; ++kk)
           acc = std::fma(a.data()[static_cast<std::size_t>(i) * s.k + kk],
                          b.data()[static_cast<std::size_t>(kk) * s.n + j], acc);
-        const std::size_t at = static_cast<std::size_t>(i) * s.n + j;
-        chain[at] = acc;
-        chain_acc[at] = c0.data()[at] + acc;
+        chain[static_cast<std::size_t>(i) * s.n + j] = acc;
       }
     std::vector<float> got(count, std::nanf(""));
-    simd_backend().gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n, false);
+    simd_backend().gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n);
     ASSERT_EQ(std::memcmp(got.data(), chain.data(), count * sizeof(float)), 0)
-        << "overwrite, shape " << s.m << "x" << s.k << "x" << s.n;
-    got.assign(c0.data(), c0.data() + count);
-    simd_backend().gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n, true);
-    ASSERT_EQ(std::memcmp(got.data(), chain_acc.data(), count * sizeof(float)), 0)
-        << "accumulate, shape " << s.m << "x" << s.k << "x" << s.n;
+        << "shape " << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
@@ -317,7 +296,7 @@ TEST(Backends, PublicEntryPointsDispatchThroughActiveBackend) {
     set_backend(kind);
     gemm(a.data(), b.data(), via_gemm.data(), m, k, n);
     (kind == BackendKind::kScalar ? scalar_backend() : simd_backend())
-        .gemm(a.data(), b.data(), via_table.data(), m, k, n, false);
+        .gemm(a.data(), b.data(), via_table.data(), m, k, n);
     // Same table entry, same inputs: the free function adds nothing, so
     // this is bitwise.
     ASSERT_EQ(std::memcmp(via_gemm.data(), via_table.data(),
