@@ -29,7 +29,7 @@ int main() {
                      "fusion_gain", "int8_gain"});
   for (zoo::NetId net : zoo::all_nets()) {
     const nn::Graph trunk = zoo::build_trunk(net, zoo::native_resolution(net));
-    const nn::Graph trn = core::build_trn(trunk, trunk.output_node(), lab.config().head, head_rng);
+    const nn::Graph trn = core::build_trn(trunk, trunk.output_node(), core::HeadConfig{}, head_rng);
     const double a = dev.network_latency_ms(trn, hw::Precision::kFp32, false);
     const double b = dev.network_latency_ms(trn, hw::Precision::kFp32, true);
     const double c = dev.network_latency_ms(trn, hw::Precision::kInt8, true);

@@ -29,7 +29,7 @@ int main() {
   core::TrnEvaluator evaluator(dataset, eval_cfg);
 
   // EMG path: synthetic Myo-band stream + trained MLP classifier.
-  const data::EmgGenerator emg_gen(data::EmgConfig{});
+  const data::EmgGenerator emg_gen;
   app::MlpConfig emg_mlp;
   emg_mlp.epochs = 20;
   const app::EmgClassifier emg(emg_gen, 200, emg_mlp);

@@ -33,7 +33,7 @@ int main() {
   const zoo::NetId base = zoo::NetId::kMobileNetV2_140;
   const double base_ms = lab.measured_ms(base, lab.full_cut(base));
   std::printf("base network %s: %.3f ms on %s\n", zoo::net_name(base).c_str(), base_ms,
-              lab.device().config().name.c_str());
+              hw::kDeviceName);
 
   // Step 3: NetCut with the profiler-based estimator and a deadline the
   // base network misses.

@@ -13,10 +13,10 @@
 //
 // The second half scales the same machinery out to a heterogeneous
 // three-replica serve::Fleet — a full-speed replica next to slower siblings
-// (hw::scaled_device) — under a two-tenant overload with one tenant going
-// bursty: admission control sheds the burst explicitly (rejections, never
-// silent misses) and the per-tenant report shows the bursty tenant paying
-// for its own overflow.
+// (hw::DeviceModel perf factors) — under a two-tenant overload with one
+// tenant going bursty: admission control sheds the burst explicitly
+// (rejections, never silent misses) and the per-tenant report shows the
+// bursty tenant paying for its own overflow.
 //
 // Everything runs on the deterministic simulated clock from
 // src/serve/sim.hpp, so this demo prints the same numbers on every run.
@@ -233,8 +233,7 @@ int main() {
   std::vector<std::function<double(int)>> pref_curves;  // per-replica, reused below
   std::printf("\nheterogeneous fleet (scaled devices, preferred TRN):\n");
   for (std::size_t w = 0; w < replicas.size(); ++w) {
-    const hw::DeviceModel device(
-        hw::scaled_device({}, replicas[w].perf_factor, replicas[w].name));
+    const hw::DeviceModel device(replicas[w].perf_factor);
     const auto pref = batch_curve(preferred_graph, device);
     const auto fall = batch_curve(fallback_graph, device);
     std::printf("  %-14s %.2fx: preferred b1 %.4f ms b8 %.4f ms, fallback b1 %.4f ms\n",

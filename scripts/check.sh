@@ -19,10 +19,12 @@
 #    line with per-label pass counts. Before the suites, a fresh
 #    `serve_snapshot --json` run must match the committed BENCH_serve.json
 #    byte for byte
-# 5. kernel backends: the kernel library (netcut_tensor) builds in
-#    build-noisa/ as RelWithDebInfo, with no -march flag, so every SIMD
-#    kernel must carry its own target attribute (runtime dispatch, DESIGN
-#    §11); then the numerics-sensitive suites (ctest -L
+# 5. kernel backends: every target (libraries, tests, benches, examples)
+#    builds in build-noisa/ as RelWithDebInfo, with no -march flag, so
+#    every SIMD kernel must carry its own target attribute (runtime
+#    dispatch, DESIGN §11) and no file may lean on -march to compile; the
+#    flag-free binaries are only built, not run. Then the
+#    numerics-sensitive suites of build/ (ctest -L
 #    "kernels|layers|quant") once under NETCUT_BACKEND=scalar and once
 #    under NETCUT_BACKEND=simd — both dispatch tables must hold the same
 #    contracts on this machine; then the transfer-head suites (ctest -L
@@ -36,8 +38,9 @@
 #    convolutions hand their input to the GEMM directly, depthwise
 #    channel blocks write their own scratch regions (fp32 and int8), and
 #    the int8 pass's dequantize/float fallback nodes (BatchNorm, average
-#    pools, Concat, Softmax) run through Layer::forward, its only caller
-#    in src/
+#    pools, Concat, Softmax) run through Layer::forward (one of its three
+#    src/ callers, with the evaluator's and the visual classifier's
+#    GlobalAvgPool)
 # 7. model checker (ctest -L sched): the schedule-exploration campaigns —
 #    every serve protocol under >= 200 seeded schedules plus
 #    bounded-exhaustive prefixes — clean, under the chaos schedule, and the
@@ -134,10 +137,10 @@ build_tree() {
   cmake --build "$dir" -j "$(nproc)" "${targets[@]}"
 }
 
-# build_noisa: the kernel library without the Release -march=native flags.
+# build_noisa: every target without the Release -march=native flags.
 build_noisa() {
   cmake -B build-noisa -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build build-noisa -j "$(nproc)" --target netcut_tensor
+  cmake --build build-noisa -j "$(nproc)"
 }
 
 # serve_snapshot_pinned: every serving row is a pure function of (config,
@@ -185,7 +188,7 @@ step 3 "ctest under fault injection (NETCUT_FAULTS chaos schedule)"
 step 4 "serving layer (serve_snapshot pin, ctest -L serve, clean + chaos + failover chaos)" \
   serve_snapshot_pinned
 label_summary
-step 5 "kernel backends (flag-free netcut_tensor, ctest -L kernels|layers|quant and -L heads, scalar + simd)" \
+step 5 "kernel backends (flag-free build of every target, ctest -L kernels|layers|quant and -L heads, scalar + simd)" \
   build_noisa
 step 6 "ASan: thread pool + memory planner + verifier + kernels + layers + quant" \
   build_tree build-asan address test_util_threadpool test_nn_memplan test_nn_verify \

@@ -32,16 +32,12 @@ double measure_reliability(std::uint64_t seed, Draw draw, Predict predict) {
   return std::max(0.0, (static_cast<double>(correct) / draws - chance) / (1.0 - chance));
 }
 
-/// The transfer head `config` describes, trained on (x, y) from the seed
+/// The kMlpHead transfer head, trained for config.epochs on (x, y) from the seed
 /// derived for `key`.
 core::TransferHead fit_head(const std::vector<tensor::Tensor>& x,
                             const std::vector<tensor::Tensor>& y, const MlpConfig& config,
                             const char* key) {
-  core::HeadConfig head;
-  head.classes = config.classes;
-  head.hidden1 = config.hidden1;
-  head.hidden2 = config.hidden2;
-  return core::TransferHead(x, y, head, config.epochs, config.learning_rate,
+  return core::TransferHead(x, y, kMlpHead, config.epochs, kMlpLearningRate,
                             util::derive_seed(config.seed, key));
 }
 
@@ -102,7 +98,7 @@ VisualClassifier::VisualClassifier(zoo::NetId base, int cut_node,
   reliability_ = measure_reliability(
       util::derive_seed(head_config.seed, "visual-classifier/reliability"),
       [&](data::GraspType intent, util::Rng& rng) {
-        return data::render_object(intent, dc.resolution, rng, dc.background_noise);
+        return data::render_object(intent, dc.resolution, rng, data::kBackgroundNoise);
       },
       [&](const tensor::Tensor& image) { return predict(image); });
 }

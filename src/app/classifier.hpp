@@ -21,13 +21,14 @@
 
 namespace netcut::app {
 
-/// The transfer head's sizes and training schedule.
+/// Both sensing classifiers' transfer head (one logit per grasp type) and
+/// its Adam learning rate.
+inline constexpr core::HeadConfig kMlpHead{.classes = 5, .hidden1 = 32, .hidden2 = 16};
+inline constexpr double kMlpLearningRate = 1e-3;
+
+/// The transfer head's training schedule.
 struct MlpConfig {
-  int hidden1 = 32;
-  int hidden2 = 16;
-  int classes = 5;
   int epochs = 30;
-  double learning_rate = 1e-3;
   std::uint64_t seed = 7;
 };
 

@@ -9,6 +9,11 @@
 
 namespace netcut::app {
 
+constexpr double kReachDurationMs = 1500.0;  // hand leaves rest -> contact
+constexpr double kFramePeriodMs = 50.0;      // palm camera at 20 fps
+constexpr double kActuationTimeMs = 300.0;   // hand needs this long to form a grasp
+constexpr double kClassifierDeadlineMs = 0.9;
+
 ControlLoop::ControlLoop(std::vector<TrnOption> options, const EmgClassifier& emg,
                          const data::EmgGenerator& emg_gen, ControlLoopConfig config,
                          WatchdogConfig watchdog, const hw::FaultModel* faults)
@@ -57,7 +62,7 @@ ControlLoopReport ControlLoop::run(const data::HandsDataset& dataset) {
   util::Rng rng(util::derive_seed(config_.seed, "control-loop"));
   ControlLoopReport report;
 
-  const double decision_time = config_.reach_duration_ms - config_.actuation_time_ms;
+  const double decision_time = kReachDurationMs - kActuationTimeMs;
   int total_frames = 0, total_missed = 0;
   int correct = 0;
   double sim_sum = 0.0;
@@ -96,7 +101,7 @@ ControlLoopReport ControlLoop::run(const data::HandsDataset& dataset) {
     const auto& pool = by_class[static_cast<std::size_t>(static_cast<int>(er.intent))];
 
     EvidenceAccumulator acc(data::kGraspCount);
-    for (double t = 0.0; t <= decision_time; t += config_.frame_period_ms) {
+    for (double t = 0.0; t <= decision_time; t += kFramePeriodMs) {
       // Visual frame: random test image of the intent object.
       const data::Sample& frame =
           *pool[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(pool.size()) - 1))];
@@ -115,7 +120,7 @@ ControlLoopReport ControlLoop::run(const data::HandsDataset& dataset) {
         stage1 = opt.vision->predict(frame.image);
         escalated = core::softmax_margin(stage1) < opt.cascade.thresholds[ladder_[cur].second] &&
                     opt.latency_ms + opt.cascade.escalate_delta_ms <=
-                        config_.classifier_deadline_ms;
+                        kClassifierDeadlineMs;
       }
 
       // Per-frame latency jitter around the measured device latency, scaled
@@ -133,7 +138,7 @@ ControlLoopReport ControlLoop::run(const data::HandsDataset& dataset) {
       const double nominal =
           opt.latency_ms + (escalated ? opt.cascade.escalate_delta_ms : 0.0);
       if (!fault.failed) slowdown += kSlowdownAlpha * (latency / nominal - slowdown);
-      const bool missed = fault.failed || latency > config_.classifier_deadline_ms;
+      const bool missed = fault.failed || latency > kClassifierDeadlineMs;
       if (escalated) ++report.frames_escalated;
       if (missed) {
         ++er.frames_missed;
@@ -165,7 +170,7 @@ ControlLoopReport ControlLoop::run(const data::HandsDataset& dataset) {
         // deadline under the observed slowdown.
         const bool slower_fits =
             cur > 0 && rung_nominal_ms(cur - 1) * slowdown <=
-                           watchdog_.recover_headroom * config_.classifier_deadline_ms;
+                           kRecoverHeadroom * kClassifierDeadlineMs;
         const MissRateWatchdog::Decision dec = watchdog.observe(missed, slower_fits);
         if (dec.action == MissRateWatchdog::Action::kFallBack) {
           report.switches.push_back({ep, t, cur, cur + 1, dec.window_miss_rate});

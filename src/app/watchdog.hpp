@@ -30,14 +30,15 @@ struct WatchdogConfig {
   double recover_miss_rate = 0.10;  // calm threshold for stepping back up
   int cooldown_frames = 32;         // min items between consecutive switches
   int recover_patience = 48;        // consecutive calm items before recovery
-  /// Stepping back up additionally requires the slower TRN's predicted
-  /// latency — its nominal latency times the observed device slowdown — to
-  /// fit within this fraction of the deadline. This is what prevents
-  /// flapping: under a sustained throttle the window looks calm (the fast
-  /// fallback is fine) but the slower network still would not fit. The
-  /// caller owns that prediction and passes the verdict as `slower_fits`.
-  double recover_headroom = 0.98;
 };
+
+/// Stepping back up additionally requires the slower TRN's predicted
+/// latency — its nominal latency times the observed device slowdown — to
+/// fit within this fraction of the deadline. This is what prevents
+/// flapping: under a sustained throttle the window looks calm (the fast
+/// fallback is fine) but the slower network still would not fit. The
+/// caller owns that prediction and passes the verdict as `slower_fits`.
+inline constexpr double kRecoverHeadroom = 0.98;
 
 /// Weight of each new sample in the observed device slowdown, an EWMA of
 /// (measured latency / nominal latency) that the control loop and the

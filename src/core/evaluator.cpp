@@ -20,11 +20,18 @@ namespace netcut::core {
 
 namespace {
 
+constexpr double kHeadLearningRate = 1e-3;
+constexpr int kCalibrationImages = 25;  // BN re-calibration subset of the train split
+
+/// Every streamed value's position, type and formatting is part of the memo
+/// key: moving one orphans every memoized accuracy
+/// (WeightCache.DefaultCacheKeysArePinned pins the default key).
 std::uint64_t hash_config(const EvalConfig& c, const data::HandsConfig& d) {
+  constexpr HeadConfig head;
   std::ostringstream os;
-  os << c.resolution << '|' << c.seed << '|' << c.head.classes << '|' << c.head.hidden1 << '|'
-     << c.head.hidden2 << '|' << c.epochs << '|' << c.learning_rate << '|'
-     << c.calibration_images << '|' << pretrained_config_hash(c.pretrained) << '|'
+  os << c.resolution << '|' << c.seed << '|' << head.classes << '|' << head.hidden1 << '|'
+     << head.hidden2 << '|' << c.epochs << '|' << kHeadLearningRate << '|'
+     << kCalibrationImages << '|' << pretrained_config_hash(c.pretrained) << '|'
      << d.train_count << '|' << d.test_count << '|' << d.seed << '|' << d.resolution;
   return util::derive_seed(0xE7A1uLL, os.str());
 }
@@ -50,12 +57,10 @@ TrnEvaluator::NetState& TrnEvaluator::state(zoo::NetId base) {
   nn::Network net(pretrained_trunk(base, config_.resolution, config_.pretrained,
                                    config_.weight_cache_dir));
 
-  // Optional BatchNorm re-calibration on a train subset (0 keeps the
-  // statistics the pretrained trunk shipped with).
-  if (config_.calibration_images > 0) {
+  // BatchNorm re-calibration on a train subset at the evaluation resolution.
+  {
     const auto calib = dataset_.calibration_set(
-        static_cast<double>(config_.calibration_images) /
-            static_cast<double>(dataset_.train().size()),
+        static_cast<double>(kCalibrationImages) / static_cast<double>(dataset_.train().size()),
         config_.seed);
     std::vector<const tensor::Tensor*> images;
     for (const data::Sample* s : calib) images.push_back(&s->image);
@@ -254,8 +259,8 @@ std::vector<tensor::Tensor> TrnEvaluator::retrained_predictions(zoo::NetId base,
   train_y.reserve(dataset_.train().size());
   for (const data::Sample& s : dataset_.train()) train_y.push_back(s.label);
 
-  const TransferHead head(train_it->second, train_y, config_.head, config_.epochs,
-                          config_.learning_rate,
+  const TransferHead head(train_it->second, train_y, HeadConfig{}, config_.epochs,
+                          kHeadLearningRate,
                           util::derive_seed(config_.seed, seed_key(base, cut_node)));
   const std::vector<tensor::Tensor>& test_x = st.test_features.at(cut_node);
   std::vector<tensor::Tensor> predictions;

@@ -29,10 +29,7 @@ namespace netcut::core {
 struct EvalConfig {
   int resolution = 32;
   std::uint64_t seed = 42;
-  HeadConfig head;
-  int epochs = 20;
-  double learning_rate = 1e-3;
-  int calibration_images = 25;  // BN re-calibration images (0: keep pretrained stats)
+  int epochs = 20;  // head training epochs (default HeadConfig, Adam at 1e-3)
   data::PretrainedConfig pretrained;
   /// Accuracy memo file; empty string disables caching.
   std::string cache_path = "netcut_accuracy_cache.csv";

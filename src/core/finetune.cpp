@@ -9,6 +9,9 @@ namespace netcut::core {
 
 namespace {
 
+constexpr double kHeadLr = 1e-3;  // the paper's initial learning rate
+constexpr double kFullLr = 1e-4;  // the paper's fine-tuning learning rate
+
 AccuracyResult evaluate(nn::Network& net, const data::HandsDataset& dataset) {
   std::vector<tensor::Tensor> preds, labels;
   preds.reserve(dataset.test().size());
@@ -28,7 +31,7 @@ FinetuneResult finetune_trn(const nn::Graph& pretrained_trunk, int cut_node,
                             const data::HandsDataset& dataset,
                             const FinetuneConfig& config) {
   util::Rng rng(util::derive_seed(config.seed, "finetune"));
-  HeadConfig head = config.head;
+  HeadConfig head;
   head.with_softmax = false;  // train on logits; softmax applied in evaluate()
   nn::Graph trn = build_trn(pretrained_trunk, cut_node, head, rng);
   const int trunk_nodes = layers_remaining(pretrained_trunk, cut_node) + 1;  // + the input
@@ -50,7 +53,7 @@ FinetuneResult finetune_trn(const nn::Graph& pretrained_trunk, int cut_node,
       for (tensor::Tensor* p : net.graph().node(id).layer->params()) params.push_back(p);
       for (tensor::Tensor* g : net.graph().node(id).layer->grads()) grads.push_back(g);
     }
-    nn::Adam opt(config.head_lr);
+    nn::Adam opt(kHeadLr);
     opt.bind(std::move(params), std::move(grads));
     result.stage1_final_loss = train_epochs(net, opt, dataset.train(), config.head_epochs, rng);
   }
@@ -58,7 +61,7 @@ FinetuneResult finetune_trn(const nn::Graph& pretrained_trunk, int cut_node,
 
   // Stage 2: everything, at the lower rate.
   if (config.full_epochs > 0) {
-    nn::Adam opt(config.full_lr);
+    nn::Adam opt(kFullLr);
     opt.bind(net.params(), net.grads());
     result.stage2_final_loss = train_epochs(net, opt, dataset.train(), config.full_epochs, rng);
   }

@@ -15,12 +15,11 @@
 
 namespace netcut::core {
 
+/// The head is the default HeadConfig; stage 1 trains at 1e-3, stage 2 at
+/// 1e-4 (the paper's rates).
 struct FinetuneConfig {
-  HeadConfig head;
   int head_epochs = 8;       // stage 1: head only, trunk frozen
-  double head_lr = 1e-3;     // the paper's initial learning rate
   int full_epochs = 2;       // stage 2: all layers
-  double full_lr = 1e-4;     // the paper's fine-tuning learning rate
   std::uint64_t seed = 99;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "hw/trainer_model.hpp"
 #include "nn/verify.hpp"
 
 namespace netcut::core {
@@ -19,11 +20,7 @@ nn::LayerCost TrnDesc::total_cost() const {
 }
 
 LatencyLab::LatencyLab(LabConfig config)
-    : config_(std::move(config)),
-      device_(config_.device),
-      measurer_(config_.measure),
-      profiler_(config_.profiler),
-      trainer_(config_.trainer) {}
+    : config_(std::move(config)), measurer_(config_.measure), profiler_(config_.profiler) {}
 
 LatencyLab::NetState& LatencyLab::state(zoo::NetId base) {
   auto it = states_.find(base);
@@ -62,7 +59,7 @@ TrnDesc LatencyLab::describe_trn(zoo::NetId base, int cut_node) {
   }
   nn::Graph stub;
   stub.add_input(trunk.infer_shapes()[static_cast<std::size_t>(cut_node)]);
-  trn.head = append_head(std::move(stub), config_.head);
+  trn.head = append_head(std::move(stub), HeadConfig{});
   for (hw::KernelCost& kc : device_.kernel_costs(trn.head, config_.precision, config_.fuse)) {
     trn.layers.push_back(trn.head.node(kc.node).layer.get());
     kc.node += id;
@@ -118,7 +115,7 @@ int LatencyLab::trunk_last_node(zoo::NetId base) { return state(base).trunk->out
 
 double LatencyLab::training_hours(zoo::NetId base, int cut_node) {
   const TrnDesc trn = describe_trn(base, cut_node);
-  return trainer_.training_hours(static_cast<double>(trn.total_cost().flops));
+  return hw::training_hours(static_cast<double>(trn.total_cost().flops));
 }
 
 std::string LatencyLab::name(zoo::NetId base, int cut_node) {

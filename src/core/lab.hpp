@@ -1,7 +1,8 @@
 // LatencyLab: the native-resolution side of the experiments. Owns the
-// simulated device, the measurement protocol, the per-layer profiler and
-// the training-time model, plus a cache of native-resolution trunks, and
-// answers every latency/FLOPs/GPU-hour question about a (base, cut) pair.
+// simulated device, the measurement protocol and the per-layer profiler,
+// plus a cache of native-resolution trunks, and answers every
+// latency/FLOPs/GPU-hour question about a (base, cut) pair (hours from
+// hw::training_hours). Every TRN carries the default HeadConfig.
 //
 // No question builds the TRN it asks about. Each one reads describe_trn:
 // the trunk's own kernel costs over the cut's ancestors, renumbered to the
@@ -24,16 +25,12 @@
 #include "core/trn.hpp"
 #include "hw/measure.hpp"
 #include "hw/profiler.hpp"
-#include "hw/trainer_model.hpp"
 
 namespace netcut::core {
 
 struct LabConfig {
-  hw::DeviceConfig device;
   hw::MeasureConfig measure;
   hw::ProfilerConfig profiler;
-  hw::TrainerConfig trainer;
-  HeadConfig head;
   hw::Precision precision = hw::Precision::kInt8;  // deployment optimizations on
   bool fuse = true;
 };
@@ -58,7 +55,6 @@ class LatencyLab {
  public:
   explicit LatencyLab(LabConfig config = {});
 
-  const LabConfig& config() const { return config_; }
   const hw::DeviceModel& device() const { return device_; }
 
   /// Blockwise cut sites of the base trunk, depth order.
@@ -93,7 +89,8 @@ class LatencyLab {
   /// cover trunk + head; estimators only reason over trunk rows).
   int trunk_last_node(zoo::NetId base);
 
-  /// GPU-hours to retrain this TRN on the training server model.
+  /// GPU-hours to retrain this TRN on the training server model
+  /// (hw::training_hours of its forward FLOPs).
   double training_hours(zoo::NetId base, int cut_node);
 
   /// The TRN at native resolution (trunk prefix + head), described from
@@ -126,7 +123,6 @@ class LatencyLab {
   hw::DeviceModel device_;
   hw::LatencyMeasurer measurer_;
   hw::LayerProfiler profiler_;
-  hw::TrainerModel trainer_;
   std::map<zoo::NetId, NetState> states_;
 };
 

@@ -14,9 +14,13 @@
 namespace netcut::core {
 
 std::uint64_t pretrained_config_hash(const data::PretrainedConfig& c) {
+  // Every streamed value's position, type and formatting is part of each
+  // weight file's name: moving one re-pretrains every cached trunk
+  // (WeightCache.DefaultCacheKeysArePinned pins the default name).
   std::ostringstream os;
-  os << "v7|" << c.seed << '|' << c.specialization_onset << '|' << c.source_images << '|'
-     << c.epochs << '|' << c.learning_rate << '|' << c.batch_size << '|' << c.aux_weight;
+  os << "v7|" << c.seed << '|' << data::kSpecializationOnset << '|' << c.source_images << '|'
+     << c.epochs << '|' << data::kPretrainLearningRate << '|' << data::kPretrainBatchSize << '|'
+     << data::kAuxWeight;
   return util::derive_seed(0x9E77uLL, os.str());
 }
 

@@ -4,11 +4,15 @@
 
 namespace netcut::data {
 
-EmgGenerator::EmgGenerator(const EmgConfig& config) : config_(config) {
+constexpr std::uint64_t kSubjectSeed = 99;
+constexpr double kNoise = 0.15;           // additive feature noise
+constexpr double kElectrodeShift = 0.35;  // channel-rotation blur (donning variation)
+
+EmgGenerator::EmgGenerator() {
   // Fixed characteristic patterns: each grasp recruits a different subset
   // of forearm muscles. Generated once from the seed so the "subject" is
   // stable across the session.
-  util::Rng rng(util::derive_seed(config.seed, "emg/patterns"));
+  util::Rng rng(util::derive_seed(kSubjectSeed, "emg/patterns"));
   for (int g = 0; g < kGraspCount; ++g) {
     for (int c = 0; c < kEmgChannels; ++c) {
       // Smooth bump centered at a grasp-specific channel.
@@ -26,7 +30,7 @@ Tensor EmgGenerator::sample(GraspType intent, util::Rng& rng) const {
   const int g = static_cast<int>(intent);
   // Electrode shift: circular blur of the pattern by a random sub-channel
   // offset, modelling band-donning variation.
-  const double shift = rng.normal(0.0, config_.electrode_shift);
+  const double shift = rng.normal(0.0, kElectrodeShift);
   for (int c = 0; c < kEmgChannels; ++c) {
     const double pos = c + shift;
     const int c0 = static_cast<int>(std::floor(pos));
@@ -35,7 +39,7 @@ Tensor EmgGenerator::sample(GraspType intent, util::Rng& rng) const {
     const int b = (a + 1) % kEmgChannels;
     double v = pattern_[g][a] * (1.0 - frac) + pattern_[g][b] * frac;
     v *= rng.uniform(0.8, 1.2);          // contraction-strength variation
-    v += rng.normal(0.0, config_.noise);  // sensor noise
+    v += rng.normal(0.0, kNoise);  // sensor noise
     x[c] = static_cast<float>(std::max(0.0, v));
   }
   return x;

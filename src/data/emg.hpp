@@ -10,15 +10,11 @@ namespace netcut::data {
 
 inline constexpr int kEmgChannels = 8;
 
-struct EmgConfig {
-  std::uint64_t seed = 99;
-  double noise = 0.15;            // additive feature noise
-  double electrode_shift = 0.35;  // channel-rotation blur (donning variation)
-};
-
+/// One simulated subject: fixed per-grasp patterns, additive feature noise
+/// and electrode-shift blur (the constants live in emg.cpp).
 class EmgGenerator {
  public:
-  explicit EmgGenerator(const EmgConfig& config);
+  EmgGenerator();
 
   /// An 8-channel RMS feature vector for one muscle contraction with the
   /// given grasp intent.
@@ -29,7 +25,6 @@ class EmgGenerator {
   std::vector<Sample> dataset(int count, std::uint64_t seed) const;
 
  private:
-  EmgConfig config_;
   // Per-grasp mean activation pattern [grasp][channel].
   float pattern_[kGraspCount][kEmgChannels];
 };

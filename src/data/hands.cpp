@@ -8,6 +8,8 @@ namespace netcut::data {
 
 namespace {
 
+constexpr double kLabelJitter = 0.05;  // concentration of label perturbation
+
 struct Pose {
   double cx, cy;     // center in [0,1] image coords
   double angle;      // radians
@@ -160,8 +162,8 @@ HandsDataset::HandsDataset(const HandsConfig& config) : config_(config) {
     for (int i = 0; i < count; ++i) {
       Sample s;
       s.primary = static_cast<GraspType>(i % kGraspCount);  // balanced classes
-      s.image = render_object(s.primary, config.resolution, rng, config.background_noise);
-      s.label = make_label(s.primary, rng, config.label_jitter);
+      s.image = render_object(s.primary, config.resolution, rng, kBackgroundNoise);
+      s.label = make_label(s.primary, rng, kLabelJitter);
       out.push_back(std::move(s));
     }
   };

@@ -39,9 +39,10 @@ struct HandsConfig {
   int train_count = 400;
   int test_count = 150;
   std::uint64_t seed = 42;
-  double background_noise = 0.06;  // stdev of pixel noise
-  double label_jitter = 0.05;      // concentration of label perturbation
 };
+
+/// Stdev of the per-pixel noise in every rendered dataset image.
+inline constexpr double kBackgroundNoise = 0.06;
 
 class HandsDataset {
  public:

@@ -148,6 +148,9 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
                                            const PretrainedConfig& config) {
   if (config.source_images < kSourceClasses)
     throw std::invalid_argument("generate_pretrained_weights: too few source images");
+  if (config.source_images % kPretrainBatchSize != 0)
+    throw std::invalid_argument(
+        "generate_pretrained_weights: source images not a multiple of the batch size");
   util::Rng rng(util::derive_seed(config.seed, "pretrain"));
   const int resolution = trunk.input_shape()[1];
   const int trunk_nodes = trunk.node_count();
@@ -156,7 +159,7 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
   const auto blocks = trunk.blocks();
   if (blocks.empty())
     throw std::invalid_argument("generate_pretrained_weights: trunk has no blocks");
-  int onset_index = static_cast<int>(config.specialization_onset *
+  int onset_index = static_cast<int>(kSpecializationOnset *
                                      static_cast<double>(blocks.size())) -
                     1;
   onset_index = std::clamp(onset_index, 0, static_cast<int>(blocks.size()) - 2);
@@ -220,9 +223,9 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
     for (tensor::Tensor* g2 : layer.grads()) grads.push_back(g2);
   }
   auto head_lr = [&](int width) {
-    return config.learning_rate * 64.0 / std::max(64, width);
+    return kPretrainLearningRate * 64.0 / std::max(64, width);
   };
-  nn::Adam opt(config.learning_rate);
+  nn::Adam opt(kPretrainLearningRate);
   opt.bind(trunk_params, trunk_grads);
   nn::Adam aux_opt(head_lr(shapes[static_cast<std::size_t>(onset_node)][0]));
   aux_opt.bind(aux_params, aux_grads);
@@ -231,7 +234,6 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
 
   PretrainReport report;
   const int n = static_cast<int>(images.size());
-  const int batch = std::max(1, config.batch_size);
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     // Step-decay schedule: settle in the final third.
     if (epoch == config.epochs * 2 / 3) {
@@ -249,11 +251,11 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
       const auto aux = nn::loss::soft_cross_entropy(logits[0], targets[static_cast<std::size_t>(i)]);
       const auto fin = nn::loss::soft_cross_entropy(logits[1], targets[static_cast<std::size_t>(i)]);
       Tensor aux_grad = aux.grad;
-      aux_grad *= static_cast<float>(config.aux_weight / batch);
+      aux_grad *= static_cast<float>(kAuxWeight / kPretrainBatchSize);
       Tensor fin_grad = fin.grad;
-      fin_grad *= 1.0f / static_cast<float>(batch);
+      fin_grad *= 1.0f / static_cast<float>(kPretrainBatchSize);
       net.backward_multi({{aux_logits, aux_grad}, {final_logits, fin_grad}});
-      if (++in_batch == batch) {
+      if (++in_batch == kPretrainBatchSize) {
         opt.step();
         aux_opt.step();
         final_opt.step();
@@ -267,11 +269,7 @@ PretrainReport generate_pretrained_weights(nn::Graph& trunk,
           steps_since_refresh = 0;
         }
       }
-      epoch_loss += fin.value + config.aux_weight * aux.value;
-    }
-    if (in_batch > 0) {
-      opt.step();
-      ++report.steps;
+      epoch_loss += fin.value + kAuxWeight * aux.value;
     }
     report.final_loss = epoch_loss / n;
     // Statistics drift with the weights: re-collect once per epoch.

@@ -39,22 +39,25 @@ namespace netcut::data {
 
 inline constexpr int kSourceClasses = 10;  // 5 grasp shapes + 5 distractors
 
+/// Depth fraction (by block ordinal) of the auxiliary supervision point;
+/// features above it are source-specific.
+inline constexpr double kSpecializationOnset = 0.55;
+inline constexpr double kPretrainLearningRate = 2e-3;
+/// Gradients accumulate over this many images per optimizer step;
+/// PretrainedConfig::source_images must be a multiple of it.
+inline constexpr int kPretrainBatchSize = 4;
+/// Loss weight of the auxiliary (deep-supervision) head.
+inline constexpr double kAuxWeight = 1.0;
+
 struct PretrainedConfig {
   std::uint64_t seed = 7;
-  /// Depth fraction (by block ordinal) of the auxiliary supervision point;
-  /// features above it are source-specific.
-  double specialization_onset = 0.55;
-  /// Source-task training set size (balanced over the ten categories).
-  /// Generous relative to the epoch count: a small source set memorizes and
-  /// the overfit deep features stop transferring.
+  /// Source-task training set size (balanced over the ten categories; a
+  /// multiple of kPretrainBatchSize). Generous relative to the epoch count:
+  /// a small source set memorizes and the overfit deep features stop
+  /// transferring.
   int source_images = 600;
   /// Pretraining epochs.
   int epochs = 16;
-  double learning_rate = 2e-3;
-  /// Gradients accumulate over this many images per optimizer step.
-  int batch_size = 4;
-  /// Loss weight of the auxiliary (deep-supervision) head.
-  double aux_weight = 1.0;
 };
 
 /// Renders one image of the extended source-task category set
@@ -69,7 +72,9 @@ struct PretrainReport {
 };
 
 /// Pretrains the trunk in place on the synthetic source task and leaves
-/// every BatchNorm calibrated. Returns training diagnostics.
+/// every BatchNorm calibrated. Returns training diagnostics. Throws
+/// std::invalid_argument when source_images is below kSourceClasses or not
+/// a multiple of kPretrainBatchSize.
 PretrainReport generate_pretrained_weights(nn::Graph& trunk, const PretrainedConfig& config);
 
 /// Runs the calibration images through the network in stat-collection mode

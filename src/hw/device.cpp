@@ -8,20 +8,24 @@ namespace netcut::hw {
 
 const char* to_string(Precision p) { return p == Precision::kFp32 ? "fp32" : "int8"; }
 
-DeviceConfig scaled_device(const DeviceConfig& base, double perf_factor, std::string name) {
-  if (perf_factor <= 0) throw std::invalid_argument("scaled_device: non-positive factor");
-  DeviceConfig out = base;
-  out.name = std::move(name);
-  out.peak_gflops_fp32 *= perf_factor;
-  out.peak_gflops_int8 *= perf_factor;
-  out.mem_bandwidth_gbps *= perf_factor;
-  return out;
-}
+// The Jetson-Xavier-like roofline.
+constexpr double kPeakGflopsFp32 = 1400.0;
+constexpr double kPeakGflopsInt8 = 11000.0;  // tensor-core / DLA int8 path
+constexpr double kMemBandwidthGbps = 137.0;  // LPDDR4x
+constexpr double kKernelLaunchUs = 9.0;
+constexpr double kEfficiencyConv = 0.55;       // dense spatial convolutions
+constexpr double kEfficiencyPointwise = 0.45;  // 1x1 convolutions
+constexpr double kEfficiencyDepthwise = 0.12;  // memory-bound
+constexpr double kEfficiencyDense = 0.35;
+/// Output-grid utilization knee: efficiency scales by s/(s+knee) where s is
+/// the output spatial element count.
+constexpr double kSpatialKnee = 16.0;
 
-DeviceModel::DeviceModel(DeviceConfig config) : config_(std::move(config)) {
-  if (config_.peak_gflops_fp32 <= 0 || config_.peak_gflops_int8 <= 0 ||
-      config_.mem_bandwidth_gbps <= 0)
-    throw std::invalid_argument("DeviceModel: non-positive throughput");
+DeviceModel::DeviceModel(double perf_factor)
+    : peak_gflops_fp32_(kPeakGflopsFp32 * perf_factor),
+      peak_gflops_int8_(kPeakGflopsInt8 * perf_factor),
+      mem_bandwidth_gbps_(kMemBandwidthGbps * perf_factor) {
+  if (!(perf_factor > 0)) throw std::invalid_argument("DeviceModel: non-positive perf_factor");
 }
 
 std::vector<bool> DeviceModel::fused_away(const nn::Graph& graph) {
@@ -64,19 +68,19 @@ double DeviceModel::node_latency_ms(const nn::Layer& layer, const nn::LayerCost&
                                     Precision precision, int batch) const {
   const double elem_bytes = precision == Precision::kInt8 ? 1.0 : 4.0;
   const double peak =
-      precision == Precision::kInt8 ? config_.peak_gflops_int8 : config_.peak_gflops_fp32;
+      precision == Precision::kInt8 ? peak_gflops_int8_ : peak_gflops_fp32_;
   const double b = static_cast<double>(batch);
 
   double eff = 0.0;
   switch (layer.kind()) {
     case nn::LayerKind::kConv2D:
-      eff = cost.kernel > 1 ? config_.efficiency_conv : config_.efficiency_pointwise;
+      eff = cost.kernel > 1 ? kEfficiencyConv : kEfficiencyPointwise;
       break;
     case nn::LayerKind::kDepthwiseConv2D:
-      eff = config_.efficiency_depthwise;
+      eff = kEfficiencyDepthwise;
       break;
     case nn::LayerKind::kDense:
-      eff = config_.efficiency_dense;
+      eff = kEfficiencyDense;
       break;
     default:
       eff = 0.0;  // bandwidth-bound ops: no compute term
@@ -88,7 +92,7 @@ double DeviceModel::node_latency_ms(const nn::Layer& layer, const nn::LayerCost&
     // Small output grids under-utilize the SMs; a batched launch fills them
     // with batch x output_elems work items.
     const double spatial = std::max<double>(1.0, b * static_cast<double>(cost.output_elems));
-    const double util = spatial / (spatial + config_.spatial_knee * 1024.0);
+    const double util = spatial / (spatial + kSpatialKnee * 1024.0);
     compute_ms =
         b * static_cast<double>(cost.flops) / (peak * 1e9 * eff * std::max(util, 0.05)) * 1e3;
   }
@@ -98,9 +102,9 @@ double DeviceModel::node_latency_ms(const nn::Layer& layer, const nn::LayerCost&
       b * (static_cast<double>(cost.input_elems) + static_cast<double>(cost.output_elems)) *
           elem_bytes +
       static_cast<double>(cost.params) * elem_bytes;
-  const double memory_ms = bytes / (config_.mem_bandwidth_gbps * 1e9) * 1e3;
+  const double memory_ms = bytes / (mem_bandwidth_gbps_ * 1e9) * 1e3;
 
-  return config_.kernel_launch_us * 1e-3 + std::max(compute_ms, memory_ms);
+  return kKernelLaunchUs * 1e-3 + std::max(compute_ms, memory_ms);
 }
 
 std::vector<KernelCost> DeviceModel::kernel_costs(const nn::Graph& graph, Precision precision,

@@ -35,27 +35,10 @@ enum class Precision { kFp32, kInt8 };
 
 const char* to_string(Precision p);
 
-struct DeviceConfig {
-  std::string name = "xavier-sim";
-  double peak_gflops_fp32 = 1400.0;
-  double peak_gflops_int8 = 11000.0;   // tensor-core / DLA int8 path
-  double mem_bandwidth_gbps = 137.0;   // LPDDR4x
-  double kernel_launch_us = 9.0;
-  double efficiency_conv = 0.55;       // dense spatial convolutions
-  double efficiency_pointwise = 0.45;  // 1x1 convolutions
-  double efficiency_depthwise = 0.12;  // memory-bound
-  double efficiency_dense = 0.35;
-  /// Output-grid utilization knee: efficiency scales by s/(s+knee) where s
-  /// is the output spatial element count.
-  double spatial_knee = 16.0;
-};
-
-/// A derived device config with compute throughput and memory bandwidth
-/// scaled by `perf_factor` (launch overhead and efficiencies unchanged) —
-/// the cheap, principled way to model a heterogeneous serving fleet:
-/// faster/slower replicas of the same architecture, e.g.
-/// scaled_device(base, 0.5, "xavier-slow") for a half-speed sibling.
-DeviceConfig scaled_device(const DeviceConfig& base, double perf_factor, std::string name);
+/// The simulated device's name (the roofline's constants live in
+/// device.cpp: a Jetson-Xavier-like GPU, 1400 fp32 / 11000 int8 GFLOP/s
+/// peak, 137 GB/s LPDDR4x, 9 us per kernel launch).
+inline constexpr char kDeviceName[] = "xavier-sim";
 
 struct KernelCost {
   int node = -1;
@@ -72,9 +55,12 @@ double sum_latency_ms(const std::vector<KernelCost>& kernels, int resume = 0);
 
 class DeviceModel {
  public:
-  explicit DeviceModel(DeviceConfig config = {});
-
-  const DeviceConfig& config() const { return config_; }
+  /// `perf_factor` scales compute throughput and memory bandwidth (launch
+  /// overhead and efficiencies unchanged): the cheap, principled way to
+  /// model a heterogeneous serving fleet of faster/slower replicas of the
+  /// same architecture, e.g. DeviceModel(0.5) for a half-speed sibling.
+  /// Throws std::invalid_argument unless perf_factor > 0.
+  explicit DeviceModel(double perf_factor = 1.0);
 
   /// True (noise-free) latency of every node for one batched kernel launch
   /// over `batch` images. Fused-away nodes get 0.
@@ -118,7 +104,9 @@ class DeviceModel {
   double node_latency_ms(const nn::Layer& layer, const nn::LayerCost& cost,
                          Precision precision, int batch) const;
 
-  DeviceConfig config_;
+  double peak_gflops_fp32_;
+  double peak_gflops_int8_;
+  double mem_bandwidth_gbps_;
 };
 
 }  // namespace netcut::hw

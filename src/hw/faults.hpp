@@ -47,6 +47,10 @@
 
 namespace netcut::hw {
 
+/// Under an active schedule, the measurer and the profiler drop samples
+/// beyond this many robust (MAD) sigmas of the median (util::mad_trim).
+inline constexpr double kMadK = 3.5;
+
 struct FaultConfig {
   bool enabled = false;
   // throttle=K@S~D

@@ -8,12 +8,13 @@
 //
 // The protocol self-heals: failed runs are retried with bounded backoff
 // and, under an active hw::FaultModel, surviving samples pass MAD-based
-// outlier rejection and the reported mean is the trimmed aggregate with an
-// attached confidence — so throttle spikes and dropped runs degrade the
-// confidence instead of silently poisoning the latency estimate. With no
-// active faults the same loop runs on an inert fault stream (no run fails,
-// every multiplier is exactly 1.0) and nothing is trimmed, so clean numbers
-// are those of the plain 200 + 800 protocol, bit for bit.
+// outlier rejection (kMadK robust sigmas) and the reported mean is the
+// trimmed aggregate with an attached confidence — so throttle spikes and
+// dropped runs degrade the confidence instead of silently poisoning the
+// latency estimate. With no active faults the same loop runs on an inert
+// fault stream (no run fails, every multiplier is exactly 1.0) and nothing
+// is trimmed, so clean numbers are those of the plain 200 + 800 protocol,
+// bit for bit.
 #pragma once
 
 #include "hw/faults.hpp"
@@ -21,16 +22,14 @@
 
 namespace netcut::hw {
 
+inline constexpr int kWarmupRuns = 200;
+inline constexpr int kTimedRuns = 800;
+/// Root of every measurement's noise stream ("measure/<n>" labels).
+inline constexpr std::uint64_t kMeasureSeed = 1234;
+
 struct MeasureConfig {
-  int warmup_runs = 200;
-  int timed_runs = 800;
   double noise_sigma = 0.012;      // lognormal sigma per run
-  double cold_penalty = 0.6;       // initial clock-ramp latency multiplier
-  double warmup_decay_runs = 60.0; // e-folding of the cold penalty
-  std::uint64_t seed = 1234;
-  // Self-healing knobs (only consulted when a fault schedule is active).
   int max_retries = 3;             // extra attempts per failed timed run
-  double mad_k = 3.5;              // reject samples beyond k robust sigmas
   /// Fault schedule override; nullptr falls back to FaultModel::global()
   /// (the NETCUT_FAULTS environment schedule).
   const FaultModel* faults = nullptr;
@@ -46,7 +45,7 @@ struct Measurement {
   int failed_runs = 0;    // timed runs lost even after retries
   int retries = 0;        // retry attempts spent on failed runs
   int outliers_rejected = 0;
-  double confidence = 1.0;  // surviving-sample fraction of timed_runs
+  double confidence = 1.0;  // surviving-sample fraction of kTimedRuns
 };
 
 class LatencyMeasurer {

@@ -22,7 +22,7 @@ LatencyTable LayerProfiler::profile(const std::string& name, double end_to_end_m
   table.end_to_end_ms = end_to_end_ms;
 
   const std::string table_label = "profiler/" + std::to_string(table_counter_++);
-  util::Rng rng(util::derive_seed(config_.seed, table_label));
+  util::Rng rng(util::derive_seed(kProfilerSeed, table_label));
   const FaultModel& model = config_.faults != nullptr ? *config_.faults : FaultModel::global();
 
   for (const KernelCost& kc : kernels) {
@@ -38,8 +38,8 @@ LatencyTable LayerProfiler::profile(const std::string& name, double end_to_end_m
       // carries its surviving-run fraction as confidence.
       FaultStream faults = model.stream(table_label + "/node" + std::to_string(kc.node));
       std::vector<double> factors;
-      factors.reserve(static_cast<std::size_t>(config_.profile_runs));
-      for (int r = 0; r < config_.profile_runs; ++r) {
+      factors.reserve(static_cast<std::size_t>(kProfileRuns));
+      for (int r = 0; r < kProfileRuns; ++r) {
         for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
           const RunFault f = faults.next(r);
           if (!f.failed) {
@@ -53,16 +53,16 @@ LatencyTable LayerProfiler::profile(const std::string& name, double end_to_end_m
         pl.confidence = 0.0;
       } else {
         const std::vector<double> kept =
-            faults.active() ? util::mad_trim(factors, util::median(factors), config_.mad_k)
+            faults.active() ? util::mad_trim(factors, util::median(factors), kMadK)
                             : std::move(factors);
-        const double event_ms = kc.latency_ms + config_.event_overhead_us * 1e-3;
+        const double event_ms = kc.latency_ms + kEventOverheadUs * 1e-3;
         // Explicit fma, one run after another, so a row's rounding does not
         // depend on how the compiler contracts or vectorizes this loop.
         double sum = 0.0;
         for (double x : kept) sum = std::fma(event_ms, x, sum);
         pl.latency_ms = sum / static_cast<double>(kept.size());
         pl.confidence =
-            static_cast<double>(kept.size()) / static_cast<double>(config_.profile_runs);
+            static_cast<double>(kept.size()) / static_cast<double>(kProfileRuns);
       }
     }
     table.layers.push_back(std::move(pl));

@@ -41,14 +41,14 @@ struct LatencyTable {
   double layer_sum_ms() const;
 };
 
+inline constexpr double kEventOverheadUs = 0.7;  // added to each profiled kernel
+inline constexpr int kProfileRuns = 50;  // per-layer timings averaged over runs
+/// Root of every table's noise stream ("profiler/<n>" labels).
+inline constexpr std::uint64_t kProfilerSeed = 4321;
+
 struct ProfilerConfig {
-  double event_overhead_us = 0.7;  // added to each profiled kernel
   double noise_sigma = 0.02;       // per-layer timing noise
-  int profile_runs = 50;           // per-layer timings averaged over runs
-  std::uint64_t seed = 4321;
-  // Self-healing knobs (only consulted when a fault schedule is active).
   int max_retries = 3;             // extra attempts per failed profile run
-  double mad_k = 3.5;              // reject samples beyond k robust sigmas
   /// Fault schedule override; nullptr falls back to FaultModel::global().
   const FaultModel* faults = nullptr;
 };

@@ -1,20 +1,19 @@
 #include "hw/trainer_model.hpp"
 
-#include <stdexcept>
-#include <utility>
-
 namespace netcut::hw {
 
-TrainerModel::TrainerModel(TrainerConfig config) : config_(std::move(config)) {
-  if (config_.peak_gflops <= 0 || config_.efficiency <= 0)
-    throw std::invalid_argument("TrainerModel: non-positive throughput");
-}
+constexpr double kPeakGflops = 3520.0;         // Tesla K20m fp32 peak
+constexpr double kEfficiency = 0.35;
+constexpr int kDatasetImages = 6500;           // transfer-learning training set size
+constexpr int kEpochs = 55;                    // head warm-up + 50 fine-tuning epochs
+constexpr double kBackwardFactor = 2.0;        // backward pass costs ~2x forward
+constexpr double kPerNetworkOverheadH = 0.05;  // data pipeline, checkpointing, eval
 
-double TrainerModel::training_hours(double forward_flops) const {
-  const double total_flops = forward_flops * (1.0 + config_.backward_factor) *
-                             config_.dataset_images * config_.epochs;
-  const double seconds = total_flops / (config_.peak_gflops * 1e9 * config_.efficiency);
-  return seconds / 3600.0 + config_.per_network_overhead_h;
+double training_hours(double forward_flops) {
+  const double total_flops =
+      forward_flops * (1.0 + kBackwardFactor) * kDatasetImages * kEpochs;
+  const double seconds = total_flops / (kPeakGflops * 1e9 * kEfficiency);
+  return seconds / 3600.0 + kPerNetworkOverheadH;
 }
 
 }  // namespace netcut::hw

@@ -5,32 +5,13 @@
 // which this model prices from each TRN's forward FLOPs.
 #pragma once
 
-#include <string>
-
 namespace netcut::hw {
 
-struct TrainerConfig {
-  std::string name = "k20m-sim";
-  double peak_gflops = 3520.0;     // Tesla K20m fp32 peak
-  double efficiency = 0.35;
-  int dataset_images = 6500;       // transfer-learning training set size
-  int epochs = 55;                 // head warm-up + 50 fine-tuning epochs
-  double backward_factor = 2.0;    // backward pass costs ~2x forward
-  double per_network_overhead_h = 0.05;  // data pipeline, checkpointing, eval
-};
-
-class TrainerModel {
- public:
-  explicit TrainerModel(TrainerConfig config = {});
-
-  const TrainerConfig& config() const { return config_; }
-
-  /// GPU-hours to retrain one network whose forward pass (at its full
-  /// training resolution) costs `forward_flops`.
-  double training_hours(double forward_flops) const;
-
- private:
-  TrainerConfig config_;
-};
+/// GPU-hours to retrain one network whose forward pass (at its full
+/// training resolution) costs `forward_flops`: forward + backward (~2x
+/// forward) over a 6500-image training set for 55 epochs (head warm-up +
+/// 50 fine-tuning epochs) at 35% of a K20m's 3520 GFLOP/s fp32 peak, plus
+/// 0.05 h per network for the data pipeline, checkpointing and evaluation.
+double training_hours(double forward_flops);
 
 }  // namespace netcut::hw

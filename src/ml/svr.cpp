@@ -7,6 +7,9 @@
 
 namespace netcut::ml {
 
+constexpr int kMaxSweeps = 400;
+constexpr double kTol = 1e-9;  // stop when a full sweep improves less than this
+
 Svr::Svr(SvrConfig config) : config_(config) {
   if (config_.c <= 0 || config_.epsilon < 0 || config_.gamma <= 0)
     throw std::invalid_argument("Svr: invalid hyperparameters");
@@ -58,7 +61,7 @@ void Svr::fit(const std::vector<std::vector<double>>& x, const std::vector<doubl
            eps * (std::abs(beta[ju] - delta) - std::abs(beta[ju]));
   };
 
-  for (int sweep = 0; sweep < config_.max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     double improvement = 0.0;
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
@@ -103,7 +106,7 @@ void Svr::fit(const std::vector<std::vector<double>>& x, const std::vector<doubl
         }
       }
     }
-    if (improvement < config_.tol) break;
+    if (improvement < kTol) break;
   }
 
   // Bias from the KKT conditions of the free support vectors:

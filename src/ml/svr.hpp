@@ -21,8 +21,6 @@ struct SvrConfig {
   double gamma = 0.1;   // RBF kernel coefficient (paper's tuned value)
   double c = 1e6;       // regularization parameter (paper's tuned value)
   double epsilon = 1e-3;  // ε-insensitive tube half-width
-  int max_sweeps = 400;
-  double tol = 1e-9;    // stop when a full sweep improves less than this
 };
 
 class Svr {

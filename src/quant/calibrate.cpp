@@ -7,6 +7,9 @@
 
 namespace netcut::quant {
 
+/// ScalePolicy::kPercentile clips each range to [100 - this, this] percentiles.
+constexpr double kClipPercentile = 99.5;
+
 ActivationScales calibrate_activations(nn::Network& net,
                                        const std::vector<const tensor::Tensor*>& images,
                                        const CalibrationConfig& config) {
@@ -34,8 +37,8 @@ ActivationScales calibrate_activations(nn::Network& net,
       lo = util::min_of(mins[static_cast<std::size_t>(id)]);
       hi = util::max_of(maxs[static_cast<std::size_t>(id)]);
     } else {
-      lo = util::percentile(mins[static_cast<std::size_t>(id)], 100.0 - config.percentile);
-      hi = util::percentile(maxs[static_cast<std::size_t>(id)], config.percentile);
+      lo = util::percentile(mins[static_cast<std::size_t>(id)], 100.0 - kClipPercentile);
+      hi = util::percentile(maxs[static_cast<std::size_t>(id)], kClipPercentile);
     }
     scales[id] = QuantParams::from_range(static_cast<float>(lo), static_cast<float>(hi));
   }

@@ -15,9 +15,10 @@ namespace netcut::quant {
 
 enum class ScalePolicy { kMinMax, kPercentile };
 
+/// kPercentile clips each activation range to the 0.5th..99.5th percentile
+/// of the per-image extrema.
 struct CalibrationConfig {
   ScalePolicy policy = ScalePolicy::kPercentile;
-  double percentile = 99.5;  // used by kPercentile
 };
 
 /// Per-node activation quantization parameters (node id -> params).

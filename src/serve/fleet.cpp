@@ -9,6 +9,13 @@
 
 namespace netcut::serve {
 
+/// Fraction of a request's remaining slack kept as safety margin by the
+/// feasibility bound (admit only if best-case eta fits in (1 - headroom) of
+/// the slack). Without it the saturated steady state parks the backlog
+/// exactly on the feasibility boundary, where admitted requests finish at
+/// deadline +- jitter and half of them miss by a hair.
+constexpr double kAdmissionHeadroom = 0.10;
+
 Fleet::Fleet(std::vector<FleetWorker> workers, FleetConfig config)
     : config_(std::move(config)),
       queue_(workers.empty() ? 1 : workers.size(), config_.seed),
@@ -18,8 +25,6 @@ Fleet::Fleet(std::vector<FleetWorker> workers, FleetConfig config)
           workers.empty() ? 1 : workers.size()) {
   if (workers.empty()) throw std::invalid_argument("Fleet: no workers");
   if (config_.classes.empty()) throw std::invalid_argument("Fleet: no SLO classes");
-  if (config_.admission_headroom < 0 || config_.admission_headroom >= 1)
-    throw std::invalid_argument("Fleet: admission_headroom outside [0, 1)");
   for (const SloClass& c : config_.classes)
     if (c.weight <= 0 || c.deadline_slack_ms <= 0 || c.p99_budget_ms <= 0)
       throw std::invalid_argument("Fleet: bad SLO class '" + c.name + "'");
@@ -77,7 +82,7 @@ bool Fleet::feasible(const Request& r, double now_ms) const {
   if (monitor_.up_count() == 0) return false;
 
   const double margin =
-      std::max(0.0, config_.admission_headroom * (r.deadline_ms - now_ms));
+      std::max(0.0, kAdmissionHeadroom * (r.deadline_ms - now_ms));
 
   // Own-shard view: the replica this request routes to, serving only its
   // own shard, finishes it in time. Under balanced routing this is the

@@ -93,13 +93,6 @@ struct FleetWorker {
 struct FleetConfig {
   std::vector<SloClass> classes = {SloClass{}};
   std::uint64_t seed = 9090;  // steal-victim streams (per-worker derived)
-  /// Fraction of a request's remaining slack kept as safety margin by the
-  /// feasibility bound (admit only if best-case eta fits in (1 - headroom)
-  /// of the slack). Without it the saturated steady state parks the
-  /// backlog exactly on the feasibility boundary, where admitted requests
-  /// finish at deadline +- jitter and half of them miss by a hair. In
-  /// [0, 1).
-  double admission_headroom = 0.10;
   /// Weighted tenant fairness engages when the total backlog reaches this
   /// many requests; below it any feasible request is admitted.
   std::size_t pressure_backlog = 64;

@@ -8,6 +8,10 @@ namespace netcut::serve {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Leaky error score (errors +1, clean batches -1) at which an Up replica
+/// is Degraded / a Degraded one is Down.
+constexpr int kDegradedErrors = 2;
+constexpr int kDownErrors = 5;
 }  // namespace
 
 const char* replica_state_name(ReplicaState s) {
@@ -26,9 +30,6 @@ HealthMonitor::HealthMonitor(std::size_t workers, HealthConfig config)
   if (config_.suspect_after_ms <= 0 || config_.down_after_ms <= config_.suspect_after_ms)
     throw std::invalid_argument(
         "HealthMonitor: want 0 < suspect_after_ms < down_after_ms");
-  if (config_.degraded_errors < 1 || config_.down_errors <= config_.degraded_errors)
-    throw std::invalid_argument(
-        "HealthMonitor: want 1 <= degraded_errors < down_errors");
   if (config_.probation_ms <= 0 || config_.warmup_batches < 1)
     throw std::invalid_argument("HealthMonitor: want probation_ms > 0, warmup_batches >= 1");
 }
@@ -87,9 +88,9 @@ void HealthMonitor::note_error(std::size_t w, double now_ms) {
   r.silent_since_ms = kInf;
   r.clean_batches = 0;
   ++r.error_score;
-  if (r.error_score >= config_.down_errors) {
+  if (r.error_score >= kDownErrors) {
     set_state(w, ReplicaState::kDown, now_ms);
-  } else if (r.error_score >= config_.degraded_errors && r.state == ReplicaState::kUp) {
+  } else if (r.error_score >= kDegradedErrors && r.state == ReplicaState::kUp) {
     set_state(w, ReplicaState::kDegraded, now_ms);
   }
 }

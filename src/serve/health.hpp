@@ -3,7 +3,7 @@
 //
 //   Up ──silent ≥ suspect_after──▶ Degraded ──silent ≥ down_after──▶ Down
 //   ▲                                 │  ▲                            │
-//   │◀──── warm-up (clean batches) ───┘  └─── errors ≥ down_errors ───┘
+//   │◀──── warm-up (clean batches) ───┘  └─── errors ≥ kDownErrors ───┘
 //   │                                                                 │
 //   └──── warm-up (steal-only) ──── Recovering ◀── responsive + ──────┘
 //                                                  probation
@@ -58,10 +58,6 @@ struct HealthConfig {
   double suspect_after_ms = 8.0;
   /// Silent this long and it is declared Down: drain + failover.
   double down_after_ms = 20.0;
-  /// Leaky error score (errors +1, clean batches -1) at which an Up
-  /// replica is Degraded / a Degraded one is Down.
-  int degraded_errors = 2;
-  int down_errors = 5;
   /// A Down replica must answer probes this long before Recovering starts.
   double probation_ms = 10.0;
   /// Clean batches a Recovering (or Degraded) replica must serve before it

@@ -190,7 +190,7 @@ std::vector<Completion> BatchServer::step(double now_ms) {
       const std::size_t at = watchdog_.current();
       const bool slower_fits =
           at > 0 && expected_latency_ms(options_[at - 1], 1) * slowdown_ <=
-                        config_.watchdog.recover_headroom * config_.nominal_deadline_ms;
+                        app::kRecoverHeadroom * config_.nominal_deadline_ms;
       const app::MissRateWatchdog::Decision dec = watchdog_.observe(c.missed, slower_fits);
       if (dec.action == app::MissRateWatchdog::Action::kFallBack)
         stats_.switches.push_back({batch_counter_, at, at + 1, dec.window_miss_rate});

@@ -44,11 +44,7 @@ TEST(TransferHead, LearnsSeparableFeatures) {
     y.push_back(data::make_label(static_cast<data::GraspType>(cls), rng, 0.02));
   }
   const MlpConfig c = quick_mlp();
-  core::HeadConfig head;
-  head.classes = c.classes;
-  head.hidden1 = c.hidden1;
-  head.hidden2 = c.hidden2;
-  const core::TransferHead clf(x, y, head, c.epochs, c.learning_rate, c.seed);
+  const core::TransferHead clf(x, y, kMlpHead, c.epochs, kMlpLearningRate, c.seed);
   std::vector<tensor::Tensor> preds, labels;
   for (int i = 0; i < 100; ++i) {
     preds.push_back(clf.predict(x[static_cast<std::size_t>(i)]));
@@ -66,7 +62,7 @@ TEST(TransferHead, RejectsBadTrainingSet) {
 }
 
 TEST(EmgClassifier, BeatsChanceOnHeldOutData) {
-  data::EmgGenerator gen(data::EmgConfig{});
+  data::EmgGenerator gen;
   EmgClassifier clf(gen, 150, quick_mlp());
   const double acc = clf.test_accuracy(gen, 100, 777);
   EXPECT_GT(acc, 0.55);  // well above the ~0.35 of a uniform predictor
@@ -105,7 +101,7 @@ TEST(Fusion, AccumulatorUniformBeforeObservations) {
 
 TEST(ControlLoop, FusedDecisionsBeatDeadlineMissRegime) {
   const data::HandsDataset dataset(tiny_data());
-  data::EmgGenerator emg_gen(data::EmgConfig{});
+  data::EmgGenerator emg_gen;
   EmgClassifier emg(emg_gen, 150, quick_mlp());
 
   const zoo::NetId base = zoo::NetId::kMobileNetV1_025;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/estimator.hpp"
+#include "hw/trainer_model.hpp"
 #include "nn/conv.hpp"
 #include "util/stats.hpp"
 
@@ -157,10 +158,9 @@ TEST_P(LabReference, EveryAnswerBitwiseEqualsTheBuiltTrn) {
     cfg.precision = precision;
     cfg.fuse = fuse;
     LatencyLab lab(cfg);
-    const hw::DeviceModel dev(cfg.device);
+    const hw::DeviceModel dev;
     hw::LatencyMeasurer meas(cfg.measure);  // draws the lab's label sequence
     hw::LayerProfiler prof(cfg.profiler);
-    const hw::TrainerModel trainer(cfg.trainer);
     util::Rng rng(1);
 
     // Deepest first: the full cut's measurement is the features' base
@@ -172,14 +172,14 @@ TEST_P(LabReference, EveryAnswerBitwiseEqualsTheBuiltTrn) {
     double base_ms = 0.0;
     for (auto d = cuts.rbegin(); d != cuts.rend(); ++d) {
       SCOPED_TRACE("cut " + std::to_string(*d));
-      const nn::Graph trn = build_trn(trunk, *d, cfg.head, rng);
+      const nn::Graph trn = build_trn(trunk, *d, HeadConfig{}, rng);
       const double truth = dev.network_latency_ms(trn, precision, fuse);
       EXPECT_TRUE(same_bits(lab.true_ms(net, *d), truth));
       const double measured = meas.measure(truth).mean_ms;
       EXPECT_TRUE(same_bits(lab.measured_ms(net, *d), measured));
       if (*d == lab.full_cut(net)) base_ms = measured;
       EXPECT_TRUE(same_bits(lab.training_hours(net, *d),
-                            trainer.training_hours(static_cast<double>(trn.total_cost().flops))));
+                            hw::training_hours(static_cast<double>(trn.total_cost().flops))));
 
       const TrnFeatures f = compute_trn_features(lab, net, *d);
       const nn::LayerCost cost = trn.total_cost();
@@ -209,7 +209,7 @@ TEST_P(LabReference, EveryAnswerBitwiseEqualsTheBuiltTrn) {
       }
     }
 
-    const nn::Graph full = build_trn(trunk, lab.full_cut(net), cfg.head, rng);
+    const nn::Graph full = build_trn(trunk, lab.full_cut(net), HeadConfig{}, rng);
     const hw::LatencyTable want =
         prof.profile(zoo::net_name(net),
                      meas.measure(dev.network_latency_ms(full, precision, fuse)).mean_ms,

@@ -113,8 +113,16 @@ TEST(Pretrained, TrainingReducesSourceLoss) {
   // Chance-level CE for 10 classes is ln(10) = 2.30 per head (two heads).
   EXPECT_LT(r.final_loss, 2.0 * 2.30);
   EXPECT_GT(r.source_accuracy, 0.15);  // above the 0.10 chance level
-  EXPECT_EQ(r.steps, cfg.epochs * ((cfg.source_images + cfg.batch_size - 1) /
-                                   cfg.batch_size));
+  EXPECT_EQ(r.steps, cfg.epochs * (cfg.source_images / kPretrainBatchSize));
+}
+
+TEST(Pretrained, RejectsASourceSetThatLeavesAPartialBatch) {
+  // Every optimizer step takes a full batch: 42 images would leave two whose
+  // gradients no step applies.
+  nn::Graph trunk = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 24);
+  PretrainedConfig cfg = tiny_pretrain();
+  cfg.source_images = 42;
+  EXPECT_THROW(generate_pretrained_weights(trunk, cfg), std::invalid_argument);
 }
 
 TEST(Pretrained, GeneratorIsDeterministic) {
@@ -242,7 +250,7 @@ TEST(Pretrained, FeaturesCarryClassInformation) {
 }
 
 TEST(Emg, PatternsAreClassSpecificAndNoisy) {
-  EmgGenerator gen(EmgConfig{});
+  EmgGenerator gen;
   util::Rng rng(3);
   const tensor::Tensor a = gen.sample(GraspType::kOpenPalm, rng);
   const tensor::Tensor b = gen.sample(GraspType::kPalmarPinch, rng);
@@ -252,7 +260,7 @@ TEST(Emg, PatternsAreClassSpecificAndNoisy) {
 }
 
 TEST(Emg, DatasetBalancedWithSoftLabels) {
-  EmgGenerator gen(EmgConfig{});
+  EmgGenerator gen;
   const auto ds = gen.dataset(50, 1);
   ASSERT_EQ(ds.size(), 50u);
   std::vector<int> counts(kGraspCount, 0);

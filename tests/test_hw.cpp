@@ -95,6 +95,23 @@ TEST(DeviceModel, BatchCurveEqualsLatencyQueryBitwise) {
   }
 }
 
+TEST(DeviceModel, PerfFactorScalesTheDevice) {
+  // A perf factor must be positive; 1.0 is the default device bit for bit,
+  // and a half-speed sibling is slower at every batch size.
+  EXPECT_THROW(DeviceModel(0.0), std::invalid_argument);
+  EXPECT_THROW(DeviceModel(-1.0), std::invalid_argument);
+  const Graph trunk = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 224);
+  const DeviceModel dev, unit(1.0), half(0.5);
+  for (const Precision p : {Precision::kFp32, Precision::kInt8}) {
+    for (const int b : {1, 8}) {
+      const double want = dev.network_latency_ms(trunk, p, true, b);
+      const double got = unit.network_latency_ms(trunk, p, true, b);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << to_string(p) << " batch " << b;
+      EXPECT_GT(half.network_latency_ms(trunk, p, true, b), want) << to_string(p) << " batch " << b;
+    }
+  }
+}
+
 TEST(DeviceModel, PaperScaleCalibration) {
   // The qualitative Fig 1 setup: MobileNetV1-0.5 comfortably meets the
   // 0.9 ms deadline; the deep networks miss it.
@@ -173,21 +190,19 @@ TEST(Profiler, FusedLayersReportZero) {
 }
 
 TEST(TrainerModel, HoursScaleWithNetworkSize) {
-  TrainerModel tm;
   const Graph small = zoo::build_trunk(zoo::NetId::kMobileNetV1_025, 224);
   const Graph big = zoo::build_trunk(zoo::NetId::kResNet50, 224);
-  const double small_hours = tm.training_hours(static_cast<double>(small.total_cost().flops));
-  EXPECT_LT(small_hours, tm.training_hours(static_cast<double>(big.total_cost().flops)));
+  const double small_hours = training_hours(static_cast<double>(small.total_cost().flops));
+  EXPECT_LT(small_hours, training_hours(static_cast<double>(big.total_cost().flops)));
   EXPECT_GT(small_hours, 0.0);
 }
 
 TEST(TrainerModel, PaperScaleTotalHours) {
   // The 7 full networks alone should land within the same order as the
   // paper's per-network training times (~1 hour each on a K20m).
-  TrainerModel tm;
   double total = 0.0;
   for (auto id : zoo::all_nets())
-    total += tm.training_hours(static_cast<double>(
+    total += training_hours(static_cast<double>(
         zoo::build_trunk(id, zoo::native_resolution(id)).total_cost().flops));
   EXPECT_GT(total, 2.0);
   EXPECT_LT(total, 60.0);

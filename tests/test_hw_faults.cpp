@@ -237,22 +237,22 @@ TEST(Measure, CleanLoopIsThePlainProtocol) {
   const LatencyTable table =
       prof.profile("chain", meas.measure(truth).mean_ms, costs);  // measure/0
 
-  util::Rng rng(util::derive_seed(mc.seed, "measure/0"));
-  for (int i = 0; i < mc.warmup_runs; ++i) meas.simulate_run_ms(truth, i, rng);
+  util::Rng rng(util::derive_seed(kMeasureSeed, "measure/0"));
+  for (int i = 0; i < kWarmupRuns; ++i) meas.simulate_run_ms(truth, i, rng);
   std::vector<double> samples;
-  for (int i = 0; i < mc.timed_runs; ++i)
-    samples.push_back(meas.simulate_run_ms(truth, mc.warmup_runs + i, rng));
+  for (int i = 0; i < kTimedRuns; ++i)
+    samples.push_back(meas.simulate_run_ms(truth, kWarmupRuns + i, rng));
   EXPECT_EQ(table.end_to_end_ms, util::mean(samples));
 
-  util::Rng prng(util::derive_seed(pc.seed, "profiler/0"));
+  util::Rng prng(util::derive_seed(kProfilerSeed, "profiler/0"));
   ASSERT_EQ(table.layers.size(), costs.size());
   for (std::size_t i = 0; i < costs.size(); ++i) {
     if (costs[i].fused_away) continue;
-    const double event_ms = costs[i].latency_ms + pc.event_overhead_us * 1e-3;
+    const double event_ms = costs[i].latency_ms + kEventOverheadUs * 1e-3;
     double sum = 0.0;
-    for (int r = 0; r < pc.profile_runs; ++r)
+    for (int r = 0; r < kProfileRuns; ++r)
       sum = std::fma(event_ms, prng.lognormal(0.0, pc.noise_sigma), sum);
-    EXPECT_DOUBLE_EQ(table.layers[i].latency_ms, sum / pc.profile_runs) << costs[i].name;
+    EXPECT_DOUBLE_EQ(table.layers[i].latency_ms, sum / kProfileRuns) << costs[i].name;
     EXPECT_EQ(table.layers[i].confidence, 1.0);
   }
 }

@@ -259,6 +259,20 @@ TEST(WeightCache, FileNameDependsOnBackend) {
   EXPECT_NE(scalar, simd);
 }
 
+/// Weight-cache file names and accuracy-memo keys hash the configs. Their
+/// default values are pinned here: an edit that moves either one would
+/// silently re-pretrain every cached trunk and refill every memo.
+TEST(WeightCache, DefaultCacheKeysArePinned) {
+  const std::string backend = tensor::backend_name(tensor::active_backend_kind());
+  EXPECT_EQ(
+      core::pretrained_cache_file(zoo::NetId::kMobileNetV1_025, data::PretrainedConfig{}, "w"),
+      (fs::path("w") / ("MobileNetV1-0.25_p24_" + backend + "_c907b5f5a2291f3d.weights"))
+          .string());
+  const data::HandsDataset dataset{data::HandsConfig{}};
+  EXPECT_EQ(core::TrnEvaluator(dataset, core::EvalConfig{}).config_hash(),
+            5655776248039468452u);
+}
+
 // ---------------------------------------------------------- sweep resume
 
 TEST(AccuracyCache, ExplorerResumesFromMemo) {
@@ -326,7 +340,7 @@ TEST(AccuracyCache, ExplorerResumesFromMemo) {
 
 struct LoopFixture {
   data::HandsDataset dataset{tiny_data()};
-  data::EmgGenerator emg_gen{data::EmgConfig{}};
+  data::EmgGenerator emg_gen;
   app::MlpConfig mlp = [] {
     app::MlpConfig c;
     c.epochs = 15;
